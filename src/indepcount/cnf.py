@@ -130,11 +130,24 @@ class CnfFormula:
             k = width
         elif k < width:
             raise ValueError(f"clause of length {width} exceeds declared k={k}")
-        object.__setattr__(self, "clauses", cls_tuple)
+        self._fill(cls_tuple, universe, k, varset)
+
+    def _fill(self, clauses, universe, k, varset) -> None:
+        object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "variables", universe)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "_varset", varset)
         object.__setattr__(self, "_cache", {})
+
+    @classmethod
+    def _checked(cls, clauses: tuple[Clause, ...],
+                 universe: tuple[int, ...]) -> "CnfFormula":
+        """Skip validation for parts taken from a valid formula: clauses
+        over the ascending ``universe``, k the observed width."""
+        self = object.__new__(cls)
+        self._fill(clauses, universe, max(map(len, clauses), default=0),
+                   frozenset(universe))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("CnfFormula is immutable")
@@ -348,25 +361,46 @@ def restrict(phi: CnfFormula, assignment: Mapping[int, bool]) -> CnfFormula:
     for v in assignment:
         if v not in phi._varset:
             raise ValueError(f"x{v} is not free in this formula")
-    new_clauses: list[Clause] = []
+    fixed = frozenset(assignment)
+    plan = phi._cache.get("restrict")
+    if plan is None or plan[0] != fixed:
+        # one plan kept: siblings of a search node are restricted in a row
+        plan = phi._cache["restrict"] = (fixed, *_restrict_plan(phi, fixed))
+    _, bits, rows, remaining = plan
+    true = 0
+    for v, bit in bits.items():
+        if assignment[v]:
+            true |= bit
+    kept = tuple(c for c, pos, neg in rows if not (pos & true or neg & ~true))
+    return CnfFormula._checked(kept, remaining)
+
+
+def _restrict_plan(phi: CnfFormula, fixed: frozenset[int]):
+    """What restricting ``phi`` on the variables ``fixed`` keeps, whatever
+    their values: a bit per fixed variable, and per clause its stripped
+    form with masks of its positive and negative fixed literals."""
+    bits = {v: 1 << i for i, v in enumerate(sorted(fixed))}
+    rows = []
     for c in phi.clauses:
-        keep: list[Literal] = []
-        sat = False
-        for lit in c:
-            if lit.var in assignment:
-                if bool(assignment[lit.var]) != lit.negated:
-                    sat = True
-                    break
+        pos = neg = 0
+        for lit in c.literals:
+            bit = bits.get(lit.var, 0)
+            if lit.negated:
+                neg |= bit
             else:
-                keep.append(lit)
-        if not sat:
-            new_clauses.append(Clause(tuple(keep)))
-    remaining = tuple(v for v in phi.variables if v not in assignment)
-    return CnfFormula(new_clauses, variables=remaining)
+                pos |= bit
+        if pos | neg:
+            c = Clause(tuple(lit for lit in c.literals if lit.var not in bits))
+        rows.append((c, pos, neg))
+    remaining = tuple(v for v in phi.variables if v not in bits)
+    return bits, rows, remaining
 
 
 # ---------------------------------------------------------------------------
-# Bit-parallel helpers (shared by the exact counter and the sampler)
+# Bit-parallel helpers (shared by the exact counter, the groups and the sampler)
+
+_CHUNK_BITS = 20
+
 
 def bit_positions(variables: Iterable[int]) -> dict[int, int]:
     """Map each variable to a distinct bit position, in sorted order."""
@@ -399,11 +433,24 @@ def clause_bitmasks(clauses: Iterable[Clause],
 
 def satisfied_rows(pos: np.ndarray, neg: np.ndarray,
                    words: np.ndarray) -> np.ndarray:
-    """Boolean vector: which assignment words satisfy every clause."""
-    ok = np.ones(words.shape, dtype=bool)
-    inv = ~words
-    for j in range(pos.shape[0]):
-        ok &= ((words & pos[j]) != 0) | ((inv & neg[j]) != 0)
-        if not ok.any():
+    """The assignment words that satisfy every clause, in input order.
+
+    Clause ``j`` is falsified exactly when ``w & (pos[j] | neg[j]) ==
+    neg[j]``.  Rows a clause falsifies are dropped before the next clause
+    is checked, so the work shrinks with the survivors.
+    """
+    for touched, falsified in zip(pos | neg, neg):
+        if not len(words):
             break
-    return ok
+        words = words[(words & touched) != falsified]
+    return words
+
+
+def satisfying_indices(pos: np.ndarray, neg: np.ndarray,
+                       nbits: int) -> Iterator[np.ndarray]:
+    """Every index in ``[0, 2^nbits)`` that satisfies all clauses, as
+    ascending chunks of survivors from ``2^_CHUNK_BITS`` candidates each."""
+    space = 1 << nbits
+    step = min(space, 1 << _CHUNK_BITS)
+    for base in range(0, space, step):
+        yield satisfied_rows(pos, neg, np.arange(base, base + step, dtype=np.uint64))

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cnf import Clause, CnfFormula, bit_positions
+from .cnf import (Clause, CnfFormula, bit_positions, clause_bitmasks,
+                  satisfying_indices)
 
 BRUTE_FORCE_MAX_VARS = 28
-_CHUNK_BITS = 20
 
 
 class GuardError(RuntimeError):
@@ -38,31 +36,9 @@ def brute_force_count(phi: CnfFormula, *, max_vars: int = BRUTE_FORCE_MAX_VARS) 
     if t > max_vars:
         raise GuardError(f"brute force over 2^{t} assignments exceeds guard "
                          f"of 2^{max_vars}")
-    positions = bit_positions(phi.variables)
-    masks = []
-    for c in phi.clauses:
-        p = n = 0
-        for lit in c:
-            bit = 1 << positions[lit.var]
-            if lit.negated:
-                n |= bit
-            else:
-                p |= bit
-        masks.append((p, n))
-    total = 0
-    space = 1 << t
-    step = min(space, 1 << _CHUNK_BITS)
-    for base in range(0, space, step):
-        idx = np.arange(base, base + step, dtype=np.uint64)
-        sat = np.ones(step, dtype=bool)
-        for p, n in masks:
-            p64, n64 = np.uint64(p), np.uint64(n)
-            # clause violated iff every positive var is 0 and negative var is 1
-            sat &= ~(((idx & p64) == 0) & ((idx & n64) == n64))
-            if not sat.any():
-                break
-        total += int(np.count_nonzero(sat))
-    return ExactCount(value=total, nodes_visited=space)
+    pos, neg = clause_bitmasks(phi.clauses, bit_positions(phi.variables))
+    total = sum(len(chunk) for chunk in satisfying_indices(pos, neg, t))
+    return ExactCount(value=total, nodes_visited=1 << t)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .cnf import CnfFormula
 from .exact import brute_force_count
@@ -39,6 +38,8 @@ def chi_square_uniformity(samples: Sequence[Mapping[int, bool]],
     Every sample must be a member of the universe; cells the samples never
     hit still count toward the statistic.
     """
+    from scipy import stats  # deferred: it dominates the package import time
+
     if not samples:
         raise ValueError("no samples given")
     cells = universe.enumerate_words()
@@ -55,7 +56,7 @@ def chi_square_uniformity(samples: Sequence[Mapping[int, bool]],
             raise ValueError("sample falls outside the universe")
     expected = len(samples) / len(cells)
     statistic = float(np.sum((counts - expected) ** 2 / expected))
-    p_value = float(scipy_stats.chi2.sf(statistic, len(cells) - 1))
+    p_value = float(stats.chi2.sf(statistic, len(cells) - 1))
     return statistic, p_value
 
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cnf import CnfFormula, PartialAssignment, bit_positions, clause_bitmasks, satisfied_rows
+from .cnf import CnfFormula, PartialAssignment, clause_bitmasks, satisfied_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .structs import StructSet
@@ -175,11 +175,9 @@ def mc_estimate(phi: CnfFormula, psi, ell: int, eps: float, delta: float,
     and flagged ``under_sampled`` instead of silently weakening anything.
     """
     structs = tuple(getattr(psi, "structs", psi))
-    phi_clauses = set(phi.clauses)
-    for sigma in structs:
-        for c in sigma.clauses:
-            if c not in phi_clauses:
-                raise ValueError("subformula clause missing from the formula")
+    drawn = {c for sigma in structs for c in sigma.clauses}
+    if not drawn <= set(phi.clauses):
+        raise ValueError("subformula clause missing from the formula")
     if rng is None:
         rng = np.random.default_rng(seed)
 
@@ -193,14 +191,16 @@ def mc_estimate(phi: CnfFormula, psi, ell: int, eps: float, delta: float,
         t = sample_budget
         under = True
 
-    positions = {v: v - 1 for v in phi.variables}
-    pos, neg = clause_bitmasks(phi.clauses, positions)
+    # every draw satisfies the groups' own clauses; only the rest are checked
+    pos, neg = clause_bitmasks([c for c in phi.clauses if c not in drawn],
+                               {v: v - 1 for v in phi.variables})
     hits = 0
     done = 0
     while done < t:
         chunk = min(_SAMPLE_CHUNK, t - done)
         words = universe.sample_words(chunk, rng)
-        hits += int(np.count_nonzero(satisfied_rows(pos, neg, words)))
+        # survivors, not nonzero words: the all-false word 0 can be a model
+        hits += len(satisfied_rows(pos, neg, words))
         done += chunk
     value = Fraction(hits * universe.size, t)
     return Estimate(value=value, exact=False, epsilon=eps, delta=delta,

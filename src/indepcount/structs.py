@@ -22,14 +22,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cnf import Clause, CnfFormula, restrict
+from .cnf import (Clause, CnfFormula, clause_bitmasks, restrict,
+                  satisfying_indices)
 from .exact import GuardError
 from .mc import Estimate
 
 STRUCT_CAP = 16
 _SCAN_GUARD = 28
 _INDEX_LIMIT = 1 << 21
-_CHUNK_BITS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -46,40 +46,27 @@ def _scan_models(clauses: Sequence[Clause], over_vars: Sequence[int], *,
     t = len(over_vars)
     if t > _SCAN_GUARD:
         raise GuardError(f"refusing to enumerate 2^{t} assignments")
-    positions = {v: i for i, v in enumerate(over_vars)}
-    varset = set(over_vars)
-    masks = []
-    for c in clauses:
-        if not c.vars <= varset:
-            continue
-        p = n = 0
-        for lit in c:
-            bit = 1 << positions[lit.var]
-            if lit.negated:
-                n |= bit
-            else:
-                p |= bit
-        masks.append((np.uint64(p), np.uint64(n)))
     count = 0
     collected: list[np.ndarray] | None = []
-    space = 1 << t
-    step = min(space, 1 << _CHUNK_BITS)
-    for base in range(0, space, step):
-        idx = np.arange(base, base + step, dtype=np.uint64)
-        ok = np.ones(step, dtype=bool)
-        for p, n in masks:
-            ok &= ~(((idx & p) == 0) & ((idx & n) == n))
-        count += int(np.count_nonzero(ok))
+    for chunk in _scan_chunks(clauses, over_vars):
+        count += len(chunk)
         if collected is not None:
             if count > index_limit:
                 collected = None
             else:
-                collected.append(idx[ok])
+                collected.append(chunk)
     if collected is None:
         return count, None
-    if not collected:
-        return count, np.zeros(0, dtype=np.uint64)
     return count, np.concatenate(collected)
+
+
+def _scan_chunks(clauses: Sequence[Clause], over_vars: Sequence[int]):
+    """Ascending chunks of compact indices (bit i = ``over_vars[i]``) of the
+    assignments that falsify none of the clauses inside ``over_vars``."""
+    varset = set(over_vars)
+    inside = [c for c in clauses if c.vars <= varset]
+    pos, neg = clause_bitmasks(inside, {v: i for i, v in enumerate(over_vars)})
+    return satisfying_indices(pos, neg, len(over_vars))
 
 
 def _expand_words(indices: np.ndarray, over_vars: Sequence[int]) -> np.ndarray:
@@ -160,26 +147,8 @@ class Struct:
                 yield _decode_index(int(index), self.vars)
             return
         # too many to keep around: rescan in chunks
-        positions = {v: i for i, v in enumerate(self.vars)}
-        varset = set(self.vars)
-        space = 1 << self.n_sigma
-        step = min(space, 1 << _CHUNK_BITS)
-        masks = []
-        for c in self.clauses:
-            p = n = 0
-            for lit in c:
-                bit = 1 << positions[lit.var]
-                if lit.negated:
-                    n |= bit
-                else:
-                    p |= bit
-            masks.append((np.uint64(p), np.uint64(n)))
-        for base in range(0, space, step):
-            idx = np.arange(base, base + step, dtype=np.uint64)
-            ok = np.ones(step, dtype=bool)
-            for p, n in masks:
-                ok &= ~(((idx & p) == 0) & ((idx & n) == n))
-            for index in idx[ok]:
+        for chunk in _scan_chunks(self.clauses, self.vars):
+            for index in chunk:
                 yield _decode_index(int(index), self.vars)
 
     def closed_ok_assignments(self) -> tuple[dict[int, bool], ...]:
@@ -429,6 +398,7 @@ def _recurse_branches(phi: CnfFormula, structs: Sequence[Struct], eps: float,
     sub_delta = _branch_delta(delta, phi.num_vars)
     total = 0
     exact = True
+    under = False
     samples = hits = decider_calls = branch_nodes = 0
     for combo in itertools.product(*[s.closed_ok_assignments() for s in structs]):
         binding: dict[int, bool] = {}
@@ -439,13 +409,14 @@ def _recurse_branches(phi: CnfFormula, structs: Sequence[Struct], eps: float,
         est = recursive_counter(sub, eps, sub_delta)
         total = total + est.value
         exact = exact and est.exact
+        under = under or est.under_sampled
         samples += est.samples
         hits += est.hits
         decider_calls += est.decider_calls
         branch_nodes += est.branch_nodes
     return Estimate(value=total, exact=exact, epsilon=eps, delta=delta,
-                    samples=samples, hits=hits, decider_calls=decider_calls,
-                    branch_nodes=branch_nodes)
+                    samples=samples, hits=hits, under_sampled=under,
+                    decider_calls=decider_calls, branch_nodes=branch_nodes)
 
 
 def red_structs(phi: CnfFormula, params, eps: float, delta: float,

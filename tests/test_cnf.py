@@ -1,11 +1,13 @@
 import warnings
 
+import numpy as np
 import pytest
 
 from indepcount import (Clause, CnfFormula, DimacsError, Literal,
                         PartialAssignment, evaluate, parse_dimacs, restrict,
                         serialize_dimacs)
-from indepcount.cnf import ParseStats
+from indepcount.cnf import (ParseStats, bit_positions, clause_bitmasks,
+                            satisfied_rows)
 from indepcount.gen import GeneratorSpec, generate
 
 from conftest import CHAIN3_TEXT
@@ -148,6 +150,29 @@ def test_restrict_composes_like_a_single_restriction():
         assert two_step.variables == one_step.variables
 
 
+def _restrict_reference(phi, assignment):
+    kept = []
+    for c in phi.clauses:
+        if any(lit.var in assignment and assignment[lit.var] != lit.negated
+               for lit in c):
+            continue
+        kept.append(tuple(lit.to_int() for lit in c if lit.var not in assignment))
+    return CnfFormula(kept, variables=[v for v in phi.variables
+                                       if v not in assignment])
+
+
+def test_restrict_matches_reference_across_sibling_assignments():
+    # siblings fix the same variables with different values
+    for seed in range(20):
+        phi = generate(GeneratorSpec(n=9, m=14, k=3, seed=300 + seed))
+        fixed = phi.variables[seed % 3::3]
+        for values in range(1 << len(fixed)):
+            a = {v: bool((values >> i) & 1) for i, v in enumerate(fixed)}
+            got = restrict(phi, a)
+            assert got == _restrict_reference(phi, a)
+            assert got.varset == frozenset(got.variables)
+
+
 def test_partial_assignment_is_immutable_mapping():
     pa = PartialAssignment({1: True, 2: False})
     assert pa[1] is True and len(pa) == 2
@@ -163,3 +188,44 @@ def test_partial_assignment_is_immutable_mapping():
 
 def test_chain3_text_matches_fixture(chain3):
     assert parse_dimacs(CHAIN3_TEXT) == chain3
+
+
+# --- clause-scan kernel ------------------------------------------------------
+
+def _kernel(phi, words):
+    pos, neg = clause_bitmasks(phi.clauses, bit_positions(phi.variables))
+    return satisfied_rows(pos, neg, np.asarray(words, dtype=np.uint64))
+
+
+def _decode(phi, word):
+    return {v: bool((int(word) >> i) & 1) for i, v in enumerate(phi.variables)}
+
+
+def test_kernel_keeps_the_all_false_word_when_it_is_a_model():
+    phi = CnfFormula([(-1,), (-2, 3)], 3)
+    assert _kernel(phi, range(8)).tolist() == [0, 4, 6]
+
+
+def test_kernel_empty_clause_drops_every_row_and_no_clauses_keep_all():
+    assert _kernel(CnfFormula([(1, 2), ()], 3), range(8)).tolist() == []
+    assert _kernel(CnfFormula([], 3), [5, 0, 7]).tolist() == [5, 0, 7]
+    assert _kernel(CnfFormula([(1,)], 2), []).tolist() == []
+
+
+def test_kernel_survivors_keep_input_order():
+    phi = CnfFormula([(1, -2), (2, 3)], 3)
+    words = [7, 0, 5, 3, 6, 1, 5, 2, 4]
+    expected = [w for w in words if evaluate(phi, _decode(phi, w))]
+    assert expected == [7, 5, 3, 5, 4]
+    assert _kernel(phi, words).tolist() == expected
+
+
+def test_kernel_agrees_with_evaluate_on_random_formulas():
+    rng = np.random.default_rng(5)
+    for seed in range(30):
+        n = 3 + seed % 8
+        phi = generate(GeneratorSpec(n=n, m=1 + seed % 12, k=min(3, n),
+                                     seed=900 + seed))
+        words = rng.integers(0, 1 << n, size=64).astype(np.uint64)
+        expected = [int(w) for w in words if evaluate(phi, _decode(phi, w))]
+        assert _kernel(phi, words).tolist() == expected

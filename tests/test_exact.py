@@ -23,6 +23,12 @@ def test_empty_clause_counts_zero():
     assert brute_force_count(CnfFormula([()], 4)).value == 0
 
 
+def test_all_false_model_is_counted():
+    # every clause has a negative literal; the only model sets all false
+    phi = CnfFormula([(-1, 2), (-2, 3), (-3,)], 3)
+    assert brute_force_count(phi).value == slow_count(phi) == 1
+
+
 def test_contradiction_counts_zero():
     phi = CnfFormula([(1,), (-1,)], 3)
     assert brute_force_count(phi).value == 0

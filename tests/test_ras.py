@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from indepcount import (CnfFormula, CounterConfig, Strategy, approx_count,
@@ -60,6 +62,32 @@ def test_replay_is_bit_identical():
         a = approx_count(phi, 0.3, 0.1, strategy, seed=99, config=PIPELINE)
         b = approx_count(phi, 0.3, 0.1, strategy, seed=99, config=PIPELINE)
         assert a == b
+
+
+# Sampled-path estimates pinned from a reference run: a change to the sampler
+# or the clause scan must leave every one of them unchanged.  Entries are
+# (k, n, m, strategy, value, samples, hits, decider_calls, branch_nodes);
+# the instances use generator seed 1 and the counts seed 7.
+REPLAY_PINS = [
+    (3, 23, 46, Strategy.THURLEY, Fraction(523239424, 60877), 4383144, 4491, 2576, 1294),
+    (3, 23, 46, Strategy.PRUNED_TREE, Fraction(33999028224, 3959563), 3959563, 4053, 736, 443),
+    (3, 23, 46, Strategy.INDEP_CLAUSES, Fraction(17943354884, 2102655), 2102655, 5447, 1538, 555),
+    (3, 23, 46, Strategy.INDEP_STRUCTS, Fraction(47921608, 5619), 1887984, 5686, 2051, 433),
+    (4, 19, 114, Strategy.THURLEY, Fraction(991952896, 2030983), 2030983, 1892, 399, 205),
+    (4, 19, 114, Strategy.PRUNED_TREE, Fraction(953155584, 1931099), 1931099, 1818, 95, 61),
+    (4, 19, 114, Strategy.INDEP_CLAUSES, Fraction(804816000, 1673479), 1673479, 1863, 263, 135),
+    (4, 19, 114, Strategy.INDEP_STRUCTS, Fraction(752238592, 1554971), 1554971, 1874, 418, 112),
+]
+
+
+def test_sampled_estimates_replay_pinned_values():
+    for k, n, m, strategy, *pinned in REPLAY_PINS:
+        phi = generate(GeneratorSpec(n=n, m=m, k=k, seed=1))
+        est = approx_count(phi, 0.2, 0.1, strategy, seed=7)
+        assert not est.exact and not est.under_sampled
+        got = (est.value, est.samples, est.hits, est.decider_calls,
+               est.branch_nodes)
+        assert got == tuple(pinned), (k, n, m, strategy)
 
 
 def test_different_seeds_vary_only_sampled_results():

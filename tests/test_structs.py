@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from indepcount import (Clause, CnfFormula, Estimate, GuardError, Strategy,
@@ -93,6 +95,18 @@ def test_models_listing_matches_count():
         assert all(any(m[l.var] != l.negated for l in c) for c in cls)
     oks = sigma.closed_ok_assignments()
     assert sorted(m[1] for m in oks) == [False, True]
+
+
+def test_models_rescan_when_too_many_to_keep():
+    # 2^22 - 1 models exceed the index limit, so iteration rescans in chunks
+    codes = (-1, -2) + tuple(range(3, 23))
+    sigma = Struct(_clauses(codes), (1,))
+    assert sigma._model_idx is None and sigma.l_sigma == (1 << 22) - 1
+    falsifier = 0b11  # x1 = x2 = True, everything else False
+    want = [{v: bool((i >> (v - 1)) & 1) for v in range(1, 23)}
+            for i in range(1100) if i != falsifier]
+    got = list(itertools.islice(sigma.iter_satisfying_assignments(), len(want)))
+    assert got == want
 
 
 def test_struct_rejects_foreign_closed_var():
@@ -237,6 +251,33 @@ def test_red_structs_rejects_width_two():
     with pytest.raises(ValueError):
         red_structs(CnfFormula([(1, 2)], 2), _structs_params(3, 2), 0.2, 0.1,
                     _exact_counter)
+
+
+def test_recursion_keeps_an_under_sampled_branch_flag():
+    for seed in range(40):
+        phi = generate(GeneratorSpec(n=14, m=5 + seed % 4, k=3, seed=6000 + seed))
+        if red_structs(phi, _structs_params(3, 14), 0.2, 0.1,
+                       _exact_counter).estimate is not None:
+            break
+    else:
+        pytest.fail("no instance took the recursion")
+    calls = []
+
+    def first_branch_flagged(sub, eps, delta) -> Estimate:
+        calls.append(sub)
+        return Estimate(value=1, exact=False, epsilon=eps, delta=delta,
+                        under_sampled=len(calls) == 1)
+
+    for reduce in (
+            lambda: red_structs(phi, _structs_params(3, 14), 0.2, 0.1,
+                                first_branch_flagged),
+            lambda: red_clauses(phi, 10 ** 6, 0.2, 0.1, first_branch_flagged)):
+        calls.clear()
+        outcome = reduce()
+        assert len(calls) > 1
+        assert outcome.estimate.under_sampled
+    out = red_clauses(phi, 10 ** 6, 0.2, 0.1, _exact_counter)
+    assert not out.estimate.under_sampled
 
 
 def test_red_clauses_greedy_picks_are_maximal_and_closed():
