@@ -8,14 +8,13 @@ strategy dispatcher gluing them together.
 from .cnf import (Clause, CnfFormula, DimacsError, Literal,
                   PartialAssignment, evaluate, parse_dimacs, restrict,
                   serialize_dimacs)
-from .cut import BranchingStrategy, CutKind, CutResult, cut, ell_for_cut
-from .decide import DecisionOutcome, decide, repetitions_for
+from .cut import BranchingStrategy, CutKind, CutResult, cut
+from .decide import DecisionOutcome, decide
 from .exact import (ExactCount, GuardError, brute_force_count,
                     connected_components, count_2sat_exact)
 from .gen import GeneratorSpec, generate
 from .harness import bench, chi_square_uniformity, eps_accurate, run_report
-from .mc import (Estimate, Universe, mc_estimate, median_boost,
-                 sample_size, sample_universe)
+from .mc import Estimate, Universe, mc_estimate, sample_size, sample_universe
 from .params import ParamSet, Strategy, beta_k, mu_k, p_k, params_for, theta_k
 from .ras import CounterConfig, approx_count
 from .structs import (DEFAULT_LIBRARY, RedOutcome, Struct, StructLibrary,
@@ -27,14 +26,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Clause", "CnfFormula", "DimacsError", "Literal", "PartialAssignment",
     "evaluate", "parse_dimacs", "restrict", "serialize_dimacs",
-    "BranchingStrategy", "CutKind", "CutResult", "cut", "ell_for_cut",
-    "DecisionOutcome", "decide", "repetitions_for",
+    "BranchingStrategy", "CutKind", "CutResult", "cut",
+    "DecisionOutcome", "decide",
     "ExactCount", "GuardError", "brute_force_count", "connected_components",
     "count_2sat_exact",
     "GeneratorSpec", "generate",
     "bench", "chi_square_uniformity", "eps_accurate", "run_report",
-    "Estimate", "Universe", "mc_estimate", "median_boost", "sample_size",
-    "sample_universe",
+    "Estimate", "Universe", "mc_estimate", "sample_size", "sample_universe",
     "ParamSet", "Strategy", "beta_k", "mu_k", "p_k", "params_for", "theta_k",
     "CounterConfig", "approx_count",
     "DEFAULT_LIBRARY", "RedOutcome", "Struct", "StructLibrary", "StructSet",

@@ -2,27 +2,22 @@
 
 The tree fixes variables in blocks: whole subformula groups first (one
 branch per model of the group), then clause-guided or single-variable
-branching.  Every node is vetted by a satisfiability decider so that
-falsified branches never expand.  A global counter accumulates, at each
-clause-free node, the number of models below it; the run either finishes
-(the counter is the exact model count, assuming no decider mistake) or
-aborts once the counter reaches the threshold, certifying "at least that
-many models".
+branching.  Every node is vetted by the exact satisfiability decider so
+that falsified branches never expand.  A global counter accumulates, at
+each clause-free node, the number of models below it; the run either
+finishes (the counter is then the exact model count) or aborts once the
+counter reaches the threshold, certifying "at least that many models".
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .cnf import CnfFormula, restrict
-from .decide import DecisionOutcome, decide
+from .decide import decide
 from .structs import StructSet
-
-Decider = Callable[[CnfFormula, float], DecisionOutcome]
 
 
 class CutKind(enum.Enum):
@@ -103,35 +98,24 @@ def _clause_models(clause) -> list[dict[int, bool]]:
     return out
 
 
-def cut(phi: CnfFormula, psi: StructSet, ell: int, delta: float,
-        strategy: BranchingStrategy, *, decider: Decider | None = None,
-        rng: np.random.Generator | None = None,
+def cut(phi: CnfFormula, psi: StructSet, ell: int,
+        strategy: BranchingStrategy, *,
         trace: list[str] | None = None) -> CutResult:
     """Explore until done or until ``ell`` models have been accounted for.
 
-    Each node spends a failure budget of delta / 2^n on its decider call, so
-    a full run errs with probability below delta (there are fewer than 2^n
-    nodes).  A clause-free node contributes 2^(free variables) models.
-    ``trace``, if given, receives one line per branch node.
+    The decider is exact, so a completed run's count is the exact model
+    count and an aborted run's count is a true lower bound.  A clause-free
+    node contributes 2^(free variables) models.  ``trace``, if given,
+    receives one line per branch node.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
     if strategy.kind is BranchKind.STRUCT_GUIDED:
         own = set(phi.clauses)
         for sigma in psi:
             for c in sigma.clauses:
                 if c not in own:
                     raise ValueError("group clause missing from the formula")
-    if decider is None:
-        local_rng = rng if rng is not None else np.random.default_rng()
-
-        def decider(sub: CnfFormula, bound: float) -> DecisionOutcome:
-            return decide(sub, bound, local_rng)
-
-    n = phi.num_vars
-    node_budget = max(delta * 2.0 ** (-n), 1e-300)
     order = (strategy.elimination_order if strategy.elimination_order is not None
              else _default_order(phi))
     structs = tuple(psi.structs) if strategy.kind is BranchKind.STRUCT_GUIDED else ()
@@ -147,8 +131,7 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int, delta: float,
 
     def explore(sub: CnfFormula, depth: int, next_struct: int) -> None:
         state["decider_calls"] += 1
-        outcome = decider(sub, node_budget)
-        if not outcome.satisfiable:
+        if not decide(sub).satisfiable:
             state["pruned"] += 1
             return
         if not sub.clauses:
@@ -194,30 +177,3 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int, delta: float,
                      branch_nodes=state["branch_nodes"],
                      decider_calls=state["decider_calls"],
                      leaves=state["leaves"], pruned=state["pruned"])
-
-
-def ell_for_cut(psi: StructSet, ell: int, k: int) -> int:
-    """Depth (in branch blocks) at which the cut threshold binds.
-
-    Multiplies group model counts in order until the running product
-    reaches ``ell``; if the groups run out, residual clause branching
-    (factor at most 2^(k-1) - 1) makes up the rest.
-    """
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
-    blocks = 0
-    product = 1
-    for sigma in psi:
-        if product >= ell:
-            return blocks
-        product *= sigma.l_sigma
-        blocks += 1
-    if product >= ell:
-        return blocks
-    base = (1 << (k - 1)) - 1
-    if base < 2:
-        raise ValueError("clause branching needs width at least 3")
-    while product < ell:
-        product *= base
-        blocks += 1
-    return blocks

@@ -1,158 +1,50 @@
-"""Satisfiability decisions with one-sided error.
+"""Exact satisfiability decisions.
 
-Small residuals (at most ``EXHAUSTIVE_THRESHOLD`` free variables) are
-decided exactly by complete backtracking search.  Larger ones use
-repeated random-walk trials: a reported witness is always verified, and
-the number of trials is chosen so that missing an existing model has
-probability at most the caller's failure bound.
+A complete backtracking search (DPLL: unit propagation, then branching on
+a busiest variable) decides every formula without error: "satisfiable"
+comes with a checked model, and "unsatisfiable" is never a missed model.
+It shares its propagator and branching rule with the width-2 counter.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cnf import CnfFormula, PartialAssignment, evaluate
-
-EXHAUSTIVE_THRESHOLD = 22
+from .exact import busiest_var, propagate
 
 
 @dataclass(frozen=True)
 class DecisionOutcome:
     satisfiable: bool
     witness: PartialAssignment | None
-    failure_bound: float
-
-
-def repetitions_for(n: int, k: int, failure_bound: float, *,
-                    trial_success: float | None = None,
-                    exhaustive_threshold: int = EXHAUSTIVE_THRESHOLD) -> int:
-    """Number of walk trials driving the miss probability below the bound.
-
-    One trial finds a model of a satisfiable width-k formula with
-    probability at least (k / (2(k-1)))^n, so ceil(ln(1/bound) / p)
-    trials miss with probability at most exp(-ln(1/bound)) = bound.
-    """
-    if not (0.0 < failure_bound < 1.0):
-        raise ValueError("failure bound must lie in (0, 1)")
-    if n <= exhaustive_threshold:
-        return 1
-    if trial_success is None:
-        if k < 3:
-            raise ValueError("walk analysis needs k >= 3")
-        trial_success = (k / (2.0 * (k - 1))) ** n
-    if not (0.0 < trial_success <= 1.0):
-        raise ValueError("per-trial success probability must lie in (0, 1]")
-    return math.ceil(math.log(1.0 / failure_bound) / trial_success)
 
 
 def _search_complete(phi: CnfFormula) -> dict[int, bool] | None:
-    """Backtracking search with unit propagation; exact."""
-    clauses = [list(c) for c in phi.int_clauses()]
+    """A partial model of ``phi`` (variables it needs), or None if none exists."""
 
-    def solve(work: list[list[int]], fixed: dict[int, bool]) -> dict[int, bool] | None:
-        # propagate units
-        while True:
-            nxt: list[list[int]] = []
-            unit: int | None = None
-            for cl in work:
-                keep = []
-                sat = False
-                for code in cl:
-                    v = abs(code)
-                    if v in fixed:
-                        if fixed[v] == (code > 0):
-                            sat = True
-                            break
-                    else:
-                        keep.append(code)
-                if sat:
-                    continue
-                if not keep:
-                    return None
-                if len(keep) == 1 and unit is None:
-                    unit = keep[0]
-                nxt.append(keep)
-            if unit is None:
-                work = nxt
-                break
-            fixed = dict(fixed)
-            fixed[abs(unit)] = unit > 0
-            work = nxt
-        if not work:
+    def solve(clauses, fixed: dict[int, bool]) -> dict[int, bool] | None:
+        propagated = propagate(clauses, fixed)
+        if propagated is None:
+            return None
+        residual, fixed = propagated
+        if not residual:
             return fixed
-        occur: dict[int, int] = {}
-        for cl in work:
-            for code in cl:
-                occur[abs(code)] = occur.get(abs(code), 0) + 1
-        v = max(sorted(occur), key=occur.get)
+        v = busiest_var(residual)
         for value in (True, False):
-            child = dict(fixed)
-            child[v] = value
-            found = solve(work, child)
+            found = solve(residual, {**fixed, v: value})
             if found is not None:
                 return found
         return None
 
-    return solve(clauses, {})
+    return solve(phi.int_clauses(), {})
 
 
-def _walk_trial(int_clauses, variables, rng: np.random.Generator,
-                flips: int) -> dict[int, bool] | None:
-    """One random-walk trial: random start, then greedy clause repairs."""
-    assign = {v: bool(b) for v, b in
-              zip(variables, rng.integers(0, 2, size=len(variables)))}
-    for _ in range(flips + 1):
-        unsat = [cl for cl in int_clauses
-                 if not any(assign[abs(code)] == (code > 0) for code in cl)]
-        if not unsat:
-            return assign
-        cl = unsat[rng.integers(0, len(unsat))]
-        code = cl[rng.integers(0, len(cl))]
-        assign[abs(code)] = not assign[abs(code)]
-    return None
-
-
-def decide(phi: CnfFormula, failure_bound: float,
-           rng: np.random.Generator | None = None, *,
-           exhaustive_threshold: int = EXHAUSTIVE_THRESHOLD) -> DecisionOutcome:
-    """Decide satisfiability; "satisfiable" always comes with a checked model.
-
-    Unsatisfiable formulas are never misreported.  A satisfiable formula
-    may be missed with probability at most ``failure_bound`` (zero when the
-    exhaustive branch applies).  Pass a smaller bound for stricter regimes.
-    """
-    if not (0.0 < failure_bound < 1.0):
-        raise ValueError("failure bound must lie in (0, 1)")
-    if any(len(c) == 0 for c in phi.clauses):
-        return DecisionOutcome(False, None, failure_bound)
-    if not phi.clauses:
-        witness = PartialAssignment({v: False for v in phi.variables})
-        return DecisionOutcome(True, witness, failure_bound)
-
-    n = phi.num_vars
-    if n <= exhaustive_threshold:
-        found = _search_complete(phi)
-        if found is None:
-            return DecisionOutcome(False, None, failure_bound)
-        full = {v: found.get(v, False) for v in phi.variables}
-        witness = PartialAssignment(full)
-        assert evaluate(phi, witness)
-        return DecisionOutcome(True, witness, failure_bound)
-
-    if rng is None:
-        rng = np.random.default_rng()
-    k = max(phi.k, 3)
-    trials = repetitions_for(n, k, failure_bound,
-                             exhaustive_threshold=exhaustive_threshold)
-    int_clauses = phi.int_clauses()
-    flips = 3 * n
-    for _ in range(trials):
-        found = _walk_trial(int_clauses, phi.variables, rng, flips)
-        if found is not None:
-            witness = PartialAssignment(found)
-            if evaluate(phi, witness):
-                return DecisionOutcome(True, witness, failure_bound)
-    return DecisionOutcome(False, None, failure_bound)
+def decide(phi: CnfFormula) -> DecisionOutcome:
+    """Decide satisfiability exactly; "satisfiable" comes with a checked model."""
+    found = _search_complete(phi)
+    if found is None:
+        return DecisionOutcome(False, None)
+    witness = PartialAssignment({v: found.get(v, False) for v in phi.variables})
+    assert evaluate(phi, witness)
+    return DecisionOutcome(True, witness)

@@ -52,8 +52,12 @@ class ComponentSplit:
     untouched_vars: int
 
 
-def connected_components(phi: CnfFormula) -> ComponentSplit:
-    """Group clauses that share variables (empty clauses form their own part)."""
+def _split(clauses, vars_of) -> list[list]:
+    """Union-find over shared variables.
+
+    Returns the clauses grouped into variable-connected parts, in order of
+    first appearance; clauses without variables share one part.
+    """
     parent: dict[int, int] = {}
 
     def find(v: int) -> int:
@@ -62,39 +66,35 @@ def connected_components(phi: CnfFormula) -> ComponentSplit:
             v = parent[v]
         return v
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for c in phi.clauses:
-        vs = list(c.vars)
+    for cl in clauses:
+        vs = vars_of(cl)
         for v in vs:
             parent.setdefault(v, v)
         for v in vs[1:]:
-            union(vs[0], v)
-
-    groups: dict[int | None, list[Clause]] = {}
-    order: list[int | None] = []
-    empties = 0
-    for c in phi.clauses:
-        vs = c.vars
-        key = find(next(iter(vs))) if vs else None
-        if key is None:
-            empties += 1
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(c)
-    parts = tuple(tuple(groups[key]) for key in order)
-    touched = len(parent)
-    return ComponentSplit(parts=parts, untouched_vars=phi.num_vars - touched)
+            ra, rb = find(vs[0]), find(v)
+            if ra != rb:
+                parent[ra] = rb
+    groups: dict[int | None, list] = {}
+    for cl in clauses:
+        vs = vars_of(cl)
+        groups.setdefault(find(vs[0]) if vs else None, []).append(cl)
+    return list(groups.values())
 
 
-def _propagate(clauses: frozenset[tuple[int, ...]], fixed: dict[int, bool]):
+def connected_components(phi: CnfFormula) -> ComponentSplit:
+    """Group clauses that share variables (empty clauses form their own part)."""
+    parts = _split(phi.clauses, lambda c: tuple(c.vars))
+    touched = len({v for c in phi.clauses for v in c.vars})
+    return ComponentSplit(parts=tuple(tuple(p) for p in parts),
+                          untouched_vars=phi.num_vars - touched)
+
+
+def propagate(clauses, fixed: dict[int, bool]):
     """Apply ``fixed`` and run unit propagation to a fixpoint.
 
-    Returns (residual clause set, all fixed vars) or None on conflict.
+    ``clauses`` holds DIMACS-style int tuples.  Each pass assigns every
+    pending unit at once; two units that disagree are a conflict.  Returns
+    (residual clause set, all fixed vars) or None on conflict.
     """
     fixed = dict(fixed)
     work = set(clauses)
@@ -133,6 +133,15 @@ def _propagate(clauses: frozenset[tuple[int, ...]], fixed: dict[int, bool]):
         work = nxt
 
 
+def busiest_var(clauses) -> int:
+    """The variable occurring most often; ties go to the smallest index."""
+    occur: dict[int, int] = {}
+    for cl in clauses:
+        for code in cl:
+            occur[abs(code)] = occur.get(abs(code), 0) + 1
+    return max(sorted(occur), key=occur.get)
+
+
 def _vars_of(clauses) -> set[int]:
     return {abs(code) for cl in clauses for code in cl}
 
@@ -149,47 +158,25 @@ def _count_width2(clauses: frozenset[tuple[int, ...]],
         return got
     nodes[0] += 1
 
-    # split into variable-connected components
-    parent: dict[int, int] = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for cl in clauses:
-        vs = [abs(code) for code in cl]
-        for v in vs:
-            parent.setdefault(v, v)
-        for v in vs[1:]:
-            ra, rb = find(vs[0]), find(v)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, set[tuple[int, ...]]] = {}
-    for cl in clauses:
-        groups.setdefault(find(abs(cl[0])), set()).add(cl)
-
-    if len(groups) > 1:
+    parts = _split(clauses, lambda cl: [abs(code) for code in cl])
+    if len(parts) > 1:
         result = 1
-        for part in groups.values():
-            result *= _count_width2(frozenset(part), memo, nodes)
+        for part in parts:
+            # freeze a set built clause by clause, not the list: the two can
+            # lay colliding clauses out differently, and the order a part
+            # iterates in decides where a zero sub-part stops the product,
+            # which shows in nodes_visited
+            result *= _count_width2(frozenset(set(part)), memo, nodes)
             if result == 0:
                 break
         memo[clauses] = result
         return result
 
-    # branch on the variable occurring most often
-    occur: dict[int, int] = {}
-    for cl in clauses:
-        for code in cl:
-            occur[abs(code)] = occur.get(abs(code), 0) + 1
-    branch_var = max(sorted(occur), key=occur.get)
-
+    branch_var = busiest_var(clauses)
     here = _vars_of(clauses)
     result = 0
     for value in (False, True):
-        propagated = _propagate(clauses, {branch_var: value})
+        propagated = propagate(clauses, {branch_var: value})
         if propagated is None:
             continue
         residual, fixed = propagated

@@ -205,13 +205,3 @@ def mc_estimate(phi: CnfFormula, psi, ell: int, eps: float, delta: float,
     value = Fraction(hits * universe.size, t)
     return Estimate(value=value, exact=False, epsilon=eps, delta=delta,
                     samples=t, hits=hits, seed=seed, under_sampled=under)
-
-
-def median_boost(runs: Sequence[Estimate]) -> Estimate:
-    """Median-of-runs amplification; expects an odd number of runs."""
-    if not runs:
-        raise ValueError("no runs given")
-    if len(runs) % 2 == 0:
-        raise ValueError("median boosting needs an odd number of runs")
-    ordered = sorted(runs, key=lambda e: e.value)
-    return ordered[len(ordered) // 2]

@@ -90,7 +90,6 @@ def approx_count(phi: CnfFormula, eps: float, delta: float,
     params = params_for(phi.k, n, strategy,
                         alpha_overrides=config.alpha_overrides)
     root = seed_sequence(seed)
-    cut_rng = derived_generator(root, "cut", phi.k, n)
     mc_rng = derived_generator(root, "mc", phi.k, n)
 
     if strategy is Strategy.THURLEY:
@@ -127,7 +126,7 @@ def approx_count(phi: CnfFormula, eps: float, delta: float,
         psi = outcome.struct_set
 
     ell = params.ell
-    result = cut(phi, psi, ell, delta, branching, rng=cut_rng)
+    result = cut(phi, psi, ell, branching)
     if result.kind is CutKind.EXACT:
         est = _exact_estimate(result.count, eps, delta, seed)
         return _with_cut_work(est, result)

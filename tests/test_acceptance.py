@@ -12,7 +12,7 @@ from fractions import Fraction
 from indepcount import (BranchingStrategy, Clause, CnfFormula, CutKind,
                         CounterConfig, Estimate, Strategy, Struct, StructSet,
                         Universe, approx_count, brute_force_count,
-                        chi_square_uniformity, count_2sat_exact, cut, decide,
+                        chi_square_uniformity, count_2sat_exact, cut,
                         eps_accurate, match_library, p_k, params_for,
                         red_clauses, red_structs, struct_stats, theta_k)
 from indepcount.gen import GeneratorSpec, generate
@@ -33,11 +33,6 @@ def _exact_counter(sub, eps, delta):
                     epsilon=eps, delta=delta)
 
 
-def _exact_decider(sub, bound):
-    # force the complete-search branch regardless of size
-    return decide(sub, bound, exhaustive_threshold=max(sub.num_vars, 1))
-
-
 def _greedy_clause_psi(phi) -> StructSet:
     out = red_clauses(phi, 1, 0.2, 0.1, _exact_counter)
     assert out.struct_set is not None
@@ -55,7 +50,7 @@ def test_criterion_1_worked_examples():
                           (BranchingStrategy.pruned_clause(), EMPTY_STRUCT_SET),
                           (BranchingStrategy.struct_guided(),
                            _greedy_clause_psi(chain3))]:
-        res = cut(chain3, psi, BIG, 0.1, strategy)
+        res = cut(chain3, psi, BIG, strategy)
         assert res.kind is CutKind.EXACT
         values.append(res.count)
     for strategy in Strategy:
@@ -63,7 +58,7 @@ def test_criterion_1_worked_examples():
     first_ok = all(v == 4 for v in values)
 
     chain4_count = brute_force_count(chain4).value
-    res2 = cut(chain4, EMPTY_STRUCT_SET, BIG, 0.1,
+    res2 = cut(chain4, EMPTY_STRUCT_SET, BIG,
                BranchingStrategy.pruned_clause())
     terminals = res2.leaves + res2.pruned
     second_ok = (chain4_count == 2 and res2.completed and res2.count == 2
@@ -170,7 +165,7 @@ def test_criterion_5_cut_exactness_and_soundness():
         psi = (_greedy_clause_psi(phi)
                if branching.kind.value == "struct-guided" else EMPTY_STRUCT_SET)
         want = brute_force_count(phi).value
-        res = cut(phi, psi, ell, 0.1, branching, decider=_exact_decider)
+        res = cut(phi, psi, ell, branching)
         if res.kind is CutKind.EXACT:
             assert res.count == want, (i, res.count, want)
             completed += 1
@@ -273,10 +268,9 @@ def test_criterion_9_tree_size_reduction():
     binary_nodes = pruned_nodes = 0
     for i in range(100):
         phi = generate(GeneratorSpec(n=14, m=24, k=3, seed=90_000 + i))
-        rb = cut(phi, EMPTY_STRUCT_SET, BIG, 0.1, BranchingStrategy.binary(),
-                 decider=_exact_decider)
-        rp = cut(phi, EMPTY_STRUCT_SET, BIG, 0.1,
-                 BranchingStrategy.pruned_clause(), decider=_exact_decider)
+        rb = cut(phi, EMPTY_STRUCT_SET, BIG, BranchingStrategy.binary())
+        rp = cut(phi, EMPTY_STRUCT_SET, BIG,
+                 BranchingStrategy.pruned_clause())
         assert rb.completed and rp.completed and rb.count == rp.count
         binary_nodes += rb.branch_nodes
         pruned_nodes += rp.branch_nodes

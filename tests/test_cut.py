@@ -2,7 +2,7 @@ import pytest
 
 from indepcount import (BranchingStrategy, Clause, CnfFormula, CutKind,
                         CutResult, Estimate, Struct, StructSet,
-                        brute_force_count, cut, ell_for_cut, red_clauses)
+                        brute_force_count, cut, red_clauses)
 from indepcount.gen import GeneratorSpec, generate
 
 BIG = 10 ** 9
@@ -24,7 +24,7 @@ EMPTY = StructSet(())
 
 def test_chain3_binary_trace(chain3):
     trace: list[str] = []
-    res = cut(chain3, EMPTY, BIG, 0.1, BranchingStrategy.binary(), trace=trace)
+    res = cut(chain3, EMPTY, BIG, BranchingStrategy.binary(), trace=trace)
     assert res.kind is CutKind.EXACT and res.count == 4
     assert res.leaves == 3 and res.pruned == 3 and res.branch_nodes == 5
     # x2 is the busiest variable, so the default order starts there
@@ -34,14 +34,14 @@ def test_chain3_binary_trace(chain3):
 
 def test_explicit_elimination_order(chain3):
     trace: list[str] = []
-    cut(chain3, EMPTY, BIG, 0.1, BranchingStrategy.binary((3, 1, 2)),
+    cut(chain3, EMPTY, BIG, BranchingStrategy.binary((3, 1, 2)),
         trace=trace)
     assert trace[0] == "0\tx3\t2"
 
 
 def test_chain4_clause_branching_is_narrow(chain4):
     trace: list[str] = []
-    res = cut(chain4, EMPTY, BIG, 0.1, BranchingStrategy.pruned_clause(),
+    res = cut(chain4, EMPTY, BIG, BranchingStrategy.pruned_clause(),
               trace=trace)
     assert res.completed and res.count == 2
     assert res.leaves + res.pruned <= 6
@@ -58,7 +58,7 @@ def test_all_strategies_agree_with_brute_force():
         for strat, psi in [(BranchingStrategy.binary(), EMPTY),
                            (BranchingStrategy.pruned_clause(), EMPTY),
                            (BranchingStrategy.struct_guided(), _clause_psi(phi))]:
-            res = cut(phi, psi, BIG, 0.1, strat)
+            res = cut(phi, psi, BIG, strat)
             assert res.completed and res.count == want
 
 
@@ -68,27 +68,27 @@ def test_abort_reports_at_least_ell():
         want = brute_force_count(phi).value
         if want < 8:
             continue
-        res = cut(phi, EMPTY, 8, 0.1, BranchingStrategy.pruned_clause())
+        res = cut(phi, EMPTY, 8, BranchingStrategy.pruned_clause())
         assert res.kind is CutKind.AT_LEAST_ELL
         assert 8 <= res.count <= want
 
 
 def test_threshold_exactly_at_count_still_aborts(chain3):
     # counting stops the moment the running total reaches ell
-    res = cut(chain3, EMPTY, 4, 0.1, BranchingStrategy.binary())
+    res = cut(chain3, EMPTY, 4, BranchingStrategy.binary())
     assert res.kind is CutKind.AT_LEAST_ELL and res.count == 4
-    res = cut(chain3, EMPTY, 5, 0.1, BranchingStrategy.binary())
+    res = cut(chain3, EMPTY, 5, BranchingStrategy.binary())
     assert res.kind is CutKind.EXACT and res.count == 4
 
 
 def test_unsat_formula_completes_with_zero():
     phi = CnfFormula([(1,), (-1,), (2, 3)], 3)
-    res = cut(phi, EMPTY, 1, 0.1, BranchingStrategy.binary())
+    res = cut(phi, EMPTY, 1, BranchingStrategy.binary())
     assert res.completed and res.count == 0 and res.leaves == 0
 
 
 def test_no_clause_formula_is_one_leaf():
-    res = cut(CnfFormula([], 4), EMPTY, BIG, 0.1, BranchingStrategy.binary())
+    res = cut(CnfFormula([], 4), EMPTY, BIG, BranchingStrategy.binary())
     assert res.completed and res.count == 16 and res.leaves == 1
 
 
@@ -97,7 +97,7 @@ def test_struct_guided_consumes_groups_first():
     psi = _clause_psi(phi)
     assert len(psi) >= 2
     trace: list[str] = []
-    res = cut(phi, psi, BIG, 0.1, BranchingStrategy.struct_guided(),
+    res = cut(phi, psi, BIG, BranchingStrategy.struct_guided(),
               trace=trace)
     assert res.completed and res.count == brute_force_count(phi).value
     roots = {line for line in trace if line.startswith("0\t")}
@@ -112,40 +112,15 @@ def test_struct_guided_rejects_foreign_groups():
     foreign = Struct((Clause.from_ints((1, 2, 4)),), (1, 2, 4))
     with pytest.raises(ValueError):
         cut(CnfFormula([(1, 2, 3), (4, 5, 6)], 6), StructSet((foreign,)),
-            BIG, 0.1, BranchingStrategy.struct_guided())
+            BIG, BranchingStrategy.struct_guided())
 
 
 def test_cut_validates_arguments(chain3):
     with pytest.raises(ValueError):
-        cut(chain3, EMPTY, 0, 0.1, BranchingStrategy.binary())
-    with pytest.raises(ValueError):
-        cut(chain3, EMPTY, 4, 0.0, BranchingStrategy.binary())
+        cut(chain3, EMPTY, 0, BranchingStrategy.binary())
 
 
 def test_work_counters_are_consistent(chain3):
-    res = cut(chain3, EMPTY, BIG, 0.1, BranchingStrategy.binary())
+    res = cut(chain3, EMPTY, BIG, BranchingStrategy.binary())
     # every node got one decider call: branches + leaves + pruned
     assert res.decider_calls == res.branch_nodes + res.leaves + res.pruned
-
-
-def test_ell_for_cut_blocks():
-    sigma = Struct((Clause.from_ints((1, 2, 3)),), (1, 2, 3))
-    tau = Struct((Clause.from_ints((4, 5, 6)),), (4, 5, 6))
-    ups = Struct((Clause.from_ints((7, 8, 9)),), (7, 8, 9))
-    psi = StructSet((sigma, tau, ups))
-    assert ell_for_cut(psi, 1, 3) == 0
-    assert ell_for_cut(psi, 7, 3) == 1
-    assert ell_for_cut(psi, 40, 3) == 2
-    assert ell_for_cut(psi, 343, 3) == 3
-    # groups exhausted: residual factor 2^(k-1) - 1 = 3 takes over
-    assert ell_for_cut(psi, 344, 3) == 4
-    assert ell_for_cut(EMPTY, 9, 3) == 2
-    assert ell_for_cut(EMPTY, 10, 3) == 3
-    assert ell_for_cut(EMPTY, 9, 4) == 2  # base 7: 49 >= 9 at two blocks
-
-
-def test_ell_for_cut_validation():
-    with pytest.raises(ValueError):
-        ell_for_cut(EMPTY, 0, 3)
-    with pytest.raises(ValueError):
-        ell_for_cut(EMPTY, 5, 2)

@@ -1,20 +1,15 @@
-import math
-
-import pytest
-
 from indepcount import (CnfFormula, DecisionOutcome, brute_force_count,
-                        decide, evaluate, repetitions_for)
+                        decide, evaluate)
 from indepcount.gen import GeneratorSpec, generate
-from indepcount.rng import generator
 
 
 def test_empty_clause_is_unsat():
-    out = decide(CnfFormula([()], 3), 0.1)
-    assert out == DecisionOutcome(False, None, 0.1)
+    out = decide(CnfFormula([()], 3))
+    assert out == DecisionOutcome(False, None)
 
 
 def test_no_clauses_is_sat_with_witness():
-    out = decide(CnfFormula([], 4), 0.1)
+    out = decide(CnfFormula([], 4))
     assert out.satisfiable
     assert sorted(out.witness) == [1, 2, 3, 4]
 
@@ -24,73 +19,48 @@ def test_small_instances_match_brute_force():
         n = 3 + seed % 10
         m = 1 + (seed * 3) % 18
         phi = generate(GeneratorSpec(n=n, m=m, k=3, seed=seed))
-        out = decide(phi, 0.05)
+        out = decide(phi)
         assert out.satisfiable == (brute_force_count(phi).value > 0)
         if out.satisfiable:
             assert evaluate(phi, out.witness)
 
 
 def test_never_claims_sat_when_unsat():
-    # pinned contradictions stay UNSAT on both code paths
+    # pinned contradictions stay UNSAT
     tiny = CnfFormula([(1,), (-1,)], 2)
-    assert not decide(tiny, 0.2).satisfiable
+    assert not decide(tiny).satisfiable
 
-    # all eight sign patterns over {1,2,3}, padded to force the walk path
+    # all eight sign patterns over {1,2,3}, padded to 30 variables
     patterns = [tuple((v if not (s >> i) & 1 else -v)
                       for i, v in enumerate((1, 2, 3)))
                 for s in range(8)]
     phi = CnfFormula(patterns, 30, k=3)
-    rng = generator(7)
-    for _ in range(2):
-        out = decide(phi, 0.4, rng, exhaustive_threshold=4)
-        assert not out.satisfiable
+    out = decide(phi)
+    assert not out.satisfiable
 
 
-def test_walk_finds_planted_models():
-    # satisfiable by construction; the walk may miss each with prob <= 0.01
+def test_dense_unsat_formula_on_24_variables():
+    # 24 variables, 96 clauses, no models: the decider must say so quickly
+    phi = generate(GeneratorSpec(n=24, m=96, k=3, seed=1))
+    out = decide(phi)
+    assert not out.satisfiable and out.witness is None
+
+
+def test_finds_planted_models():
+    # satisfiable by construction; the complete search never misses one
     hits = 0
-    rng = generator(123)
     for seed in range(100):
         phi = generate(GeneratorSpec(n=30, m=60, k=3, seed=seed, planted=True))
-        out = decide(phi, 0.01, rng)
+        out = decide(phi)
         if out.satisfiable:
             assert evaluate(phi, out.witness)
             hits += 1
-    assert hits >= 99
+    assert hits == 100
 
 
 def test_witness_covers_untouched_variables():
     phi = CnfFormula([(1, 2)], 5)
-    out = decide(phi, 0.1)
+    out = decide(phi)
     assert out.satisfiable and sorted(out.witness) == [1, 2, 3, 4, 5]
     assert evaluate(phi, out.witness)
 
-
-def test_repetitions_formula():
-    # exhaustive range needs a single run
-    assert repetitions_for(10, 3, 0.5) == 1
-    # above it: ceil(ln(1/bound) / (k / (2(k-1)))^n)
-    n, k, bound = 25, 3, 0.25
-    p = (k / (2 * (k - 1))) ** n
-    assert repetitions_for(n, k, bound) == math.ceil(math.log(1 / bound) / p)
-    # explicit per-trial probability overrides the default
-    assert repetitions_for(25, 3, math.exp(-2), trial_success=0.5) == 4
-
-
-def test_repetitions_grow_with_width():
-    # per-trial success (k / (2(k-1)))^n decays in k, so trials increase
-    assert repetitions_for(30, 4, 0.1) > repetitions_for(30, 3, 0.1)
-
-
-def test_repetitions_validation():
-    with pytest.raises(ValueError):
-        repetitions_for(25, 3, 0.0)
-    with pytest.raises(ValueError):
-        repetitions_for(25, 2, 0.1)
-    with pytest.raises(ValueError):
-        repetitions_for(25, 3, 0.1, trial_success=0.0)
-
-
-def test_decide_validates_bound(chain3):
-    with pytest.raises(ValueError):
-        decide(chain3, 1.0)

@@ -58,6 +58,23 @@ def test_2sat_matches_brute_force():
         assert count_2sat_exact(phi).value == brute_force_count(phi).value
 
 
+# (n, m, generator seed, value, nodes_visited) from a reference run; the
+# component split, the propagator and the branching rule fix nodes_visited.
+# The last instance has no models.
+TWOSAT_PINS = [
+    (110, 121, 5230, 8413646287219458048, 536),
+    (112, 123, 5384, 626834104074731520, 464),
+    (119, 130, 5223, 2079857996867174400, 455),
+    (71, 78, 5027, 0, 4),
+]
+
+
+def test_2sat_counts_and_nodes_replay_pinned_values():
+    for n, m, seed, value, nodes in TWOSAT_PINS:
+        got = count_2sat_exact(generate(GeneratorSpec(n=n, m=m, k=2, seed=seed)))
+        assert (got.value, got.nodes_visited) == (value, nodes), seed
+
+
 def test_2sat_handles_unit_clauses():
     phi = parse_dimacs("p cnf 3 2\n1 0\n-1 2 0\n")
     assert count_2sat_exact(phi).value == brute_force_count(phi).value == 2

@@ -6,7 +6,7 @@ import pytest
 
 from indepcount import (Clause, CnfFormula, Estimate, Struct, StructSet,
                         Universe, brute_force_count, evaluate, match_library,
-                        mc_estimate, median_boost, sample_size,
+                        mc_estimate, sample_size,
                         sample_universe)
 from indepcount.gen import GeneratorSpec, generate
 from indepcount.rng import generator
@@ -182,20 +182,6 @@ def test_empty_universe_returns_exact_zero():
 def test_estimate_requires_nonnegative_value():
     with pytest.raises(ValueError):
         Estimate(value=-1, exact=True, epsilon=0.5, delta=0.1)
-
-
-def test_median_boost():
-    def est(v):
-        return Estimate(value=v, exact=False, epsilon=0.5, delta=0.1)
-
-    runs = [est(10), est(100), est(12), est(11), est(9)]
-    assert median_boost(runs).value == 11
-    assert median_boost([est(7)]).value == 7
-    assert median_boost([est(3), est(4), est(100)]).value == 4
-    with pytest.raises(ValueError):
-        median_boost(runs[:4])
-    with pytest.raises(ValueError):
-        median_boost([])
 
 
 def test_large_universe_sampling_stays_uniform_per_struct():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,18 @@ def test_sampled_estimates_replay_pinned_values():
         got = (est.value, est.samples, est.hits, est.decider_calls,
                est.branch_nodes)
         assert got == tuple(pinned), (k, n, m, strategy)
+
+
+def test_dense_unsat_formula_counts_zero_on_every_two_phase_strategy():
+    # unsatisfiable at n=24: the root decision must not stall any strategy
+    phi = generate(GeneratorSpec(n=24, m=96, k=3, seed=1))
+    assert brute_force_count(phi).value == 0
+    for strategy in ALL[1:]:
+        start = time.perf_counter()
+        est = approx_count(phi, 0.2, 0.1, strategy, seed=0)
+        elapsed = time.perf_counter() - start
+        assert est.exact and est.value == 0, strategy
+        assert elapsed < 5.0, (strategy, elapsed)
 
 
 def test_different_seeds_vary_only_sampled_results():
