@@ -5,9 +5,8 @@ search-tree explorer, a product-universe Monte Carlo estimator and the
 strategy dispatcher gluing them together.
 """
 
-from .cnf import (Clause, CnfFormula, DimacsError, Literal,
-                  PartialAssignment, evaluate, parse_dimacs, restrict,
-                  serialize_dimacs)
+from .cnf import (CnfFormula, DimacsError, PartialAssignment, evaluate,
+                  parse_dimacs, restrict, serialize_dimacs)
 from .cut import BranchingStrategy, CutKind, CutResult, cut
 from .decide import DecisionOutcome, decide
 from .exact import (ExactCount, GuardError, brute_force_count,
@@ -24,7 +23,7 @@ from .structs import (DEFAULT_LIBRARY, RedOutcome, Struct, StructLibrary,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Clause", "CnfFormula", "DimacsError", "Literal", "PartialAssignment",
+    "CnfFormula", "DimacsError", "PartialAssignment",
     "evaluate", "parse_dimacs", "restrict", "serialize_dimacs",
     "BranchingStrategy", "CutKind", "CutResult", "cut",
     "DecisionOutcome", "decide",

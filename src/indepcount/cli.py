@@ -136,6 +136,11 @@ def _cmd_count(args) -> int:
                         reference=reference)
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
+    est = report["estimate"]
+    if est["under_sampled"]:
+        print(f"warning: under-sampled, the (eps, delta) guarantee does not "
+              f"hold; value {est['value_exact']}, certified lower bound "
+              f"{est['lower_bound']}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -185,7 +190,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from .cnf import Clause
     failures = 0
 
     def check(name: str, ok: bool) -> None:
@@ -199,12 +203,11 @@ def _cmd_selftest(args) -> int:
           brute_force_count(chain).value == 4
           and count_2sat_exact(chain).value == 4)
 
-    single = Struct([Clause.from_ints((1, 2, 3))], match_library(
-        [Clause.from_ints((1, 2, 3))]))
+    single = Struct([(1, 2, 3)], match_library([(1, 2, 3)]))
     check("width-3 clause group: 7 models, one closed variable",
           (single.l_sigma, single.w_sigma, single.f_sigma) == (7, 2, 1))
 
-    pair = [Clause.from_ints((1, 2, 3)), Clause.from_ints((1, 4, 5))]
+    pair = [(1, 2, 3), (1, 4, 5)]
     shared = Struct(pair, match_library(pair))
     check("shared-variable pair: 25 models, hub closed",
           shared.l_sigma == 25 and shared.closed_vars == (1,))

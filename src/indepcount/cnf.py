@@ -1,17 +1,19 @@
 """CNF formulas, DIMACS I/O, and restriction by partial assignments.
 
-Variables are positive 1-based integers.  A formula carries the tuple of
-variables its model count ranges over (its universe).  Restricting by a
-partial assignment removes the fixed variables from the universe without
-renumbering the survivors, so literals keep their original indices all
-the way down a search tree and partial counts stay coherent.
+Variables are positive 1-based integers, and a clause is a tuple of
+signed DIMACS codes (``-v`` negates ``x_v``).  A formula carries the
+tuple of variables its model count ranges over (its universe).
+Restricting by a partial assignment removes the fixed variables from the
+universe without renumbering the survivors, so literals keep their
+original indices all the way down a search tree and partial counts stay
+coherent.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,90 +26,33 @@ class DimacsWarning(UserWarning):
     """Recoverable anomaly in DIMACS input (tautology, count mismatch)."""
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A variable occurrence, possibly negated."""
-
-    var: int
-    negated: bool = False
-
-    def __post_init__(self):
-        if self.var < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.var}")
-
-    @classmethod
-    def from_int(cls, code: int) -> "Literal":
-        """Build from a signed DIMACS code (negative means negated)."""
-        if code == 0:
-            raise ValueError("0 terminates clauses and is not a literal")
-        return cls(abs(code), code < 0)
-
-    def to_int(self) -> int:
-        return -self.var if self.negated else self.var
-
-    def negate(self) -> "Literal":
-        return Literal(self.var, not self.negated)
-
-    def __repr__(self) -> str:
-        return f"{'~' if self.negated else ''}x{self.var}"
-
-
-@dataclass(frozen=True)
-class Clause:
-    """Disjunction of literals over pairwise distinct variables."""
-
-    literals: tuple[Literal, ...]
-
-    def __post_init__(self):
-        seen = set()
-        for lit in self.literals:
-            if lit.var in seen:
-                raise ValueError(f"duplicate variable x{lit.var} in clause")
-            seen.add(lit.var)
-
-    @classmethod
-    def from_ints(cls, codes: Iterable[int]) -> "Clause":
-        return cls(tuple(Literal.from_int(c) for c in codes))
-
-    def to_ints(self) -> tuple[int, ...]:
-        return tuple(lit.to_int() for lit in self.literals)
-
-    @property
-    def vars(self) -> frozenset[int]:
-        return frozenset(lit.var for lit in self.literals)
-
-    def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        return any(assignment[l.var] != l.negated for l in self.literals)
-
-    def __len__(self) -> int:
-        return len(self.literals)
-
-    def __iter__(self) -> Iterator[Literal]:
-        return iter(self.literals)
-
-    def __repr__(self) -> str:
-        return "(" + " | ".join(repr(l) for l in self.literals) + ")"
-
-
-def _as_clause(obj) -> Clause:
-    if isinstance(obj, Clause):
-        return obj
-    return Clause.from_ints(obj)
+def check_clause(codes: Iterable[int]) -> tuple[int, ...]:
+    """``codes`` as a clause; ValueError for a 0 code or a repeated variable
+    (including a literal next to its negation)."""
+    c = tuple(codes)
+    if 0 in c:
+        raise ValueError("0 terminates clauses and is not a literal")
+    if len({abs(code) for code in c}) != len(c):
+        raise ValueError(f"repeated variable in clause {c}")
+    return c
 
 
 class CnfFormula:
     """Immutable CNF over an explicit variable universe.
 
-    ``variables`` is the ascending tuple of free variables; ``num_vars`` is
-    its length and the exponent in the 2^n model-count convention.  ``k``
-    bounds clause length (the observed maximum unless overridden upward).
+    ``clauses`` is a tuple of clauses, each a tuple of signed DIMACS codes
+    (``-v`` is the negation of ``x_v``) over distinct variables, in input
+    order.  ``variables`` is the ascending tuple of free variables;
+    ``num_vars`` is its length and the exponent in the 2^n model-count
+    convention.  ``k`` bounds clause length (the observed maximum unless
+    overridden upward).
     """
 
-    __slots__ = ("clauses", "variables", "k", "_varset", "_cache")
+    __slots__ = ("clauses", "variables", "k", "_varset")
 
     def __init__(self, clauses, num_vars: int | None = None, *,
                  variables: Iterable[int] | None = None, k: int | None = None):
-        cls_tuple = tuple(_as_clause(c) for c in clauses)
+        cls_tuple = tuple(map(check_clause, clauses))
         if variables is not None:
             universe = tuple(sorted(set(variables)))
             if num_vars is not None and num_vars != len(universe):
@@ -117,14 +62,14 @@ class CnfFormula:
                 raise ValueError("num_vars must be non-negative")
             universe = tuple(range(1, num_vars + 1))
         else:
-            top = max((l.var for c in cls_tuple for l in c), default=0)
+            top = max((abs(code) for c in cls_tuple for code in c), default=0)
             universe = tuple(range(1, top + 1))
         varset = frozenset(universe)
         for c in cls_tuple:
-            for lit in c:
-                if lit.var not in varset:
+            for code in c:
+                if abs(code) not in varset:
                     raise ValueError(
-                        f"literal {lit} outside the variable universe")
+                        f"literal {code} outside the variable universe")
         width = max((len(c) for c in cls_tuple), default=0)
         if k is None:
             k = width
@@ -137,10 +82,9 @@ class CnfFormula:
         object.__setattr__(self, "variables", universe)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "_varset", varset)
-        object.__setattr__(self, "_cache", {})
 
     @classmethod
-    def _checked(cls, clauses: tuple[Clause, ...],
+    def _checked(cls, clauses: tuple[tuple[int, ...], ...],
                  universe: tuple[int, ...]) -> "CnfFormula":
         """Skip validation for parts taken from a valid formula: clauses
         over the ascending ``universe``, k the observed width."""
@@ -165,12 +109,8 @@ class CnfFormula:
         return self._varset
 
     def int_clauses(self) -> tuple[tuple[int, ...], ...]:
-        """Clauses as tuples of signed codes (cached)."""
-        got = self._cache.get("ints")
-        if got is None:
-            got = tuple(c.to_ints() for c in self.clauses)
-            self._cache["ints"] = got
-        return got
+        """The clauses, under the name the benchmark scripts call."""
+        return self.clauses
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CnfFormula):
@@ -284,7 +224,7 @@ def parse_dimacs(text: str, *, k: int | None = None,
         raise DimacsError("missing 'p cnf' header")
     stats.declared_clauses = declared
 
-    clauses: list[Clause] = []
+    clauses: list[tuple[int, ...]] = []
     current: list[int] = []
     seen_vars: set[int] = set()
     taut = False
@@ -295,7 +235,7 @@ def parse_dimacs(text: str, *, k: int | None = None,
             raise DimacsError(f"bad token {tok!r} in clause data") from exc
         if code == 0:
             if not taut:
-                clauses.append(Clause.from_ints(current))
+                clauses.append(tuple(current))
             else:
                 stats.tautologies_dropped += 1
             current, seen_vars, taut = [], set(), False
@@ -313,7 +253,7 @@ def parse_dimacs(text: str, *, k: int | None = None,
         current.append(code)
     if current:
         # unterminated trailing clause: accept it but complain
-        clauses.append(Clause.from_ints(current))
+        clauses.append(tuple(current))
         warnings.warn("final clause not terminated by 0", DimacsWarning)
 
     stats.parsed_clauses = len(clauses)
@@ -336,19 +276,25 @@ def serialize_dimacs(phi: CnfFormula, *, comment: str | None = None) -> str:
         lines.extend(f"c {row}" for row in comment.splitlines())
     lines.append(f"p cnf {top} {phi.num_clauses}")
     for c in phi.clauses:
-        lines.append(" ".join(str(i) for i in c.to_ints()) + " 0")
+        lines.append(" ".join(map(str, c)) + " 0")
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Semantics
 
+def vars_of(clauses: Iterable[tuple[int, ...]]) -> set[int]:
+    """The variables the clauses mention."""
+    return {abs(code) for c in clauses for code in c}
+
+
 def evaluate(phi: CnfFormula, assignment: Mapping[int, bool]) -> bool:
     """Truth value of ``phi`` under a total assignment of its universe."""
     for v in phi.variables:
         if v not in assignment:
             raise ValueError(f"x{v} is unassigned")
-    return all(c.evaluate(assignment) for c in phi.clauses)
+    return all(any(assignment[abs(code)] == (code > 0) for code in c)
+               for c in phi.clauses)
 
 
 def restrict(phi: CnfFormula, assignment: Mapping[int, bool]) -> CnfFormula:
@@ -358,42 +304,18 @@ def restrict(phi: CnfFormula, assignment: Mapping[int, bool]) -> CnfFormula:
     stripped (possibly leaving an empty, unsatisfiable clause).  The fixed
     variables leave the universe; the rest keep their indices.
     """
-    for v in assignment:
+    true = set()  # the literals the assignment makes true
+    for v, value in assignment.items():
         if v not in phi._varset:
             raise ValueError(f"x{v} is not free in this formula")
-    fixed = frozenset(assignment)
-    plan = phi._cache.get("restrict")
-    if plan is None or plan[0] != fixed:
-        # one plan kept: siblings of a search node are restricted in a row
-        plan = phi._cache["restrict"] = (fixed, *_restrict_plan(phi, fixed))
-    _, bits, rows, remaining = plan
-    true = 0
-    for v, bit in bits.items():
-        if assignment[v]:
-            true |= bit
-    kept = tuple(c for c, pos, neg in rows if not (pos & true or neg & ~true))
-    return CnfFormula._checked(kept, remaining)
-
-
-def _restrict_plan(phi: CnfFormula, fixed: frozenset[int]):
-    """What restricting ``phi`` on the variables ``fixed`` keeps, whatever
-    their values: a bit per fixed variable, and per clause its stripped
-    form with masks of its positive and negative fixed literals."""
-    bits = {v: 1 << i for i, v in enumerate(sorted(fixed))}
-    rows = []
-    for c in phi.clauses:
-        pos = neg = 0
-        for lit in c.literals:
-            bit = bits.get(lit.var, 0)
-            if lit.negated:
-                neg |= bit
-            else:
-                pos |= bit
-        if pos | neg:
-            c = Clause(tuple(lit for lit in c.literals if lit.var not in bits))
-        rows.append((c, pos, neg))
-    remaining = tuple(v for v in phi.variables if v not in bits)
-    return bits, rows, remaining
+        true.add(v if value else -v)
+    false = {-code for code in true}
+    # list comprehensions, not generators: this runs at every tree node
+    kept = [c if false.isdisjoint(c)
+            else tuple([x for x in c if x not in false])
+            for c in phi.clauses if true.isdisjoint(c)]
+    return CnfFormula._checked(
+        tuple(kept), tuple([v for v in phi.variables if v not in assignment]))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +329,7 @@ def bit_positions(variables: Iterable[int]) -> dict[int, int]:
     return {v: i for i, v in enumerate(sorted(variables))}
 
 
-def clause_bitmasks(clauses: Iterable[Clause],
+def clause_bitmasks(clauses: Iterable[tuple[int, ...]],
                     positions: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Per-clause masks of positive/negative literal positions as uint64.
 
@@ -417,11 +339,11 @@ def clause_bitmasks(clauses: Iterable[Clause],
     pos_list, neg_list = [], []
     for c in clauses:
         p = n = 0
-        for lit in c:
-            where = positions[lit.var]
+        for code in c:
+            where = positions[abs(code)]
             if where >= 64:
                 raise ValueError("bitmask view limited to 64 positions")
-            if lit.negated:
+            if code < 0:
                 n |= 1 << where
             else:
                 p |= 1 << where
@@ -435,9 +357,9 @@ def satisfied_rows(pos: np.ndarray, neg: np.ndarray,
                    words: np.ndarray) -> np.ndarray:
     """The assignment words that satisfy every clause, in input order.
 
-    Clause ``j`` is falsified exactly when ``w & (pos[j] | neg[j]) ==
-    neg[j]``.  Rows a clause falsifies are dropped before the next clause
-    is checked, so the work shrinks with the survivors.
+    A word ``w`` falsifies clause ``j`` exactly when ``w & (pos[j] |
+    neg[j]) == neg[j]``.  Rows a clause falsifies are dropped before the
+    next clause is checked, so the work shrinks with the survivors.
     """
     for touched, falsified in zip(pos | neg, neg):
         if not len(words):

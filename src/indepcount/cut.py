@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 from .cnf import CnfFormula, restrict
 from .decide import decide
@@ -49,19 +48,17 @@ class BranchKind(enum.Enum):
 class BranchingStrategy:
     """How to pick the next block of variables to fix.
 
-    ``binary`` walks a fixed variable order (most frequent first unless an
-    explicit order is given); ``pruned_clause`` branches over the models of
-    a shortest residual clause; ``struct_guided`` consumes the provided
-    groups first and then falls back to clause branching.
+    ``binary`` walks a fixed variable order, most frequent first;
+    ``pruned_clause`` branches over the models of a shortest residual
+    clause; ``struct_guided`` consumes the provided groups first and then
+    falls back to clause branching.
     """
 
     kind: BranchKind
-    elimination_order: tuple[int, ...] | None = None
 
     @classmethod
-    def binary(cls, order: Sequence[int] | None = None) -> "BranchingStrategy":
-        return cls(BranchKind.BINARY,
-                   tuple(order) if order is not None else None)
+    def binary(cls) -> "BranchingStrategy":
+        return cls(BranchKind.BINARY)
 
     @classmethod
     def pruned_clause(cls) -> "BranchingStrategy":
@@ -80,21 +77,20 @@ def _default_order(phi: CnfFormula) -> tuple[int, ...]:
     """Most frequent variable first; ties by index."""
     occur = {v: 0 for v in phi.variables}
     for c in phi.clauses:
-        for lit in c:
-            occur[lit.var] += 1
+        for code in c:
+            occur[abs(code)] += 1
     return tuple(sorted(occur, key=lambda v: (-occur[v], v)))
 
 
-def _clause_models(clause) -> list[dict[int, bool]]:
+def _clause_models(clause: tuple[int, ...]) -> list[dict[int, bool]]:
     """All assignments of the clause's variables that satisfy it."""
-    lits = clause.literals
     out = []
-    for pattern in range(1 << len(lits)):
+    for pattern in range(1 << len(clause)):
         # bit i set = literal i true; skip the all-false pattern
         if pattern == 0:
             continue
-        out.append({lit.var: (not lit.negated) if (pattern >> i) & 1 else lit.negated
-                    for i, lit in enumerate(lits)})
+        out.append({abs(code): (code > 0) == bool((pattern >> i) & 1)
+                    for i, code in enumerate(clause)})
     return out
 
 
@@ -116,8 +112,7 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
             for c in sigma.clauses:
                 if c not in own:
                     raise ValueError("group clause missing from the formula")
-    order = (strategy.elimination_order if strategy.elimination_order is not None
-             else _default_order(phi))
+    order = _default_order(phi)
     structs = tuple(psi.structs) if strategy.kind is BranchKind.STRUCT_GUIDED else ()
     check_reduction = bool(structs)
     width_bound = phi.k - 1
@@ -162,7 +157,7 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
             assert len(clause) <= width_bound, \
                 "residual clause wider than expected after the groups"
         state["branch_nodes"] += 1
-        emit(depth, " ".join(str(i) for i in clause.to_ints()), (1 << len(clause)) - 1)
+        emit(depth, " ".join(map(str, clause)), (1 << len(clause)) - 1)
         for model in _clause_models(clause):
             explore(restrict(sub, model), depth + 1, next_struct)
 

@@ -37,7 +37,7 @@ def _search_complete(phi: CnfFormula) -> dict[int, bool] | None:
                 return found
         return None
 
-    return solve(phi.int_clauses(), {})
+    return solve(phi.clauses, {})
 
 
 def decide(phi: CnfFormula) -> DecisionOutcome:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import (Clause, CnfFormula, bit_positions, clause_bitmasks,
-                  satisfying_indices)
+from .cnf import (CnfFormula, bit_positions, clause_bitmasks,
+                  satisfying_indices, vars_of)
 
 BRUTE_FORCE_MAX_VARS = 28
 
@@ -48,11 +48,11 @@ def brute_force_count(phi: CnfFormula, *, max_vars: int = BRUTE_FORCE_MAX_VARS) 
 class ComponentSplit:
     """Partition of a clause set into variable-connected parts."""
 
-    parts: tuple[tuple[Clause, ...], ...]
+    parts: tuple[tuple[tuple[int, ...], ...], ...]
     untouched_vars: int
 
 
-def _split(clauses, vars_of) -> list[list]:
+def _split(clauses) -> list[list]:
     """Union-find over shared variables.
 
     Returns the clauses grouped into variable-connected parts, in order of
@@ -67,7 +67,7 @@ def _split(clauses, vars_of) -> list[list]:
         return v
 
     for cl in clauses:
-        vs = vars_of(cl)
+        vs = [abs(code) for code in cl]
         for v in vs:
             parent.setdefault(v, v)
         for v in vs[1:]:
@@ -76,16 +76,14 @@ def _split(clauses, vars_of) -> list[list]:
                 parent[ra] = rb
     groups: dict[int | None, list] = {}
     for cl in clauses:
-        vs = vars_of(cl)
-        groups.setdefault(find(vs[0]) if vs else None, []).append(cl)
+        groups.setdefault(find(abs(cl[0])) if cl else None, []).append(cl)
     return list(groups.values())
 
 
 def connected_components(phi: CnfFormula) -> ComponentSplit:
     """Group clauses that share variables (empty clauses form their own part)."""
-    parts = _split(phi.clauses, lambda c: tuple(c.vars))
-    touched = len({v for c in phi.clauses for v in c.vars})
-    return ComponentSplit(parts=tuple(tuple(p) for p in parts),
+    touched = len(vars_of(phi.clauses))
+    return ComponentSplit(parts=tuple(map(tuple, _split(phi.clauses))),
                           untouched_vars=phi.num_vars - touched)
 
 
@@ -142,10 +140,6 @@ def busiest_var(clauses) -> int:
     return max(sorted(occur), key=occur.get)
 
 
-def _vars_of(clauses) -> set[int]:
-    return {abs(code) for cl in clauses for code in cl}
-
-
 def _count_width2(clauses: frozenset[tuple[int, ...]],
                   memo: dict, nodes: list[int]) -> int:
     """Models of ``clauses`` over exactly the variables they mention."""
@@ -158,7 +152,7 @@ def _count_width2(clauses: frozenset[tuple[int, ...]],
         return got
     nodes[0] += 1
 
-    parts = _split(clauses, lambda cl: [abs(code) for code in cl])
+    parts = _split(clauses)
     if len(parts) > 1:
         result = 1
         for part in parts:
@@ -173,14 +167,14 @@ def _count_width2(clauses: frozenset[tuple[int, ...]],
         return result
 
     branch_var = busiest_var(clauses)
-    here = _vars_of(clauses)
+    here = vars_of(clauses)
     result = 0
     for value in (False, True):
         propagated = propagate(clauses, {branch_var: value})
         if propagated is None:
             continue
         residual, fixed = propagated
-        vanished = len(here) - len(fixed) - len(_vars_of(residual))
+        vanished = len(here) - len(fixed) - len(vars_of(residual))
         result += _count_width2(residual, memo, nodes) << vanished
     memo[clauses] = result
     return result
@@ -191,11 +185,10 @@ def count_2sat_exact(phi: CnfFormula) -> ExactCount:
     for c in phi.clauses:
         if len(c) > 2:
             raise ValueError("count_2sat_exact requires clause width <= 2")
-    canonical = frozenset(
-        tuple(sorted(c.to_ints(), key=abs)) for c in phi.clauses)
+    canonical = frozenset(tuple(sorted(c, key=abs)) for c in phi.clauses)
     # distinct clauses over the same variable pair are all kept by frozenset;
     # duplicates across input order collapse, which preserves the count
-    touched = _vars_of(canonical)
+    touched = vars_of(canonical)
     nodes = [0]
     base = _count_width2(canonical, {}, nodes)
     return ExactCount(value=base << (phi.num_vars - len(touched)),

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import Clause, CnfFormula, Literal
+from .cnf import CnfFormula
 from .rng import generator
 
 _DUP_TRIES = 200
@@ -49,7 +49,7 @@ def generate(spec: GeneratorSpec) -> CnfFormula:
         hidden = {v + 1: bool(bits[v]) for v in range(spec.n)}
 
     seen: set[tuple[int, ...]] = set()
-    clauses: list[Clause] = []
+    clauses: list[tuple[int, ...]] = []
     while len(clauses) < spec.m:
         for _ in range(_DUP_TRIES):
             codes = _draw_clause(rng, spec.n, spec.k)
@@ -59,5 +59,5 @@ def generate(spec: GeneratorSpec) -> CnfFormula:
             if codes not in seen:
                 break
         seen.add(codes)
-        clauses.append(Clause(tuple(Literal.from_int(c) for c in codes)))
+        clauses.append(codes)
     return CnfFormula(clauses, spec.n, k=spec.k)

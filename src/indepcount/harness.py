@@ -27,7 +27,7 @@ CSV_COLUMNS = (
     "trial", "strategy", "k", "n", "m", "instance_seed", "run_seed",
     "value", "exact", "epsilon", "delta", "samples", "hits",
     "decider_calls", "branch_nodes", "under_sampled", "wall_time_s",
-    "ref_value", "eps_accurate",
+    "ref_value", "eps_accurate", "lower_bound",
 )
 
 
@@ -73,6 +73,7 @@ def _estimate_payload(est: Estimate) -> dict:
         "hits": est.hits,
         "seed": est.seed,
         "under_sampled": est.under_sampled,
+        "lower_bound": str(est.lower_bound),
     }
 
 
@@ -191,4 +192,5 @@ def bench_csv_row(row: dict) -> list:
         row["work"]["branch_nodes"], est["under_sampled"],
         f"{row['wall_time_s']:.6f}",
         ref.get("value", ""), ref.get("eps_accurate", ""),
+        est["lower_bound"],
     ]

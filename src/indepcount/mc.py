@@ -10,8 +10,9 @@ in the target formula.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -34,6 +35,9 @@ class Estimate:
     ``value`` is exact for exact routes and a rational for sampled ones
     (hits/samples times the universe size, kept unrounded).  Work counters
     accumulate over every phase that contributed to the result.
+    ``lower_bound`` is a model count the run certified: the value itself
+    on exact routes, the cut's count on sampled ones.  A flagged
+    (``under_sampled``) value is never reported below it.
     """
 
     value: int | Fraction
@@ -46,10 +50,19 @@ class Estimate:
     under_sampled: bool = False
     decider_calls: int = 0
     branch_nodes: int = 0
+    lower_bound: int = 0
 
     def __post_init__(self):
-        if self.value < 0:
+        if self.value < 0 or self.lower_bound < 0:
             raise ValueError("counts are non-negative")
+
+    def with_lower_bound(self, lower_bound: int) -> "Estimate":
+        """This estimate carrying ``lower_bound``; a flagged value below it
+        is raised to it, a value that carries the guarantee is kept."""
+        value = self.value
+        if self.under_sampled and value < lower_bound:
+            value = lower_bound
+        return dataclasses.replace(self, value=value, lower_bound=lower_bound)
 
     @property
     def value_float(self) -> float:

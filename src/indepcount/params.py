@@ -86,7 +86,8 @@ def _clause_branch_ratio(k: int) -> float:
 
 
 def p_k(k: int) -> float:
-    """Clause-guided two-phase exponent; 2^p_k is its run-time base."""
+    """Two-phase exponent of clause-guided branching; 2^p_k is its run-time
+    base."""
     beta = beta_k(k)
     r = _clause_branch_ratio(k)
     return (1.0 - beta * (r - 1.0)) / (2.0 - beta * r)
@@ -134,19 +135,16 @@ class ParamSet:
         return math.ceil(self.m_hat_fraction * self.n)
 
 
-def _alpha_map(k: int, overrides=None) -> dict[int, float]:
+def _alpha_map(k: int) -> dict[int, float]:
     out = dict(ALPHA_TABLE)
     for width in range(5, k + 1):
         # no published base beyond width 4: fall back to the decision-driven
         # two-phase base, which the width-specific tuning must beat anyway
         out[width] = theta_k(width)
-    if overrides:
-        out.update(overrides)
     return out
 
 
-def params_for(k: int, n: int, strategy: Strategy, *,
-               alpha_overrides=None) -> ParamSet:
+def params_for(k: int, n: int, strategy: Strategy) -> ParamSet:
     """Fill a ParamSet; raises for unsupported (k, strategy) pairs."""
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -154,13 +152,13 @@ def params_for(k: int, n: int, strategy: Strategy, *,
         raise ValueError("n must be non-negative")
     if k == 2 or strategy is Strategy.BRUTE_FORCE:
         return ParamSet(k=k, n=n, strategy=strategy, beta_k=None, mu_k=None,
-                        alpha_by_k=_alpha_map(max(k, 2), alpha_overrides))
+                        alpha_by_k=_alpha_map(max(k, 2)))
 
     beta = beta_k(k)
     mu = mu_k(k) if k >= 5 else None
     theta = theta_k(k)
     p = p_k(k)
-    alphas = _alpha_map(k, alpha_overrides)
+    alphas = _alpha_map(k)
     frac = None
 
     if strategy is Strategy.THURLEY:

@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping
 
 from .cnf import CnfFormula
 from .cut import BranchingStrategy, CutKind, cut
 from .exact import brute_force_count, count_2sat_exact
 from .mc import Estimate, mc_estimate
-from .params import ParamSet, Strategy, params_for
+from .params import Strategy, params_for
 from .rng import derived_generator, seed_sequence
-from .structs import (EMPTY_STRUCT_SET, DEFAULT_LIBRARY, StructLibrary,
-                      red_clauses, red_structs)
+from .structs import EMPTY_STRUCT_SET, red_clauses, red_structs
 
 SMALL_N_DEFAULT = 18
 SAMPLE_BUDGET_DEFAULT = 1 << 24
@@ -34,11 +32,6 @@ class CounterConfig:
     small_n: int = SMALL_N_DEFAULT
     brute_force_guard: int = 28
     sample_budget: int | None = SAMPLE_BUDGET_DEFAULT
-    library: StructLibrary | None = None
-    alpha_overrides: Mapping[int, float] | None = None
-
-    def resolved_library(self) -> StructLibrary:
-        return self.library if self.library is not None else DEFAULT_LIBRARY
 
 
 DEFAULT_CONFIG = CounterConfig()
@@ -46,7 +39,8 @@ DEFAULT_CONFIG = CounterConfig()
 
 def _exact_estimate(value: int, eps: float, delta: float,
                     seed: int | None) -> Estimate:
-    return Estimate(value=value, exact=True, epsilon=eps, delta=delta, seed=seed)
+    return Estimate(value=value, exact=True, epsilon=eps, delta=delta,
+                    seed=seed, lower_bound=value)
 
 
 def _with_cut_work(est: Estimate, cut_result) -> Estimate:
@@ -87,8 +81,7 @@ def approx_count(phi: CnfFormula, eps: float, delta: float,
         got = brute_force_count(phi, max_vars=config.brute_force_guard)
         return _exact_estimate(got.value, eps, delta, seed)
 
-    params = params_for(phi.k, n, strategy,
-                        alpha_overrides=config.alpha_overrides)
+    params = params_for(phi.k, n, strategy)
     root = seed_sequence(seed)
     mc_rng = derived_generator(root, "mc", phi.k, n)
 
@@ -116,8 +109,7 @@ def approx_count(phi: CnfFormula, eps: float, delta: float,
                                 seed=child_seed, config=config)
 
         if strategy is Strategy.INDEP_STRUCTS:
-            outcome = red_structs(phi, params, eps, delta, recursive_counter,
-                                  library=config.resolved_library())
+            outcome = red_structs(phi, params, eps, delta, recursive_counter)
         else:
             outcome = red_clauses(phi, params.m_hat, eps, delta,
                                   recursive_counter)
@@ -132,4 +124,4 @@ def approx_count(phi: CnfFormula, eps: float, delta: float,
         return _with_cut_work(est, result)
     est = mc_estimate(phi, psi, ell, eps, delta, mc_rng, seed=seed,
                       sample_budget=config.sample_budget)
-    return _with_cut_work(est, result)
+    return _with_cut_work(est.with_lower_bound(result.count), result)

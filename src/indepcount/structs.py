@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cnf import (Clause, CnfFormula, clause_bitmasks, restrict,
-                  satisfying_indices)
+from .cnf import (CnfFormula, check_clause, clause_bitmasks, restrict,
+                  satisfying_indices, vars_of)
 from .exact import GuardError
 from .mc import Estimate
 
@@ -35,8 +35,8 @@ _INDEX_LIMIT = 1 << 21
 # ---------------------------------------------------------------------------
 # model scans over a fixed variable tuple
 
-def _scan_models(clauses: Sequence[Clause], over_vars: Sequence[int], *,
-                 index_limit: int = _INDEX_LIMIT):
+def _scan_models(clauses: Sequence[tuple[int, ...]],
+                 over_vars: Sequence[int], *, index_limit: int = _INDEX_LIMIT):
     """Count assignments of ``over_vars`` that falsify no clause.
 
     Clauses with variables outside ``over_vars`` can never be falsified by
@@ -60,11 +60,12 @@ def _scan_models(clauses: Sequence[Clause], over_vars: Sequence[int], *,
     return count, np.concatenate(collected)
 
 
-def _scan_chunks(clauses: Sequence[Clause], over_vars: Sequence[int]):
+def _scan_chunks(clauses: Sequence[tuple[int, ...]],
+                 over_vars: Sequence[int]):
     """Ascending chunks of compact indices (bit i = ``over_vars[i]``) of the
     assignments that falsify none of the clauses inside ``over_vars``."""
     varset = set(over_vars)
-    inside = [c for c in clauses if c.vars <= varset]
+    inside = [c for c in clauses if all(abs(code) in varset for code in c)]
     pos, neg = clause_bitmasks(inside, {v: i for i, v in enumerate(over_vars)})
     return satisfying_indices(pos, neg, len(over_vars))
 
@@ -83,6 +84,11 @@ def _decode_index(index: int, over_vars: Sequence[int]) -> dict[int, bool]:
     return {v: bool((index >> i) & 1) for i, v in enumerate(over_vars)}
 
 
+def _touches(clause: tuple[int, ...], variables) -> bool:
+    """Does the clause mention any of ``variables``?"""
+    return any(abs(code) in variables for code in clause)
+
+
 # ---------------------------------------------------------------------------
 
 class Struct:
@@ -97,9 +103,10 @@ class Struct:
     __slots__ = ("clauses", "vars", "closed_vars", "n_sigma", "l_sigma",
                  "w_sigma", "f_sigma", "_model_idx", "_closed_idx", "_cache")
 
-    def __init__(self, clauses: Sequence[Clause], closed_vars: Sequence[int]):
-        cls_tuple = tuple(clauses)
-        var_order = tuple(sorted({v for c in cls_tuple for v in c.vars}))
+    def __init__(self, clauses: Sequence[tuple[int, ...]],
+                 closed_vars: Sequence[int]):
+        cls_tuple = tuple(map(check_clause, clauses))
+        var_order = tuple(sorted(vars_of(cls_tuple)))
         closed = tuple(sorted(set(closed_vars)))
         if not set(closed) <= set(var_order):
             raise ValueError("closed variables must belong to the group")
@@ -219,7 +226,7 @@ class StructSet:
     def covers(self, phi: CnfFormula) -> bool:
         """Does every clause of ``phi`` contain a closed variable?"""
         closed = self.closed_union
-        return all(c.vars & closed for c in phi.clauses)
+        return all(_touches(c, closed) for c in phi.clauses)
 
 
 EMPTY_STRUCT_SET = StructSet(())
@@ -249,7 +256,7 @@ class StructPattern:
             if not any(l in self.closed_letters for l, _ in cl):
                 raise ValueError("every pattern clause needs a closed letter")
 
-    def match(self, clauses: Sequence[Clause]) -> dict[str, int] | None:
+    def match(self, clauses: Sequence[tuple[int, ...]]) -> dict[str, int] | None:
         """First letter->variable binding that realises the shape, if any."""
         if len(clauses) != len(self.clauses):
             return None
@@ -258,17 +265,17 @@ class StructPattern:
             if not pat:
                 return letter_to, var_to
             (letter, pat_neg), rest = pat[0], pat[1:]
-            for i, lit in enumerate(actual):
-                flip = lit.negated != pat_neg
+            for i, code in enumerate(actual):
+                var, flip = abs(code), (code < 0) != pat_neg
                 if letter in letter_to:
-                    if letter_to[letter] != (lit.var, flip):
+                    if letter_to[letter] != (var, flip):
                         continue
-                elif lit.var in var_to:
+                elif var in var_to:
                     continue
                 lt = dict(letter_to)
                 vt = dict(var_to)
-                lt[letter] = (lit.var, flip)
-                vt[lit.var] = letter
+                lt[letter] = (var, flip)
+                vt[var] = letter
                 got = bind_clause(rest, actual[:i] + actual[i + 1:], lt, vt)
                 if got is not None:
                     return got
@@ -283,7 +290,7 @@ class StructPattern:
                     continue
                 if len(actual) != len(pat):
                     continue
-                bound = bind_clause(pat, tuple(actual.literals), letter_to, var_to)
+                bound = bind_clause(pat, actual, letter_to, var_to)
                 if bound is None:
                     continue
                 got = walk(order + (j,), *bound)
@@ -337,9 +344,9 @@ class StructLibrary:
                 raise ValueError(f"library line {lineno}: {exc}") from exc
         return cls(tuple(patterns), cap=cap)
 
-    def designate(self, clauses: Sequence[Clause]) -> tuple[int, ...]:
+    def designate(self, clauses: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
         """Closed variables for a clause group: matched shape or everything."""
-        group_vars = sorted({v for c in clauses for v in c.vars})
+        group_vars = sorted(vars_of(clauses))
         if len(group_vars) <= self.cap:
             for pattern in self.patterns:
                 bound = pattern.match(clauses)
@@ -362,11 +369,10 @@ close = a, b : a b c d | a e f g | b h i j
 DEFAULT_LIBRARY = StructLibrary.from_text(DEFAULT_LIBRARY_TEXT)
 
 
-def match_library(sigma: Struct | Sequence[Clause],
-                  library: StructLibrary = DEFAULT_LIBRARY) -> tuple[int, ...]:
+def match_library(sigma: Struct | Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     """Closed-variable designation for a group (all of them when unmatched)."""
     clauses = sigma.clauses if isinstance(sigma, Struct) else tuple(sigma)
-    return library.designate(clauses)
+    return DEFAULT_LIBRARY.designate(clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +402,7 @@ def _recurse_branches(phi: CnfFormula, structs: Sequence[Struct], eps: float,
                       width_bound: int) -> Estimate:
     """Sum recursive counts over all non-falsifying closed assignments."""
     sub_delta = _branch_delta(delta, phi.num_vars)
-    total = 0
+    total = lower = 0
     exact = True
     under = False
     samples = hits = decider_calls = branch_nodes = 0
@@ -408,6 +414,7 @@ def _recurse_branches(phi: CnfFormula, structs: Sequence[Struct], eps: float,
         assert sub.k <= width_bound, "reduction must shorten every clause"
         est = recursive_counter(sub, eps, sub_delta)
         total = total + est.value
+        lower += est.lower_bound
         exact = exact and est.exact
         under = under or est.under_sampled
         samples += est.samples
@@ -416,12 +423,12 @@ def _recurse_branches(phi: CnfFormula, structs: Sequence[Struct], eps: float,
         branch_nodes += est.branch_nodes
     return Estimate(value=total, exact=exact, epsilon=eps, delta=delta,
                     samples=samples, hits=hits, under_sampled=under,
-                    decider_calls=decider_calls, branch_nodes=branch_nodes)
+                    decider_calls=decider_calls,
+                    branch_nodes=branch_nodes).with_lower_bound(lower)
 
 
 def red_structs(phi: CnfFormula, params, eps: float, delta: float,
-                recursive_counter: RecursiveCounter, *,
-                library: StructLibrary | None = None) -> RedOutcome:
+                recursive_counter: RecursiveCounter) -> RedOutcome:
     """Grow groups until every clause touches a closed variable, then either
     hand the group set onward or fall back to the width-(k-1) recursion.
 
@@ -432,8 +439,6 @@ def red_structs(phi: CnfFormula, params, eps: float, delta: float,
     k = phi.k
     if k < 3:
         raise ValueError("reduction needs clause width at least 3")
-    if library is None:
-        library = DEFAULT_LIBRARY
     if any(len(c) == 0 for c in phi.clauses):
         # an empty clause can never gain a closed variable; the count is 0
         return RedOutcome(estimate=Estimate(
@@ -446,17 +451,18 @@ def red_structs(phi: CnfFormula, params, eps: float, delta: float,
     while True:
         pick = None
         for c in phi.clauses:
-            if not (c.vars & closed_union):
+            if not _touches(c, closed_union):
                 pick = c
                 break
         if pick is None:
             break
-        absorbed = sorted({var_owner[v] for v in pick.vars if v in var_owner})
-        merged: list[Clause] = []
+        absorbed = sorted({var_owner[abs(code)] for code in pick
+                           if abs(code) in var_owner})
+        merged: list[tuple[int, ...]] = []
         for i in absorbed:
             merged.extend(pool[i].clauses)
         merged.append(pick)
-        closed = library.designate(merged)
+        closed = DEFAULT_LIBRARY.designate(merged)
         sigma = Struct(merged, closed)
         pool = [s for i, s in enumerate(pool) if i not in absorbed]
         pool.append(sigma)
@@ -489,13 +495,14 @@ def red_clauses(phi: CnfFormula, m_hat: int, eps: float, delta: float,
     """
     if m_hat < 0:
         raise ValueError("m_hat must be non-negative")
-    chosen: list[Clause] = []
+    chosen: list[tuple[int, ...]] = []
     used: set[int] = set()
     for c in phi.clauses:
-        if not (c.vars & used):
+        if not _touches(c, used):
             chosen.append(c)
-            used.update(c.vars)
-    pool = [Struct((c,), tuple(sorted(c.vars))) for c in chosen]
+            used.update(abs(code) for code in c)
+    pool = [Struct((c,), tuple(sorted(abs(code) for code in c)))
+            for c in chosen]
     if len(pool) >= m_hat:
         return RedOutcome(struct_set=StructSet(tuple(pool)))
     width_bound = max(phi.k - 1, 0)

@@ -25,7 +25,7 @@ def slow_count(phi: CnfFormula) -> int:
     total = 0
     for bits in itertools.product((False, True), repeat=phi.num_vars):
         assignment = dict(zip(phi.variables, bits))
-        if all(any(assignment[l.var] != l.negated for l in c)
+        if all(any(assignment[abs(code)] == (code > 0) for code in c)
                for c in phi.clauses):
             total += 1
     return total

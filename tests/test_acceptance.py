@@ -7,9 +7,8 @@ inline; the timed ones assert their wall-clock budgets.
 """
 
 import time
-from fractions import Fraction
 
-from indepcount import (BranchingStrategy, Clause, CnfFormula, CutKind,
+from indepcount import (BranchingStrategy, CnfFormula, CutKind,
                         CounterConfig, Estimate, Strategy, Struct, StructSet,
                         Universe, approx_count, brute_force_count,
                         chi_square_uniformity, count_2sat_exact, cut,
@@ -25,7 +24,7 @@ BIG = 10 ** 9
 
 
 def _clauses(*ints):
-    return tuple(Clause.from_ints(c) for c in ints)
+    return tuple(tuple(c) for c in ints)
 
 
 def _exact_counter(sub, eps, delta):
@@ -113,7 +112,7 @@ def test_criterion_3_universe_identity():
                 chosen = rng.choice(len(block), size=3, replace=False)
                 lits = tuple(block[i] if rng.integers(0, 2) else -block[i]
                              for i in chosen)
-                clauses.append(Clause.from_ints(lits))
+                clauses.append(tuple(lits))
             structs.append(Struct(tuple(clauses), match_library(clauses)))
         psi = StructSet(tuple(structs))
         union = CnfFormula([c for s in psi for c in s.clauses], n)

@@ -3,9 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from indepcount import (Clause, CnfFormula, DimacsError, Literal,
-                        PartialAssignment, evaluate, parse_dimacs, restrict,
-                        serialize_dimacs)
+from indepcount import (CnfFormula, DimacsError, PartialAssignment,
+                        evaluate, parse_dimacs, restrict, serialize_dimacs)
 from indepcount.cnf import (ParseStats, bit_positions, clause_bitmasks,
                             satisfied_rows)
 from indepcount.gen import GeneratorSpec, generate
@@ -13,21 +12,16 @@ from indepcount.gen import GeneratorSpec, generate
 from conftest import CHAIN3_TEXT
 
 
-def test_literal_int_roundtrip():
-    assert Literal.from_int(-7) == Literal(7, True)
-    assert Literal.from_int(3).to_int() == 3
-    assert Literal(5, True).negate() == Literal(5, False)
-    with pytest.raises(ValueError):
-        Literal.from_int(0)
-    with pytest.raises(ValueError):
-        Literal(0)
-
-
 def test_clause_rejects_duplicate_variable():
     with pytest.raises(ValueError):
-        Clause.from_ints((1, -1))
+        CnfFormula([(1, -1)], 2)
     with pytest.raises(ValueError):
-        Clause.from_ints((2, 2))
+        CnfFormula([(2, 2)], 2)
+
+
+def test_formula_rejects_zero_code():
+    with pytest.raises(ValueError):
+        CnfFormula([(1, 0)], 2)
 
 
 def test_parse_chain3(chain3):
@@ -153,10 +147,10 @@ def test_restrict_composes_like_a_single_restriction():
 def _restrict_reference(phi, assignment):
     kept = []
     for c in phi.clauses:
-        if any(lit.var in assignment and assignment[lit.var] != lit.negated
-               for lit in c):
+        if any(abs(code) in assignment and assignment[abs(code)] == (code > 0)
+               for code in c):
             continue
-        kept.append(tuple(lit.to_int() for lit in c if lit.var not in assignment))
+        kept.append(tuple(code for code in c if abs(code) not in assignment))
     return CnfFormula(kept, variables=[v for v in phi.variables
                                        if v not in assignment])
 

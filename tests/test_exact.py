@@ -96,7 +96,7 @@ def _component_product(phi, counter):
     split = connected_components(phi)
     prod = 1 << split.untouched_vars
     for part in split.parts:
-        vs = sorted({v for c in part for v in c.vars})
+        vs = sorted({abs(code) for c in part for code in c})
         prod *= counter(CnfFormula(part, variables=vs)).value
         if prod == 0:
             break
@@ -106,7 +106,7 @@ def _component_product(phi, counter):
 def test_components_partition_touched_vars():
     phi = CnfFormula([(1, 2), (2, 3), (5, 6)], 7)
     split = connected_components(phi)
-    groups = sorted(sorted({v for c in part for v in c.vars})
+    groups = sorted(sorted({abs(code) for c in part for code in c})
                     for part in split.parts)
     assert groups == [[1, 2, 3], [5, 6]]
     assert split.untouched_vars == 2

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import indepcount
-from indepcount import (Clause, CnfFormula, Strategy, Struct, StructSet,
-                        Universe, brute_force_count, chi_square_uniformity,
-                        evaluate, match_library)
+from indepcount import (Strategy, Struct, StructSet, Universe,
+                        brute_force_count, chi_square_uniformity,
+                        match_library, serialize_dimacs)
 from indepcount.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, _default_threads,
                             main)
 from indepcount.gen import GeneratorSpec, generate
@@ -35,7 +35,7 @@ def test_generate_shape():
     phi = generate(GeneratorSpec(n=10, m=25, k=3, seed=1))
     assert phi.num_vars == 10 and phi.num_clauses == 25 and phi.k == 3
     for c in phi.clauses:
-        assert len(c) == 3 and len(c.vars) == 3
+        assert len(c) == 3 and len({abs(code) for code in c}) == 3
     # duplicates are redrawn while the clause pool allows it
     assert len(set(phi.clauses)) == 25
 
@@ -72,7 +72,7 @@ def test_chi_square_detects_a_point_mass():
 
 
 def test_chi_square_rejects_outside_sample():
-    cls = (Clause.from_ints((1, 2, 3)),)
+    cls = ((1, 2, 3),)
     uni = Universe(StructSet((Struct(cls, match_library(cls)),)), 3)
     with pytest.raises(ValueError):
         chi_square_uniformity([{1: False, 2: False, 3: False}], uni)
@@ -156,6 +156,23 @@ def test_cli_count_file(tmp_path, capsys):
     assert report["estimate"]["value"] == 4.0
     assert report["reference"]["eps_accurate"] is True
     assert report["instance"]["file"] == str(path)
+
+
+def test_cli_count_warns_on_a_flagged_result(tmp_path, capsys):
+    path = tmp_path / "sparse.cnf"
+    path.write_text(serialize_dimacs(generate(
+        GeneratorSpec(n=23, m=46, k=3, seed=1))))
+    code = main(["count", "--file", str(path), "--strategy", "pruned",
+                 "--seed", "7", "--budget", "1"])
+    assert code == EXIT_OK
+    out = capsys.readouterr()
+    est = json.loads(out.out)["estimate"]
+    assert est["under_sampled"] is True
+    bound = int(est["lower_bound"])
+    assert bound >= 1 and est["value"] >= bound
+    assert "warning: under-sampled" in out.err
+    main(["count", "--file", str(path), "--strategy", "pruned", "--seed", "7"])
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_count_strategy_choices(tmp_path):

@@ -98,9 +98,6 @@ def test_params_alpha_lookup():
     assert ps.alpha(3) == 1.51426
     with pytest.raises(ValueError):
         ps.alpha(7)
-    custom = params_for(3, 10, Strategy.INDEP_STRUCTS,
-                        alpha_overrides={3: 1.5})
-    assert custom.alpha(3) == 1.5
 
 
 def test_params_untuned_widths():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from indepcount import (CnfFormula, CounterConfig, Strategy, approx_count,
-                        brute_force_count)
+                        brute_force_count, params_for)
 from indepcount.gen import GeneratorSpec, generate
 
 ALL = [Strategy.BRUTE_FORCE, Strategy.THURLEY, Strategy.PRUNED_TREE,
@@ -162,6 +162,21 @@ def test_argument_validation(chain3):
         approx_count(chain3, 1.5, 0.1)
     with pytest.raises(ValueError):
         approx_count(chain3, 0.2, 0.5)
+
+
+def test_flagged_estimate_never_falls_below_the_certified_bound():
+    # one sample almost never hits, but the cut has already certified at
+    # least ell models, so a flagged value of 0 would be below what is known
+    phi = generate(GeneratorSpec(n=23, m=46, k=3, seed=1))
+    truth = approx_count(phi, 0.2, 0.1, Strategy.BRUTE_FORCE)
+    assert truth.lower_bound == truth.value
+    for strategy in (Strategy.THURLEY, Strategy.PRUNED_TREE):
+        est = approx_count(phi, 0.2, 0.1, strategy, seed=7,
+                           config=CounterConfig(sample_budget=1))
+        assert est.under_sampled and est.samples == 1
+        assert params_for(3, 23, strategy).ell <= est.lower_bound
+        assert est.lower_bound <= truth.value
+        assert est.value >= est.lower_bound
 
 
 def test_sample_budget_flag_propagates():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from indepcount import (Clause, CnfFormula, Estimate, GuardError, Strategy,
+from indepcount import (CnfFormula, Estimate, GuardError, Strategy,
                         Struct, StructLibrary, StructSet, brute_force_count,
                         match_library, params_for, red_clauses, red_structs,
                         struct_stats)
@@ -11,7 +11,7 @@ from indepcount.structs import DEFAULT_LIBRARY, EMPTY_STRUCT_SET, StructPattern
 
 
 def _clauses(*ints):
-    return tuple(Clause.from_ints(c) for c in ints)
+    return tuple(tuple(c) for c in ints)
 
 
 def _exact_counter(sub, eps, delta) -> Estimate:
@@ -75,7 +75,7 @@ def test_struct_stats_agree_with_constructor_on_random_groups():
         phi = generate(GeneratorSpec(n=8, m=3, k=3, seed=3000 + seed))
         cls = phi.clauses
         sigma = Struct(cls, match_library(cls) if len(
-            {v for c in cls for v in c.vars}) <= 16 else ())
+            {abs(code) for c in cls for code in c}) <= 16 else ())
         assert struct_stats(sigma)[1:3] == (sigma.l_sigma, sigma.w_sigma)
 
 
@@ -92,7 +92,7 @@ def test_models_listing_matches_count():
     assert len(models) == sigma.l_sigma == 25
     assert len(sigma.satisfying_words()) == 25
     for m in models:
-        assert all(any(m[l.var] != l.negated for l in c) for c in cls)
+        assert all(any(m[abs(code)] == (code > 0) for code in c) for c in cls)
     oks = sigma.closed_ok_assignments()
     assert sorted(m[1] for m in oks) == [False, True]
 
@@ -107,6 +107,12 @@ def test_models_rescan_when_too_many_to_keep():
             for i in range(1100) if i != falsifier]
     got = list(itertools.islice(sigma.iter_satisfying_assignments(), len(want)))
     assert got == want
+
+
+def test_struct_rejects_malformed_clauses():
+    for bad in ((1, 1, 2), (1, -1, 2), (0, 1)):
+        with pytest.raises(ValueError):
+            Struct((bad,), (1,))
 
 
 def test_struct_rejects_foreign_closed_var():
@@ -253,6 +259,23 @@ def test_red_structs_rejects_width_two():
                     _exact_counter)
 
 
+def test_recursion_sums_branch_bounds_and_raises_only_a_flagged_total():
+    phi = generate(GeneratorSpec(n=12, m=10, k=3, seed=8000))
+    for flag_first in (False, True):
+        calls = []
+
+        def counter(sub, eps, delta) -> Estimate:
+            calls.append(sub)
+            return Estimate(value=1, exact=False, epsilon=eps, delta=delta,
+                            under_sampled=flag_first and len(calls) == 1,
+                            lower_bound=2)
+
+        est = red_clauses(phi, 10 ** 6, 0.2, 0.1, counter).estimate
+        assert len(calls) > 1 and est.under_sampled == flag_first
+        assert est.lower_bound == 2 * len(calls)
+        assert est.value == (2 if flag_first else 1) * len(calls)
+
+
 def test_recursion_keeps_an_under_sampled_branch_flag():
     for seed in range(40):
         phi = generate(GeneratorSpec(n=14, m=5 + seed % 4, k=3, seed=6000 + seed))
@@ -291,7 +314,8 @@ def test_red_clauses_greedy_picks_are_maximal_and_closed():
             assert len(sigma.clauses) == 1
             assert sigma.is_closed
         for c in phi.clauses:
-            assert c.vars & used  # nothing disjoint was left behind
+            # nothing disjoint was left behind
+            assert any(abs(code) in used for code in c)
 
 
 def test_red_clauses_recursion_is_exact():
