@@ -7,7 +7,7 @@ strategy dispatcher gluing them together.
 
 from .cnf import (CnfFormula, DimacsError, PartialAssignment, evaluate,
                   parse_dimacs, restrict, serialize_dimacs)
-from .cut import BranchingStrategy, CutKind, CutResult, cut
+from .cut import BranchKind, CutKind, CutResult, cut
 from .decide import DecisionOutcome, decide
 from .exact import (ExactCount, GuardError, brute_force_count,
                     connected_components, count_2sat_exact)
@@ -16,16 +16,15 @@ from .harness import bench, chi_square_uniformity, eps_accurate, run_report
 from .mc import Estimate, Universe, mc_estimate, sample_size, sample_universe
 from .params import ParamSet, Strategy, beta_k, mu_k, p_k, params_for, theta_k
 from .ras import CounterConfig, approx_count
-from .structs import (DEFAULT_LIBRARY, RedOutcome, Struct, StructLibrary,
-                      StructSet, match_library, red_clauses, red_structs,
-                      struct_stats)
+from .structs import (RedOutcome, Struct, StructSet, match_library,
+                      red_clauses, red_structs, struct_stats)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CnfFormula", "DimacsError", "PartialAssignment",
     "evaluate", "parse_dimacs", "restrict", "serialize_dimacs",
-    "BranchingStrategy", "CutKind", "CutResult", "cut",
+    "BranchKind", "CutKind", "CutResult", "cut",
     "DecisionOutcome", "decide",
     "ExactCount", "GuardError", "brute_force_count", "connected_components",
     "count_2sat_exact",
@@ -34,7 +33,7 @@ __all__ = [
     "Estimate", "Universe", "mc_estimate", "sample_size", "sample_universe",
     "ParamSet", "Strategy", "beta_k", "mu_k", "p_k", "params_for", "theta_k",
     "CounterConfig", "approx_count",
-    "DEFAULT_LIBRARY", "RedOutcome", "Struct", "StructLibrary", "StructSet",
-    "match_library", "red_clauses", "red_structs", "struct_stats",
+    "RedOutcome", "Struct", "StructSet", "match_library", "red_clauses",
+    "red_structs", "struct_stats",
     "__version__",
 ]

@@ -39,34 +39,17 @@ class CutResult:
 
 
 class BranchKind(enum.Enum):
-    BINARY = "binary"
-    PRUNED_CLAUSE = "pruned-clause"
-    STRUCT_GUIDED = "struct-guided"
-
-
-@dataclass(frozen=True)
-class BranchingStrategy:
     """How to pick the next block of variables to fix.
 
-    ``binary`` walks a fixed variable order, most frequent first;
-    ``pruned_clause`` branches over the models of a shortest residual
-    clause; ``struct_guided`` consumes the provided groups first and then
+    ``BINARY`` walks a fixed variable order, most frequent first;
+    ``PRUNED_CLAUSE`` branches over the models of a shortest residual
+    clause; ``STRUCT_GUIDED`` consumes the provided groups first and then
     falls back to clause branching.
     """
 
-    kind: BranchKind
-
-    @classmethod
-    def binary(cls) -> "BranchingStrategy":
-        return cls(BranchKind.BINARY)
-
-    @classmethod
-    def pruned_clause(cls) -> "BranchingStrategy":
-        return cls(BranchKind.PRUNED_CLAUSE)
-
-    @classmethod
-    def struct_guided(cls) -> "BranchingStrategy":
-        return cls(BranchKind.STRUCT_GUIDED)
+    BINARY = "binary"
+    PRUNED_CLAUSE = "pruned-clause"
+    STRUCT_GUIDED = "struct-guided"
 
 
 class _Abort(Exception):
@@ -95,7 +78,7 @@ def _clause_models(clause: tuple[int, ...]) -> list[dict[int, bool]]:
 
 
 def cut(phi: CnfFormula, psi: StructSet, ell: int,
-        strategy: BranchingStrategy, *,
+        branching: BranchKind, *,
         trace: list[str] | None = None) -> CutResult:
     """Explore until done or until ``ell`` models have been accounted for.
 
@@ -106,14 +89,14 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
-    if strategy.kind is BranchKind.STRUCT_GUIDED:
+    if branching is BranchKind.STRUCT_GUIDED:
         own = set(phi.clauses)
         for sigma in psi:
             for c in sigma.clauses:
                 if c not in own:
                     raise ValueError("group clause missing from the formula")
     order = _default_order(phi)
-    structs = tuple(psi.structs) if strategy.kind is BranchKind.STRUCT_GUIDED else ()
+    structs = tuple(psi.structs) if branching is BranchKind.STRUCT_GUIDED else ()
     check_reduction = bool(structs)
     width_bound = phi.k - 1
 
@@ -136,7 +119,7 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
                 raise _Abort
             return
 
-        if strategy.kind is BranchKind.BINARY:
+        if branching is BranchKind.BINARY:
             var = next(v for v in order if v in sub.varset)
             state["branch_nodes"] += 1
             emit(depth, f"x{var}", 2)
@@ -144,7 +127,7 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
                 explore(restrict(sub, {var: value}), depth + 1, next_struct)
             return
 
-        if strategy.kind is BranchKind.STRUCT_GUIDED and next_struct < len(structs):
+        if branching is BranchKind.STRUCT_GUIDED and next_struct < len(structs):
             sigma = structs[next_struct]
             state["branch_nodes"] += 1
             emit(depth, f"group{next_struct}", sigma.l_sigma)

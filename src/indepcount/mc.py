@@ -90,7 +90,6 @@ class Universe:
                 if v in claimed:
                     raise ValueError(f"x{v} claimed by two subformulas")
                 claimed.add(v)
-        self.psi = psi
         self.structs = structs
         self.variables = universe
         self.n = len(universe)
@@ -127,11 +126,11 @@ class Universe:
         return PartialAssignment(
             {v: bool((word >> (v - 1)) & 1) for v in self.variables})
 
-    def enumerate_words(self, *, limit: int = _CELL_LIMIT) -> np.ndarray:
+    def enumerate_words(self) -> np.ndarray:
         """All assignment words in the universe (for uniformity checks)."""
-        if self.size > limit:
+        if self.size > _CELL_LIMIT:
             raise ValueError(f"universe of size {self.size} exceeds "
-                             f"enumeration limit {limit}")
+                             f"enumeration limit {_CELL_LIMIT}")
         if self.variables and self.variables[-1] > 64:
             raise ValueError("word enumeration limited to variable indices <= 64")
         free = np.zeros(1, dtype=np.uint64)
@@ -185,8 +184,11 @@ def mc_estimate(phi: CnfFormula, psi, ell: int, eps: float, delta: float,
 
     The (eps, delta) guarantee holds when the true count is >= ell.  If the
     prescribed sample count exceeds ``sample_budget`` the run is truncated
-    and flagged ``under_sampled`` instead of silently weakening anything.
+    and flagged ``under_sampled`` instead of silently weakening anything;
+    a budget below one sample is refused.
     """
+    if sample_budget is not None and sample_budget < 1:
+        raise ValueError("sample_budget must be at least 1")
     structs = tuple(getattr(psi, "structs", psi))
     drawn = {c for sigma in structs for c in sigma.clauses}
     if not drawn <= set(phi.clauses):

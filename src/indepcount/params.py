@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -111,17 +111,20 @@ class ParamSet:
     strategy: Strategy
     beta_k: float | None
     mu_k: float | None
-    alpha_by_k: dict[int, float] = field(compare=False)
     theta_k: float | None = None
     p_k: float | None = None
     ell_log2: float = 0.0
     m_hat_fraction: float | None = None
 
     def alpha(self, width: int) -> float:
-        try:
-            return self.alpha_by_k[width]
-        except KeyError:
-            raise ValueError(f"no counting base configured for width {width}")
+        """Counting base for ``width``: the published one up to width 4;
+        above it, up to ``k``, the decision-driven two-phase base, which
+        the width-specific tuning must beat anyway."""
+        if width in ALPHA_TABLE:
+            return ALPHA_TABLE[width]
+        if width in range(5, self.k + 1):
+            return theta_k(width)
+        raise ValueError(f"no counting base configured for width {width}")
 
     @property
     def ell(self) -> int:
@@ -135,15 +138,6 @@ class ParamSet:
         return math.ceil(self.m_hat_fraction * self.n)
 
 
-def _alpha_map(k: int) -> dict[int, float]:
-    out = dict(ALPHA_TABLE)
-    for width in range(5, k + 1):
-        # no published base beyond width 4: fall back to the decision-driven
-        # two-phase base, which the width-specific tuning must beat anyway
-        out[width] = theta_k(width)
-    return out
-
-
 def params_for(k: int, n: int, strategy: Strategy) -> ParamSet:
     """Fill a ParamSet; raises for unsupported (k, strategy) pairs."""
     if k < 2:
@@ -151,14 +145,12 @@ def params_for(k: int, n: int, strategy: Strategy) -> ParamSet:
     if n < 0:
         raise ValueError("n must be non-negative")
     if k == 2 or strategy is Strategy.BRUTE_FORCE:
-        return ParamSet(k=k, n=n, strategy=strategy, beta_k=None, mu_k=None,
-                        alpha_by_k=_alpha_map(max(k, 2)))
+        return ParamSet(k=k, n=n, strategy=strategy, beta_k=None, mu_k=None)
 
     beta = beta_k(k)
     mu = mu_k(k) if k >= 5 else None
     theta = theta_k(k)
     p = p_k(k)
-    alphas = _alpha_map(k)
     frac = None
 
     if strategy is Strategy.THURLEY:
@@ -181,5 +173,5 @@ def params_for(k: int, n: int, strategy: Strategy) -> ParamSet:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     return ParamSet(k=k, n=n, strategy=strategy, beta_k=beta, mu_k=mu,
-                    alpha_by_k=alphas, theta_k=theta, p_k=p, ell_log2=coeff,
+                    theta_k=theta, p_k=p, ell_log2=coeff,
                     m_hat_fraction=frac)

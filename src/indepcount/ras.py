@@ -14,7 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .cnf import CnfFormula
-from .cut import BranchingStrategy, CutKind, cut
+from .cut import BranchKind, CutKind, cut
 from .exact import brute_force_count, count_2sat_exact
 from .mc import Estimate, mc_estimate
 from .params import Strategy, params_for
@@ -32,6 +32,10 @@ class CounterConfig:
     small_n: int = SMALL_N_DEFAULT
     brute_force_guard: int = 28
     sample_budget: int | None = SAMPLE_BUDGET_DEFAULT
+
+    def __post_init__(self):
+        if self.sample_budget is not None and self.sample_budget < 1:
+            raise ValueError("sample_budget must be at least 1")
 
 
 DEFAULT_CONFIG = CounterConfig()
@@ -86,13 +90,13 @@ def approx_count(phi: CnfFormula, eps: float, delta: float,
     mc_rng = derived_generator(root, "mc", phi.k, n)
 
     if strategy is Strategy.THURLEY:
-        branching = BranchingStrategy.binary()
+        branching = BranchKind.BINARY
         psi = EMPTY_STRUCT_SET
     elif strategy is Strategy.PRUNED_TREE:
-        branching = BranchingStrategy.pruned_clause()
+        branching = BranchKind.PRUNED_CLAUSE
         psi = EMPTY_STRUCT_SET
     elif strategy in (Strategy.INDEP_CLAUSES, Strategy.INDEP_STRUCTS):
-        branching = BranchingStrategy.struct_guided()
+        branching = BranchKind.STRUCT_GUIDED
         psi = None
     else:
         raise ValueError(f"unknown strategy {strategy!r}")

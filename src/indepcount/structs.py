@@ -35,13 +35,12 @@ _INDEX_LIMIT = 1 << 21
 # ---------------------------------------------------------------------------
 # model scans over a fixed variable tuple
 
-def _scan_models(clauses: Sequence[tuple[int, ...]],
-                 over_vars: Sequence[int], *, index_limit: int = _INDEX_LIMIT):
+def _scan_models(clauses: Sequence[tuple[int, ...]], over_vars: Sequence[int]):
     """Count assignments of ``over_vars`` that falsify no clause.
 
     Clauses with variables outside ``over_vars`` can never be falsified by
     such a partial assignment and are ignored.  Returns (count, compact
-    indices or None); indices are dropped once ``index_limit`` is exceeded.
+    indices or None); indices are dropped once ``_INDEX_LIMIT`` is exceeded.
     """
     t = len(over_vars)
     if t > _SCAN_GUARD:
@@ -51,7 +50,7 @@ def _scan_models(clauses: Sequence[tuple[int, ...]],
     for chunk in _scan_chunks(clauses, over_vars):
         count += len(chunk)
         if collected is not None:
-            if count > index_limit:
+            if count > _INDEX_LIMIT:
                 collected = None
             else:
                 collected.append(chunk)
@@ -262,8 +261,11 @@ class StructPattern:
             return None
 
         def bind_clause(pat, actual, letter_to, var_to):
+            """Every extension of the binding that maps ``pat`` onto
+            ``actual``, one literal each."""
             if not pat:
-                return letter_to, var_to
+                yield letter_to, var_to
+                return
             (letter, pat_neg), rest = pat[0], pat[1:]
             for i, code in enumerate(actual):
                 var, flip = abs(code), (code < 0) != pat_neg
@@ -276,26 +278,19 @@ class StructPattern:
                 vt = dict(var_to)
                 lt[letter] = (var, flip)
                 vt[var] = letter
-                got = bind_clause(rest, actual[:i] + actual[i + 1:], lt, vt)
-                if got is not None:
-                    return got
-            return None
+                yield from bind_clause(rest, actual[:i] + actual[i + 1:], lt, vt)
 
         def walk(order, letter_to, var_to):
             if len(order) == len(self.clauses):
                 return letter_to
             pat = self.clauses[len(order)]
             for j, actual in enumerate(clauses):
-                if j in order:
+                if j in order or len(actual) != len(pat):
                     continue
-                if len(actual) != len(pat):
-                    continue
-                bound = bind_clause(pat, actual, letter_to, var_to)
-                if bound is None:
-                    continue
-                got = walk(order + (j,), *bound)
-                if got is not None:
-                    return got
+                for bound in bind_clause(pat, actual, letter_to, var_to):
+                    got = walk(order + (j,), *bound)
+                    if got is not None:
+                        return got
             return None
 
         bound = walk((), {}, {})
@@ -304,75 +299,33 @@ class StructPattern:
         return {letter: var for letter, (var, _) in bound.items()}
 
 
-def _parse_pattern_clause(text: str) -> tuple[tuple[str, bool], ...]:
-    lits = []
-    for tok in text.split():
-        neg = tok.startswith("~")
-        letter = tok[1:] if neg else tok
-        if not letter.isalnum():
-            raise ValueError(f"bad pattern literal {tok!r}")
-        lits.append((letter, neg))
-    if not lits:
-        raise ValueError("empty pattern clause")
-    return tuple(lits)
+def _unnegated(*clauses: str) -> tuple[tuple[tuple[str, bool], ...], ...]:
+    """Pattern clauses from strings of one-letter names, no literal negated."""
+    return tuple(tuple((l, False) for l in clause) for clause in clauses)
 
 
-@dataclass(frozen=True)
-class StructLibrary:
-    """Shapes that stay partially open; everything else closes completely."""
-
-    patterns: tuple[StructPattern, ...]
-    cap: int = STRUCT_CAP
-
-    @classmethod
-    def from_text(cls, text: str, *, cap: int = STRUCT_CAP) -> "StructLibrary":
-        patterns = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                head, body = line.split(":", 1)
-                key, names = head.split("=", 1)
-                if key.strip() != "close":
-                    raise ValueError("expected 'close = letters : clauses'")
-                closed = tuple(t.strip() for t in names.split(",") if t.strip())
-                clauses = tuple(_parse_pattern_clause(part)
-                                for part in body.split("|"))
-                patterns.append(StructPattern(clauses, closed))
-            except ValueError as exc:
-                raise ValueError(f"library line {lineno}: {exc}") from exc
-        return cls(tuple(patterns), cap=cap)
-
-    def designate(self, clauses: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-        """Closed variables for a clause group: matched shape or everything."""
-        group_vars = sorted(vars_of(clauses))
-        if len(group_vars) <= self.cap:
-            for pattern in self.patterns:
-                bound = pattern.match(clauses)
-                if bound is not None:
-                    return tuple(sorted(bound[l] for l in pattern.closed_letters))
-        return tuple(group_vars)
+# groups that keep growing candidates open, smallest first; a match binds
+# every variable of the group to its own letter, so no shape (at most 10
+# letters) matches a group of more variables than it has letters
+SHAPES = (
+    StructPattern(_unnegated("abc"), ("c",)),
+    StructPattern(_unnegated("abc", "ade"), ("a",)),
+    StructPattern(_unnegated("abc", "abd"), ("a",)),
+    StructPattern(_unnegated("abc", "ade", "bfg"), ("a", "b")),
+    StructPattern(_unnegated("abcd"), ("d",)),
+    StructPattern(_unnegated("abcd", "aefg"), ("a",)),
+    StructPattern(_unnegated("abcd", "aefg", "bhij"), ("a", "b")),
+)
 
 
-DEFAULT_LIBRARY_TEXT = """\
-# groups that keep growing candidates open, smallest first
-close = c : a b c
-close = a : a b c | a d e
-close = a : a b c | a b d
-close = a, b : a b c | a d e | b f g
-close = d : a b c d
-close = a : a b c d | a e f g
-close = a, b : a b c d | a e f g | b h i j
-"""
-
-DEFAULT_LIBRARY = StructLibrary.from_text(DEFAULT_LIBRARY_TEXT)
-
-
-def match_library(sigma: Struct | Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """Closed-variable designation for a group (all of them when unmatched)."""
-    clauses = sigma.clauses if isinstance(sigma, Struct) else tuple(sigma)
-    return DEFAULT_LIBRARY.designate(clauses)
+def match_library(clauses: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """Closed variables for a clause group: those of the first shape that
+    matches it, or all of its variables when none does."""
+    for pattern in SHAPES:
+        bound = pattern.match(clauses)
+        if bound is not None:
+            return tuple(sorted(bound[l] for l in pattern.closed_letters))
+    return tuple(sorted(vars_of(clauses)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +415,7 @@ def red_structs(phi: CnfFormula, params, eps: float, delta: float,
         for i in absorbed:
             merged.extend(pool[i].clauses)
         merged.append(pick)
-        closed = DEFAULT_LIBRARY.designate(merged)
+        closed = match_library(merged)
         sigma = Struct(merged, closed)
         pool = [s for i, s in enumerate(pool) if i not in absorbed]
         pool.append(sigma)

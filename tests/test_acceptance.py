@@ -8,7 +8,7 @@ inline; the timed ones assert their wall-clock budgets.
 
 import time
 
-from indepcount import (BranchingStrategy, CnfFormula, CutKind,
+from indepcount import (BranchKind, CnfFormula, CutKind,
                         CounterConfig, Estimate, Strategy, Struct, StructSet,
                         Universe, approx_count, brute_force_count,
                         chi_square_uniformity, count_2sat_exact, cut,
@@ -45,9 +45,9 @@ def test_criterion_1_worked_examples():
     chain4 = parse_dimacs(CHAIN4_TEXT)
 
     values = [brute_force_count(chain3).value, count_2sat_exact(chain3).value]
-    for strategy, psi in [(BranchingStrategy.binary(), EMPTY_STRUCT_SET),
-                          (BranchingStrategy.pruned_clause(), EMPTY_STRUCT_SET),
-                          (BranchingStrategy.struct_guided(),
+    for strategy, psi in [(BranchKind.BINARY, EMPTY_STRUCT_SET),
+                          (BranchKind.PRUNED_CLAUSE, EMPTY_STRUCT_SET),
+                          (BranchKind.STRUCT_GUIDED,
                            _greedy_clause_psi(chain3))]:
         res = cut(chain3, psi, BIG, strategy)
         assert res.kind is CutKind.EXACT
@@ -58,7 +58,7 @@ def test_criterion_1_worked_examples():
 
     chain4_count = brute_force_count(chain4).value
     res2 = cut(chain4, EMPTY_STRUCT_SET, BIG,
-               BranchingStrategy.pruned_clause())
+               BranchKind.PRUNED_CLAUSE)
     terminals = res2.leaves + res2.pruned
     second_ok = (chain4_count == 2 and res2.completed and res2.count == 2
                  and terminals <= 6)
@@ -149,9 +149,9 @@ def test_criterion_4_sampler_uniformity():
 def test_criterion_5_cut_exactness_and_soundness():
     completed = aborted = 0
     for i in range(200):
-        branching = [BranchingStrategy.binary(),
-                     BranchingStrategy.pruned_clause(),
-                     BranchingStrategy.struct_guided()][i % 3]
+        branching = [BranchKind.BINARY,
+                     BranchKind.PRUNED_CLAUSE,
+                     BranchKind.STRUCT_GUIDED][i % 3]
         if i % 5 < 3:
             n = 8 + i % 6
             m = 6 + (i * 3) % 25
@@ -162,7 +162,7 @@ def test_criterion_5_cut_exactness_and_soundness():
             ell = params_for(3, n, Strategy.INDEP_STRUCTS).ell
         phi = generate(GeneratorSpec(n=n, m=m, k=3, seed=50_000 + i))
         psi = (_greedy_clause_psi(phi)
-               if branching.kind.value == "struct-guided" else EMPTY_STRUCT_SET)
+               if branching is BranchKind.STRUCT_GUIDED else EMPTY_STRUCT_SET)
         want = brute_force_count(phi).value
         res = cut(phi, psi, ell, branching)
         if res.kind is CutKind.EXACT:
@@ -267,9 +267,9 @@ def test_criterion_9_tree_size_reduction():
     binary_nodes = pruned_nodes = 0
     for i in range(100):
         phi = generate(GeneratorSpec(n=14, m=24, k=3, seed=90_000 + i))
-        rb = cut(phi, EMPTY_STRUCT_SET, BIG, BranchingStrategy.binary())
+        rb = cut(phi, EMPTY_STRUCT_SET, BIG, BranchKind.BINARY)
         rp = cut(phi, EMPTY_STRUCT_SET, BIG,
-                 BranchingStrategy.pruned_clause())
+                 BranchKind.PRUNED_CLAUSE)
         assert rb.completed and rp.completed and rb.count == rp.count
         binary_nodes += rb.branch_nodes
         pruned_nodes += rp.branch_nodes

@@ -175,6 +175,15 @@ def test_cli_count_warns_on_a_flagged_result(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_cli_count_refuses_a_budget_below_one(tmp_path, capsys):
+    path = tmp_path / "sparse.cnf"
+    path.write_text(serialize_dimacs(generate(
+        GeneratorSpec(n=23, m=46, k=3, seed=1))))
+    code = main(["count", "--file", str(path), "--budget", "0"])
+    assert code == EXIT_INPUT
+    assert "sample_budget must be at least 1" in capsys.readouterr().err
+
+
 def test_cli_count_strategy_choices(tmp_path):
     path = tmp_path / "chain3.cnf"
     path.write_text(CHAIN3_TEXT)

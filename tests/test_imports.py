@@ -1,4 +1,5 @@
-"""Import lint: every name imported in the package or the tests is used.
+"""Import lint: every name imported in the package or the tests is used,
+and every name the package exports resolves.
 
 Built on the standard library's ``ast`` so that it runs wherever the
 tests do.  A name counts as used when the module loads it anywhere, lists
@@ -9,6 +10,8 @@ function and loaded in another counts as used.
 
 import ast
 from pathlib import Path
+
+import indepcount
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED = sorted((ROOT / "src" / "indepcount").glob("*.py")) + sorted(
@@ -93,3 +96,12 @@ def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in CHECKED for line, name in unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_every_export_resolves():
+    missing = [name for name in indepcount.__all__
+               if not hasattr(indepcount, name)]
+    assert not missing, f"__all__ names nothing for {missing}"
+    namespace: dict = {}
+    exec("from indepcount import *", namespace)
+    assert set(indepcount.__all__) <= set(namespace)

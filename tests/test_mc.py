@@ -161,6 +161,10 @@ def test_budget_truncation_flags_under_sampling():
     est = mc_estimate(phi, EMPTY_STRUCT_SET, 1, 0.2, 0.05, generator(2),
                       sample_budget=100)
     assert est.under_sampled and est.samples == 100
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            mc_estimate(phi, EMPTY_STRUCT_SET, 1, 0.2, 0.05, generator(2),
+                        sample_budget=budget)
 
 
 def test_estimate_rejects_foreign_subformula():

@@ -185,3 +185,11 @@ def test_sample_budget_flag_propagates():
                        config=CounterConfig(small_n=0, sample_budget=50))
     assert not est.exact
     assert est.under_sampled and est.samples == 50
+
+
+def test_sample_budget_below_one_is_refused():
+    phi = generate(GeneratorSpec(n=23, m=46, k=3, seed=1))
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            approx_count(phi, 0.2, 0.1, Strategy.PRUNED_TREE, seed=7,
+                         config=CounterConfig(sample_budget=budget))

@@ -1,13 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from indepcount import (CnfFormula, Estimate, GuardError, Strategy,
-                        Struct, StructLibrary, StructSet, brute_force_count,
-                        match_library, params_for, red_clauses, red_structs,
-                        struct_stats)
+                        Struct, StructSet, brute_force_count, match_library,
+                        params_for, red_clauses, red_structs, struct_stats)
 from indepcount.gen import GeneratorSpec, generate
-from indepcount.structs import DEFAULT_LIBRARY, EMPTY_STRUCT_SET, StructPattern
+from indepcount.structs import EMPTY_STRUCT_SET, SHAPES, StructPattern
 
 
 def _clauses(*ints):
@@ -140,6 +140,12 @@ def test_match_is_deterministic():
     assert match_library(cls) == match_library(tuple(reversed(cls))) == (4,)
 
 
+def test_hub_found_when_no_clause_lists_it_first():
+    # in each clause, the first literal a hub letter can bind is not the hub
+    assert match_library(_clauses((2, 3, -1), (4, 5, -1))) == (1,)
+    assert match_library(_clauses((2, 3, 4, 1), (5, 6, 7, 1))) == (1,)
+
+
 def test_pattern_match_binding():
     pattern = StructPattern(
         clauses=((("a", False), ("b", False), ("c", False)),
@@ -155,26 +161,41 @@ def test_pattern_requires_closed_letter_per_clause():
                       closed_letters=("a",))
 
 
-def test_library_text_parsing():
-    lib = StructLibrary.from_text("# comment\nclose = a : a b ~c\n")
-    assert len(lib.patterns) == 1
-    assert lib.patterns[0].clauses == ((("a", False), ("b", False), ("c", True)),)
-    with pytest.raises(ValueError):
-        StructLibrary.from_text("open = a : a b\n")
-    with pytest.raises(ValueError):
-        StructLibrary.from_text("close = a :\n")
-
-
 def test_unmatched_group_closes_all_vars():
     # four pairwise-linked clauses fit no default shape
     cls = _clauses((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 7))
     assert match_library(cls) == (1, 2, 3, 4, 5, 6, 7)
 
 
-def test_oversize_group_skips_matching():
-    lib = StructLibrary(DEFAULT_LIBRARY.patterns, cap=4)
-    cls = _clauses((1, 2, 3), (1, 4, 5))
-    assert lib.designate(cls) == (1, 2, 3, 4, 5)
+# letters a shape cannot tell apart: a match may close any one of them
+_TWINS = {0: "abc", 2: "ab", 4: "abcd"}
+
+
+def test_designation_survives_renaming():
+    rng = random.Random(7)
+    for index, shape in enumerate(SHAPES):
+        letters = sorted({l for clause in shape.clauses for l, _ in clause})
+        for _ in range(25):
+            rename = dict(zip(letters, rng.sample(range(1, 41), len(letters))))
+            sign = {l: rng.choice((1, -1)) for l in letters}
+            group = [rng.sample([sign[l] * rename[l] for l, _ in clause],
+                                len(clause)) for clause in shape.clauses]
+            rng.shuffle(group)
+            got = match_library([tuple(c) for c in group])
+            if index in _TWINS:
+                assert len(got) == 1
+                assert got[0] in {rename[l] for l in _TWINS[index]}
+            else:
+                assert got == tuple(sorted(rename[l]
+                                           for l in shape.closed_letters))
+
+
+def test_group_of_seventeen_variables_closes_completely():
+    # a match binds each variable to its own letter, and no shape has 17
+    wide = _clauses(tuple(range(1, 18)))
+    chain = _clauses(*[(v, v + 1, v + 2) for v in range(1, 17, 2)])
+    for cls in (wide, chain):
+        assert match_library(cls) == tuple(range(1, 18))
 
 
 # --- struct sets -------------------------------------------------------------
