@@ -5,8 +5,8 @@ search-tree explorer, a product-universe Monte Carlo estimator and the
 strategy dispatcher gluing them together.
 """
 
-from .cnf import (CnfFormula, DimacsError, PartialAssignment, evaluate,
-                  parse_dimacs, restrict, serialize_dimacs)
+from .cnf import (CnfFormula, DimacsError, evaluate, parse_dimacs, restrict,
+                  serialize_dimacs)
 from .cut import BranchKind, CutKind, CutResult, cut
 from .decide import DecisionOutcome, decide
 from .exact import (ExactCount, GuardError, brute_force_count,
@@ -22,8 +22,8 @@ from .structs import (RedOutcome, Struct, StructSet, match_library,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CnfFormula", "DimacsError", "PartialAssignment",
-    "evaluate", "parse_dimacs", "restrict", "serialize_dimacs",
+    "CnfFormula", "DimacsError", "evaluate", "parse_dimacs", "restrict",
+    "serialize_dimacs",
     "BranchKind", "CutKind", "CutResult", "cut",
     "DecisionOutcome", "decide",
     "ExactCount", "GuardError", "brute_force_count", "connected_components",

@@ -126,47 +126,6 @@ class CnfFormula:
                 f"{self.num_vars} vars, k={self.k})")
 
 
-class PartialAssignment(Mapping):
-    """Immutable map from variable index to truth value."""
-
-    __slots__ = ("_bind",)
-
-    def __init__(self, bindings: Mapping[int, bool] | Iterable[tuple[int, bool]] = ()):
-        bind = dict(bindings)
-        for v, b in bind.items():
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"bad variable index {v!r}")
-            if not isinstance(b, (bool, np.bool_)):
-                raise ValueError(f"non-boolean value for x{v}")
-        object.__setattr__(self, "_bind", {v: bool(b) for v, b in bind.items()})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartialAssignment is immutable")
-
-    def __getitem__(self, var: int) -> bool:
-        return self._bind[var]
-
-    def __iter__(self):
-        return iter(self._bind)
-
-    def __len__(self) -> int:
-        return len(self._bind)
-
-    def merged(self, other: Mapping[int, bool]) -> "PartialAssignment":
-        """Union with ``other``; overlapping keys must agree."""
-        out = dict(self._bind)
-        for v, b in other.items():
-            if v in out and out[v] != bool(b):
-                raise ValueError(f"conflicting value for x{v}")
-            out[v] = bool(b)
-        return PartialAssignment(out)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"x{v}={'1' if b else '0'}"
-                          for v, b in sorted(self._bind.items()))
-        return f"PartialAssignment({inner})"
-
-
 # ---------------------------------------------------------------------------
 # DIMACS
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import CnfFormula, PartialAssignment, evaluate
+from .cnf import CnfFormula, evaluate
 from .exact import busiest_var, propagate
 
 
 @dataclass(frozen=True)
 class DecisionOutcome:
     satisfiable: bool
-    witness: PartialAssignment | None
+    witness: dict[int, bool] | None
 
 
 def _search_complete(phi: CnfFormula) -> dict[int, bool] | None:
@@ -45,6 +45,6 @@ def decide(phi: CnfFormula) -> DecisionOutcome:
     found = _search_complete(phi)
     if found is None:
         return DecisionOutcome(False, None)
-    witness = PartialAssignment({v: found.get(v, False) for v in phi.variables})
+    witness = {v: found.get(v, False) for v in phi.variables}
     assert evaluate(phi, witness)
     return DecisionOutcome(True, witness)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cnf import CnfFormula, PartialAssignment, clause_bitmasks, satisfied_rows
+from .cnf import CnfFormula, clause_bitmasks, satisfied_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .structs import StructSet
@@ -72,30 +72,25 @@ class Estimate:
 class Universe:
     """Sampling space: one model per subformula, coins elsewhere."""
 
-    def __init__(self, psi: "StructSet | Sequence", n: int | None = None, *,
+    def __init__(self, psi: "StructSet", n: int | None = None, *,
                  variables: Sequence[int] | None = None):
-        structs = tuple(getattr(psi, "structs", psi))
         if variables is not None:
             universe = tuple(sorted(set(variables)))
         elif n is not None:
             universe = tuple(range(1, n + 1))
         else:
             raise ValueError("need n or variables")
-        varset = set(universe)
-        claimed: set[int] = set()
-        for sigma in structs:
-            for v in sigma.vars:
-                if v not in varset:
-                    raise ValueError(f"subformula variable x{v} outside universe")
-                if v in claimed:
-                    raise ValueError(f"x{v} claimed by two subformulas")
-                claimed.add(v)
-        self.structs = structs
+        claimed = psi.all_vars
+        outside = claimed.difference(universe)
+        if outside:
+            raise ValueError(
+                f"subformula variable x{min(outside)} outside universe")
+        self.structs = psi.structs
         self.variables = universe
         self.n = len(universe)
         self.free_vars = tuple(v for v in universe if v not in claimed)
         size = 1 << len(self.free_vars)
-        for sigma in structs:
+        for sigma in self.structs:
             size *= sigma.l_sigma
         self.size = size
 
@@ -121,10 +116,9 @@ class Universe:
             words |= models[pick]
         return words
 
-    def decode_word(self, word: int) -> PartialAssignment:
+    def decode_word(self, word: int) -> dict[int, bool]:
         word = int(word)
-        return PartialAssignment(
-            {v: bool((word >> (v - 1)) & 1) for v in self.variables})
+        return {v: bool((word >> (v - 1)) & 1) for v in self.variables}
 
     def enumerate_words(self) -> np.ndarray:
         """All assignment words in the universe (for uniformity checks)."""
@@ -145,18 +139,9 @@ class Universe:
         return cells
 
 
-def sample_universe(universe: Universe, rng: np.random.Generator) -> PartialAssignment:
+def sample_universe(universe: Universe, rng: np.random.Generator) -> dict[int, bool]:
     """One uniform draw from the universe."""
-    if universe.variables and universe.variables[-1] > 64:
-        # generic path, no word packing
-        bind: dict[int, bool] = {}
-        for v in universe.free_vars:
-            bind[v] = bool(rng.integers(0, 2))
-        for sigma in universe.structs:
-            models = sigma.satisfying_assignments()
-            bind.update(models[rng.integers(0, len(models))])
-        return PartialAssignment(bind)
-    return universe.decode_word(int(universe.sample_words(1, rng)[0]))
+    return universe.decode_word(universe.sample_words(1, rng)[0])
 
 
 def sample_size(universe_size: int, ell: int, eps: float, delta: float, *,
@@ -176,8 +161,8 @@ def sample_size(universe_size: int, ell: int, eps: float, delta: float, *,
     return max(1, math.ceil(need))
 
 
-def mc_estimate(phi: CnfFormula, psi, ell: int, eps: float, delta: float,
-                rng: np.random.Generator | None = None, *,
+def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
+                delta: float, rng: np.random.Generator | None = None, *,
                 seed: int | None = None,
                 sample_budget: int | None = None) -> Estimate:
     """Sampled count: draw from the universe, scale hit rate by its size.
@@ -189,8 +174,7 @@ def mc_estimate(phi: CnfFormula, psi, ell: int, eps: float, delta: float,
     """
     if sample_budget is not None and sample_budget < 1:
         raise ValueError("sample_budget must be at least 1")
-    structs = tuple(getattr(psi, "structs", psi))
-    drawn = {c for sigma in structs for c in sigma.clauses}
+    drawn = {c for sigma in psi for c in sigma.clauses}
     if not drawn <= set(phi.clauses):
         raise ValueError("subformula clause missing from the formula")
     if rng is None:

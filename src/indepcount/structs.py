@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,15 +39,19 @@ def _scan_models(clauses: Sequence[tuple[int, ...]], over_vars: Sequence[int]):
     """Count assignments of ``over_vars`` that falsify no clause.
 
     Clauses with variables outside ``over_vars`` can never be falsified by
-    such a partial assignment and are ignored.  Returns (count, compact
-    indices or None); indices are dropped once ``_INDEX_LIMIT`` is exceeded.
+    such a partial assignment and are ignored.  Returns (count, ascending
+    compact indices with bit i = ``over_vars[i]``, or None once more than
+    ``_INDEX_LIMIT`` are found).
     """
     t = len(over_vars)
     if t > _SCAN_GUARD:
         raise GuardError(f"refusing to enumerate 2^{t} assignments")
+    varset = set(over_vars)
+    inside = [c for c in clauses if all(abs(code) in varset for code in c)]
+    pos, neg = clause_bitmasks(inside, {v: i for i, v in enumerate(over_vars)})
     count = 0
     collected: list[np.ndarray] | None = []
-    for chunk in _scan_chunks(clauses, over_vars):
+    for chunk in satisfying_indices(pos, neg, t):
         count += len(chunk)
         if collected is not None:
             if count > _INDEX_LIMIT:
@@ -59,18 +63,18 @@ def _scan_models(clauses: Sequence[tuple[int, ...]], over_vars: Sequence[int]):
     return count, np.concatenate(collected)
 
 
-def _scan_chunks(clauses: Sequence[tuple[int, ...]],
-                 over_vars: Sequence[int]):
-    """Ascending chunks of compact indices (bit i = ``over_vars[i]``) of the
-    assignments that falsify none of the clauses inside ``over_vars``."""
-    varset = set(over_vars)
-    inside = [c for c in clauses if all(abs(code) in varset for code in c)]
-    pos, neg = clause_bitmasks(inside, {v: i for i, v in enumerate(over_vars)})
-    return satisfying_indices(pos, neg, len(over_vars))
+def _kept(indices: np.ndarray | None) -> np.ndarray:
+    """The stored compact indices of a group's models; GuardError if the
+    scan found too many to keep."""
+    if indices is None:
+        raise GuardError(f"more than {_INDEX_LIMIT} models to materialise")
+    return indices
 
 
-def _expand_words(indices: np.ndarray, over_vars: Sequence[int]) -> np.ndarray:
+def _expand_words(indices: np.ndarray | None,
+                  over_vars: Sequence[int]) -> np.ndarray:
     """Compact scan indices -> assignment words with bit (v-1) per variable."""
+    indices = _kept(indices)
     out = np.zeros(indices.shape, dtype=np.uint64)
     for i, v in enumerate(over_vars):
         if v > 64:
@@ -79,8 +83,11 @@ def _expand_words(indices: np.ndarray, over_vars: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _decode_index(index: int, over_vars: Sequence[int]) -> dict[int, bool]:
-    return {v: bool((index >> i) & 1) for i, v in enumerate(over_vars)}
+def _decoded(indices: np.ndarray | None,
+             over_vars: Sequence[int]) -> Iterator[dict[int, bool]]:
+    """Compact scan indices -> assignments of ``over_vars``, decoded lazily."""
+    return ({v: bool((index >> i) & 1) for i, v in enumerate(over_vars)}
+            for index in map(int, _kept(indices)))
 
 
 def _touches(clause: tuple[int, ...], variables) -> bool:
@@ -96,11 +103,13 @@ class Struct:
     ``l_sigma`` counts models over the group's own variables; ``w_sigma``
     counts assignments of the closed variables alone that falsify no
     clause, and ``f_sigma`` is the number of closed variables.  A fully
-    closed group has w = l and f = n.
+    closed group has w = l and f = n.  The models are kept only as the
+    scan's compact indices, which every view decodes; a group with more
+    than ``_INDEX_LIMIT`` of them raises GuardError from every view.
     """
 
     __slots__ = ("clauses", "vars", "closed_vars", "n_sigma", "l_sigma",
-                 "w_sigma", "f_sigma", "_model_idx", "_closed_idx", "_cache")
+                 "w_sigma", "f_sigma", "_model_idx", "_closed_idx", "_words")
 
     def __init__(self, clauses: Sequence[tuple[int, ...]],
                  closed_vars: Sequence[int]):
@@ -120,7 +129,7 @@ class Struct:
         object.__setattr__(self, "f_sigma", len(closed))
         object.__setattr__(self, "_model_idx", model_idx)
         object.__setattr__(self, "_closed_idx", closed_idx)
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_words", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Struct is immutable")
@@ -131,42 +140,18 @@ class Struct:
 
     def satisfying_words(self) -> np.ndarray:
         """Models as assignment words (bit v-1 per variable), cached."""
-        got = self._cache.get("words")
-        if got is None:
-            if self._model_idx is None:
-                raise GuardError("too many models to materialise")
-            got = _expand_words(self._model_idx, self.vars)
-            self._cache["words"] = got
-        return got
+        if self._words is None:
+            object.__setattr__(self, "_words",
+                               _expand_words(self._model_idx, self.vars))
+        return self._words
 
-    def satisfying_assignments(self) -> tuple[dict[int, bool], ...]:
-        got = self._cache.get("models")
-        if got is None:
-            got = tuple(self.iter_satisfying_assignments())
-            self._cache["models"] = got
-        return got
-
-    def iter_satisfying_assignments(self):
+    def iter_satisfying_assignments(self) -> Iterator[dict[int, bool]]:
         """Models over the group's variables, in scan order."""
-        if self._model_idx is not None:
-            for index in self._model_idx:
-                yield _decode_index(int(index), self.vars)
-            return
-        # too many to keep around: rescan in chunks
-        for chunk in _scan_chunks(self.clauses, self.vars):
-            for index in chunk:
-                yield _decode_index(int(index), self.vars)
+        return _decoded(self._model_idx, self.vars)
 
-    def closed_ok_assignments(self) -> tuple[dict[int, bool], ...]:
+    def closed_ok_assignments(self) -> Iterator[dict[int, bool]]:
         """Assignments of the closed variables that falsify nothing."""
-        got = self._cache.get("closed_ok")
-        if got is None:
-            if self._closed_idx is None:
-                raise GuardError("too many closed assignments to materialise")
-            got = tuple(_decode_index(int(i), self.closed_vars)
-                        for i in self._closed_idx)
-            self._cache["closed_ok"] = got
-        return got
+        return _decoded(self._closed_idx, self.closed_vars)
 
     def __eq__(self, other):
         if not isinstance(other, Struct):

@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from indepcount import (CnfFormula, DimacsError, PartialAssignment,
-                        evaluate, parse_dimacs, restrict, serialize_dimacs)
+from indepcount import (CnfFormula, DimacsError, evaluate, parse_dimacs,
+                        restrict, serialize_dimacs)
 from indepcount.cnf import (ParseStats, bit_positions, clause_bitmasks,
                             satisfied_rows)
 from indepcount.gen import GeneratorSpec, generate
@@ -165,19 +165,6 @@ def test_restrict_matches_reference_across_sibling_assignments():
             got = restrict(phi, a)
             assert got == _restrict_reference(phi, a)
             assert got.varset == frozenset(got.variables)
-
-
-def test_partial_assignment_is_immutable_mapping():
-    pa = PartialAssignment({1: True, 2: False})
-    assert pa[1] is True and len(pa) == 2
-    with pytest.raises(TypeError):
-        pa[3] = True  # type: ignore[index]
-    merged = pa.merged({3: True})
-    assert dict(merged) == {1: True, 2: False, 3: True}
-    with pytest.raises(ValueError):
-        pa.merged({1: False})
-    with pytest.raises(ValueError):
-        PartialAssignment({0: True})
 
 
 def test_chain3_text_matches_fixture(chain3):

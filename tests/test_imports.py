@@ -1,5 +1,6 @@
 """Import lint: every name imported in the package or the tests is used,
-and every name the package exports resolves.
+every module-level private name of the package is referenced elsewhere
+in it, and every name the package exports resolves.
 
 Built on the standard library's ``ast`` so that it runs wherever the
 tests do.  A name counts as used when the module loads it anywhere, lists
@@ -9,13 +10,14 @@ function and loaded in another counts as used.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import indepcount
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED = sorted((ROOT / "src" / "indepcount").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "indepcount").glob("*.py"))
+CHECKED = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -71,6 +73,49 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
                   if name not in used)
 
 
+def _private_definitions(tree: ast.Module):
+    """(name, node) of each module-level ``_``-prefixed function, class or
+    constant; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is loaded or read as an attribute."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+    return out
+
+
+def unreferenced_private_names(paths) -> list[str]:
+    """``file: name`` of each module-level private name that no code outside
+    its own definition refers to."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"),
+                             filename=str(path)) for path in paths}
+    total: Counter = Counter()
+    for tree in trees.values():
+        total += _references(tree)
+    return sorted(f"{path.name}: {name}" for path, tree in trees.items()
+                  for name, node in _private_definitions(tree)
+                  if total[name] == _references(node)[name])
+
+
 def test_lint_sees_the_files():
     names = {p.name for p in CHECKED}
     assert {"cnf.py", "mc.py", "test_imports.py"} <= names
@@ -96,6 +141,32 @@ def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in CHECKED for line, name in unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_lint_flags_a_dead_private_helper(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n"
+        "_SPARE: int = 4\n"
+        "__version__ = '1'\n"
+        "def _used(x):\n"
+        "    return x < _LIMIT\n"
+        "def _dead(x):\n"
+        "    return _dead(x - 1) if x else 0\n"
+        "class _Gone:\n"
+        "    pass\n",
+        encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "from .a import _used\n"
+        "def public(x):\n"
+        "    return _used(x)\n",
+        encoding="utf-8")
+    assert unreferenced_private_names(sorted(tmp_path.glob("*.py"))) == [
+        "a.py: _Gone", "a.py: _SPARE", "a.py: _dead"]
+
+
+def test_every_private_name_is_referenced():
+    found = unreferenced_private_names(PACKAGE)
+    assert not found, "unreferenced private names:\n" + "\n".join(found)
 
 
 def test_every_export_resolves():

@@ -37,7 +37,7 @@ def test_universe_rejects_overlap_and_foreign_vars():
     a = Struct(((1, 2, 3),), (1,))
     b = Struct(((3, 4, 5),), (3,))
     with pytest.raises(ValueError):
-        Universe((a, b), 5)
+        Universe(StructSet((a, b)), 5)
 
 
 def test_enumerate_words_matches_membership():
@@ -63,6 +63,14 @@ def test_samples_land_in_the_universe():
     assert all(int(w) in allowed for w in words)
     one = sample_universe(uni, rng)
     assert sorted(one) == list(range(1, 9))
+
+
+def test_sampling_refuses_variable_indices_above_64():
+    sigma = _struct((1, 2, 3))
+    uni = Universe(StructSet((sigma,)), variables=range(1, 66))
+    assert uni.free_vars[-1] == 65
+    with pytest.raises(ValueError):
+        sample_universe(uni, generator(0))
 
 
 def test_sample_size_pinned_values():

@@ -1,10 +1,11 @@
+import signal
 import time
 from fractions import Fraction
 
 import pytest
 
-from indepcount import (CnfFormula, CounterConfig, Strategy, approx_count,
-                        brute_force_count, params_for)
+from indepcount import (CnfFormula, CounterConfig, GuardError, Strategy,
+                        approx_count, brute_force_count, params_for)
 from indepcount.gen import GeneratorSpec, generate
 
 ALL = [Strategy.BRUTE_FORCE, Strategy.THURLEY, Strategy.PRUNED_TREE,
@@ -193,3 +194,21 @@ def test_sample_budget_below_one_is_refused():
         with pytest.raises(ValueError):
             approx_count(phi, 0.2, 0.1, Strategy.PRUNED_TREE, seed=7,
                          config=CounterConfig(sample_budget=budget))
+
+
+def test_group_with_too_many_models_to_branch_on_is_refused():
+    # red_structs keeps a group with more than 2^21 models here; branching
+    # over it is refused at once, and the alarm turns a hang into a failure
+    phi = generate(GeneratorSpec(n=60, m=360, k=4, seed=3))
+
+    def expire(signum, frame):
+        raise TimeoutError("count ran past 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 20.0)
+    try:
+        with pytest.raises(GuardError):
+            approx_count(phi, 0.2, 0.1, Strategy.INDEP_STRUCTS, seed=0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -88,7 +87,7 @@ def test_struct_stats_guard():
 def test_models_listing_matches_count():
     cls = _clauses((1, 2, 3), (1, 4, 5))
     sigma = Struct(cls, match_library(cls))
-    models = sigma.satisfying_assignments()
+    models = list(sigma.iter_satisfying_assignments())
     assert len(models) == sigma.l_sigma == 25
     assert len(sigma.satisfying_words()) == 25
     for m in models:
@@ -97,16 +96,20 @@ def test_models_listing_matches_count():
     assert sorted(m[1] for m in oks) == [False, True]
 
 
-def test_models_rescan_when_too_many_to_keep():
-    # 2^22 - 1 models exceed the index limit, so iteration rescans in chunks
+def test_group_with_too_many_models_to_keep_refuses_every_view():
+    # 2^22 - 1 models exceed the index limit: the counts stand, but no view
+    # of the models can be built
     codes = (-1, -2) + tuple(range(3, 23))
     sigma = Struct(_clauses(codes), (1,))
-    assert sigma._model_idx is None and sigma.l_sigma == (1 << 22) - 1
-    falsifier = 0b11  # x1 = x2 = True, everything else False
-    want = [{v: bool((i >> (v - 1)) & 1) for v in range(1, 23)}
-            for i in range(1100) if i != falsifier]
-    got = list(itertools.islice(sigma.iter_satisfying_assignments(), len(want)))
-    assert got == want
+    assert sigma.l_sigma == (1 << 22) - 1 and sigma.w_sigma == 2
+    for view in (sigma.iter_satisfying_assignments, sigma.satisfying_words):
+        with pytest.raises(GuardError):
+            view()
+    assert sorted(m[1] for m in sigma.closed_ok_assignments()) == [False, True]
+    closed = Struct(_clauses(codes), range(1, 23))
+    assert closed.w_sigma == (1 << 22) - 1
+    with pytest.raises(GuardError):
+        closed.closed_ok_assignments()
 
 
 def test_struct_rejects_malformed_clauses():
