@@ -279,8 +279,24 @@ def restrict(phi: CnfFormula, assignment: Mapping[int, bool]) -> CnfFormula:
 
 # ---------------------------------------------------------------------------
 # Bit-parallel helpers (shared by the exact counter, the groups and the sampler)
+#
+# An assignment is a uint64 word with one bit per variable position (bit
+# set = true).  A clause set is checked by table lookup, one byte of the
+# word at a time: clauses go in blocks of up to _TABLE_CLAUSES, and each
+# block keeps one 256-entry uint64 table per byte its clauses touch.  Bit
+# j of ``T_b[x]`` is set when byte value x agrees, on clause j's literals
+# in byte b, with the one assignment of them that falsifies clause j.
+# ANDing the entries a word selects leaves exactly the clauses it
+# falsifies, so a word satisfies the block when the AND is 0.  A clause
+# with no literal in byte b (an empty clause in every byte) has its bit
+# set in every entry of T_b.  The kernel runs over slices of
+# _SLICE_WORDS words, small enough that a slice and its temporaries stay
+# in L2, and later blocks see only the survivors of earlier ones.
 
-_CHUNK_BITS = 20
+_TABLE_CLAUSES = 64
+_SLICE_WORDS = 1 << 15
+
+ClauseTables = tuple[tuple[tuple[int, ...], np.ndarray], ...]
 
 
 def bit_positions(variables: Iterable[int]) -> dict[int, int]:
@@ -288,50 +304,102 @@ def bit_positions(variables: Iterable[int]) -> dict[int, int]:
     return {v: i for i, v in enumerate(sorted(variables))}
 
 
-def clause_bitmasks(clauses: Iterable[tuple[int, ...]],
-                    positions: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-clause masks of positive/negative literal positions as uint64.
+def clause_tables(clauses: Iterable[tuple[int, ...]],
+                  positions: Mapping[int, int]) -> ClauseTables:
+    """Byte-lookup tables that check ``clauses`` on assignment words.
 
-    A word ``w`` encoding an assignment (bit set = variable true) satisfies
-    clause ``j`` iff ``(w & pos[j]) != 0 or (~w & neg[j]) != 0``.
+    One ``(bytes, tables)`` pair per block of up to ``_TABLE_CLAUSES``
+    clauses: ``tables[i]`` is the 256-entry table of byte ``bytes[i]``
+    (bits 8b..8b+7 of the word).  A block touching no byte (only empty
+    clauses) still gets the table of byte 0.  No clauses, no blocks.
     """
-    pos_list, neg_list = [], []
+    touched, falsify = [], []   # per clause: literal bits, falsifying values
     for c in clauses:
-        p = n = 0
+        t = f = 0
         for code in c:
             where = positions[abs(code)]
             if where >= 64:
                 raise ValueError("bitmask view limited to 64 positions")
+            t |= 1 << where
             if code < 0:
-                n |= 1 << where
-            else:
-                p |= 1 << where
-        pos_list.append(p)
-        neg_list.append(n)
-    return (np.array(pos_list, dtype=np.uint64),
-            np.array(neg_list, dtype=np.uint64))
+                f |= 1 << where
+        touched.append(t)
+        falsify.append(f)
+    values = np.arange(256, dtype=np.uint8)[:, None]
+    blocks = []
+    for start in range(0, len(touched), _TABLE_CLAUSES):
+        stop = start + _TABLE_CLAUSES
+        union = 0
+        for t in touched[start:stop]:
+            union |= t
+        used = tuple(b for b in range(8) if (union >> (8 * b)) & 0xFF) or (0,)
+        # byte b of every clause's masks, one row per used byte
+        t_bytes, f_bytes = (
+            np.array(masks[start:stop], dtype="<u8").view(np.uint8)
+            .reshape(-1, 8)[:, list(used)].T[:, None, :]
+            for masks in (touched, falsify))
+        agree = np.zeros((len(used), 256, _TABLE_CLAUSES), dtype=bool)
+        agree[:, :, :t_bytes.shape[2]] = (values & t_bytes) == f_bytes
+        tables = np.packbits(agree, axis=2, bitorder="little").view("<u8")
+        blocks.append((used, tables[:, :, 0].astype(np.uint64, copy=False)))
+    return tuple(blocks)
 
 
-def satisfied_rows(pos: np.ndarray, neg: np.ndarray,
-                   words: np.ndarray) -> np.ndarray:
+def _scratch(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Buffers one scan reuses for every slice: byte indices, the AND of
+    the gathered entries, and one gathered entry.
+
+    A fresh 256 KB temporary per gather costs page faults that took as
+    long as the lookups themselves, so each scan allocates these once.
+    """
+    return (np.empty(size, dtype=np.intp), np.empty(size, dtype=np.uint64),
+            np.empty(size, dtype=np.uint64))
+
+
+def _check_slice(tables: ClauseTables, part: np.ndarray,
+                 scratch: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """The words of one slice that satisfy every block, in input order."""
+    index, falsified, gathered = scratch
+    for used, table in tables:
+        n = len(part)
+        if not n:
+            break
+        # little-endian bytes, so column b holds bits 8b..8b+7
+        view = part.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        idx, acc, entry = index[:n], falsified[:n], gathered[:n]
+        # indices are bytes, so "clip" never clips; unlike the default
+        # "raise" it lets np.take write straight into ``out``
+        np.copyto(idx, view[:, used[0]])
+        np.take(table[0], idx, out=acc, mode="clip")
+        for i in range(1, len(used)):
+            np.copyto(idx, view[:, used[i]])
+            np.take(table[i], idx, out=entry, mode="clip")
+            acc &= entry
+        part = part[acc == 0]
+    return part
+
+
+def satisfied_rows(tables: ClauseTables, words: np.ndarray) -> np.ndarray:
     """The assignment words that satisfy every clause, in input order.
 
-    A word ``w`` falsifies clause ``j`` exactly when ``w & (pos[j] |
-    neg[j]) == neg[j]``.  Rows a clause falsifies are dropped before the
-    next clause is checked, so the work shrinks with the survivors.
+    ``tables`` comes from ``clause_tables``.  Words are checked in slices
+    of ``_SLICE_WORDS``; within a slice each block gathers one table
+    entry per touched byte with ``np.take``, ANDs them and keeps the words
+    whose AND is 0.  The all-false word 0 survives when it is a model.
     """
-    for touched, falsified in zip(pos | neg, neg):
-        if not len(words):
-            break
-        words = words[(words & touched) != falsified]
-    return words
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    scratch = _scratch(min(len(words), _SLICE_WORDS))
+    kept = [_check_slice(tables, words[start:start + _SLICE_WORDS], scratch)
+            for start in range(0, len(words), _SLICE_WORDS)]
+    return np.concatenate(kept) if kept else words
 
 
-def satisfying_indices(pos: np.ndarray, neg: np.ndarray,
-                       nbits: int) -> Iterator[np.ndarray]:
+def satisfying_indices(tables: ClauseTables, nbits: int) -> Iterator[np.ndarray]:
     """Every index in ``[0, 2^nbits)`` that satisfies all clauses, as
-    ascending chunks of survivors from ``2^_CHUNK_BITS`` candidates each."""
+    ascending chunks of survivors from one kernel slice each."""
     space = 1 << nbits
-    step = min(space, 1 << _CHUNK_BITS)
+    step = min(space, _SLICE_WORDS)
+    scratch = _scratch(step)
     for base in range(0, space, step):
-        yield satisfied_rows(pos, neg, np.arange(base, base + step, dtype=np.uint64))
+        yield _check_slice(tables, np.arange(base, base + step, dtype=np.uint64),
+                           scratch)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import (CnfFormula, bit_positions, clause_bitmasks,
+from .cnf import (CnfFormula, bit_positions, clause_tables,
                   satisfying_indices, vars_of)
 
 BRUTE_FORCE_MAX_VARS = 28
@@ -29,15 +29,15 @@ class ExactCount:
 def brute_force_count(phi: CnfFormula, *, max_vars: int = BRUTE_FORCE_MAX_VARS) -> ExactCount:
     """Count models by enumerating all 2^n assignments of the universe.
 
-    Vectorised in chunks; refuses to run for more than ``max_vars`` free
-    variables.
+    One table-lookup scan over every index; refuses to run for more than
+    ``max_vars`` free variables.
     """
     t = phi.num_vars
     if t > max_vars:
         raise GuardError(f"brute force over 2^{t} assignments exceeds guard "
                          f"of 2^{max_vars}")
-    pos, neg = clause_bitmasks(phi.clauses, bit_positions(phi.variables))
-    total = sum(len(chunk) for chunk in satisfying_indices(pos, neg, t))
+    tables = clause_tables(phi.clauses, bit_positions(phi.variables))
+    total = sum(len(chunk) for chunk in satisfying_indices(tables, t))
     return ExactCount(value=total, nodes_visited=1 << t)
 
 

@@ -142,7 +142,8 @@ def _bench_one(job: tuple) -> dict:
     phi = generate(spec)
     reference = None
     if want_ref:
-        reference = brute_force_count(phi).value
+        reference = brute_force_count(
+            phi, max_vars=config.brute_force_guard).value
     row = run_report(phi, Strategy(strategy_value), eps, delta, run_seed,
                      config=config,
                      instance={"n": spec.n, "m": spec.m, "k": spec.k,

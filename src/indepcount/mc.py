@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cnf import CnfFormula, clause_bitmasks, satisfied_rows
+from .cnf import CnfFormula, clause_tables, satisfied_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .structs import StructSet
@@ -191,15 +191,15 @@ def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
         under = True
 
     # every draw satisfies the groups' own clauses; only the rest are checked
-    pos, neg = clause_bitmasks([c for c in phi.clauses if c not in drawn],
-                               {v: v - 1 for v in phi.variables})
+    tables = clause_tables([c for c in phi.clauses if c not in drawn],
+                           {v: v - 1 for v in phi.variables})
     hits = 0
     done = 0
     while done < t:
         chunk = min(_SAMPLE_CHUNK, t - done)
         words = universe.sample_words(chunk, rng)
         # survivors, not nonzero words: the all-false word 0 can be a model
-        hits += len(satisfied_rows(pos, neg, words))
+        hits += len(satisfied_rows(tables, words))
         done += chunk
     value = Fraction(hits * universe.size, t)
     return Estimate(value=value, exact=False, epsilon=eps, delta=delta,

@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .cnf import (CnfFormula, check_clause, clause_bitmasks, restrict,
+from .cnf import (CnfFormula, check_clause, clause_tables, restrict,
                   satisfying_indices, vars_of)
 from .exact import GuardError
 from .mc import Estimate
@@ -48,10 +48,10 @@ def _scan_models(clauses: Sequence[tuple[int, ...]], over_vars: Sequence[int]):
         raise GuardError(f"refusing to enumerate 2^{t} assignments")
     varset = set(over_vars)
     inside = [c for c in clauses if all(abs(code) in varset for code in c)]
-    pos, neg = clause_bitmasks(inside, {v: i for i, v in enumerate(over_vars)})
+    tables = clause_tables(inside, {v: i for i, v in enumerate(over_vars)})
     count = 0
     collected: list[np.ndarray] | None = []
-    for chunk in satisfying_indices(pos, neg, t):
+    for chunk in satisfying_indices(tables, t):
         count += len(chunk)
         if collected is not None:
             if count > _INDEX_LIMIT:
@@ -119,7 +119,10 @@ class Struct:
         if not set(closed) <= set(var_order):
             raise ValueError("closed variables must belong to the group")
         l_count, model_idx = _scan_models(cls_tuple, var_order)
-        w_count, closed_idx = _scan_models(cls_tuple, closed)
+        if closed == var_order:  # fully closed: the closed scan repeats this one
+            w_count, closed_idx = l_count, model_idx
+        else:
+            w_count, closed_idx = _scan_models(cls_tuple, closed)
         object.__setattr__(self, "clauses", cls_tuple)
         object.__setattr__(self, "vars", var_order)
         object.__setattr__(self, "closed_vars", closed)

@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from indepcount import (CnfFormula, DimacsError, evaluate, parse_dimacs,
-                        restrict, serialize_dimacs)
-from indepcount.cnf import (ParseStats, bit_positions, clause_bitmasks,
-                            satisfied_rows)
+from indepcount import (CnfFormula, DimacsError, brute_force_count, evaluate,
+                        parse_dimacs, restrict, serialize_dimacs)
+from indepcount.cnf import (_SLICE_WORDS, ParseStats, bit_positions,
+                            clause_tables, satisfied_rows)
 from indepcount.gen import GeneratorSpec, generate
 
 from conftest import CHAIN3_TEXT
@@ -174,8 +174,8 @@ def test_chain3_text_matches_fixture(chain3):
 # --- clause-scan kernel ------------------------------------------------------
 
 def _kernel(phi, words):
-    pos, neg = clause_bitmasks(phi.clauses, bit_positions(phi.variables))
-    return satisfied_rows(pos, neg, np.asarray(words, dtype=np.uint64))
+    tables = clause_tables(phi.clauses, bit_positions(phi.variables))
+    return satisfied_rows(tables, np.asarray(words, dtype=np.uint64))
 
 
 def _decode(phi, word):
@@ -210,3 +210,67 @@ def test_kernel_agrees_with_evaluate_on_random_formulas():
         words = rng.integers(0, 1 << n, size=64).astype(np.uint64)
         expected = [int(w) for w in words if evaluate(phi, _decode(phi, w))]
         assert _kernel(phi, words).tolist() == expected
+
+
+def _models(phi, words):
+    """The words ``evaluate`` accepts, in input order (the reference)."""
+    return [int(w) for w in words if evaluate(phi, _decode(phi, w))]
+
+
+def test_kernel_over_64_clauses_uses_two_table_blocks():
+    phi = generate(GeneratorSpec(n=12, m=70, k=4, seed=11))
+    tables = clause_tables(phi.clauses, bit_positions(phi.variables))
+    assert len(tables) == 2
+    words = np.arange(1 << 12, dtype=np.uint64)
+    expected = _models(phi, words)
+    assert expected and _kernel(phi, words).tolist() == expected
+    # the second block drops words the first one keeps
+    first = satisfied_rows(tables[:1], words)
+    assert len(first) > len(expected)
+
+
+def test_kernel_reads_the_top_byte():
+    rng = np.random.default_rng(17)
+    clauses = []
+    for _ in range(12):
+        vs = rng.choice(np.arange(50, 65), size=3, replace=False)
+        clauses.append(tuple(int(v) * int(rng.choice([-1, 1])) for v in vs))
+    clauses += [(57, -64), (-60, 3)]
+    phi = CnfFormula(clauses, 64)
+    tables = clause_tables(phi.clauses, bit_positions(phi.variables))
+    assert tables[0][0][-1] == 7
+    words = rng.integers(0, 2 ** 64, size=3000, dtype=np.uint64)
+    expected = _models(phi, words)
+    assert expected and len(expected) < len(words)
+    assert _kernel(phi, words).tolist() == expected
+
+
+def test_kernel_spans_slices_with_a_ragged_tail():
+    phi = generate(GeneratorSpec(n=6, m=5, k=3, seed=4))
+    rng = np.random.default_rng(8)
+    words = rng.integers(0, 1 << 6, size=2 * _SLICE_WORDS + 123,
+                         dtype=np.uint64)
+    # evaluate each of the 64 distinct words once, then look them up
+    is_model = {w: bool(_models(phi, [w])) for w in range(1 << 6)}
+    expected = [int(w) for w in words if is_model[int(w)]]
+    assert 0 < len(expected) < len(words)
+    assert _kernel(phi, words).tolist() == expected
+
+
+def test_kernel_lone_empty_clause_and_no_clauses():
+    words = np.arange(8, dtype=np.uint64)
+    empty = CnfFormula([()], 3)
+    (used, table), = clause_tables(empty.clauses, bit_positions(empty.variables))
+    assert used == (0,) and (table == 1).all()
+    assert _kernel(empty, words).tolist() == _models(empty, words) == []
+    free = CnfFormula([], 3)
+    assert clause_tables(free.clauses, bit_positions(free.variables)) == ()
+    assert _kernel(free, words).tolist() == _models(free, words) == list(range(8))
+
+
+def test_brute_force_count_across_slices_matches_evaluate():
+    phi = generate(GeneratorSpec(n=16, m=30, k=3, seed=21))
+    assert 1 << phi.num_vars > _SLICE_WORDS
+    expected = len(_models(phi, range(1 << phi.num_vars)))
+    assert expected > 0
+    assert brute_force_count(phi).value == expected

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import shlex
@@ -12,11 +13,13 @@ import indepcount
 from indepcount import (Strategy, Struct, StructSet, Universe,
                         brute_force_count, chi_square_uniformity,
                         match_library, serialize_dimacs)
+from indepcount import cli
 from indepcount.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, _default_threads,
                             main)
 from indepcount.gen import GeneratorSpec, generate
 from indepcount.harness import (CSV_COLUMNS, bench, bench_csv_row,
                                 eps_accurate, run_report)
+from indepcount.ras import CounterConfig
 from indepcount.structs import EMPTY_STRUCT_SET
 
 from conftest import CHAIN3_TEXT
@@ -243,6 +246,22 @@ def test_cli_bench_guard_and_no_ref(capsys):
     assert main(base) == EXIT_GUARD
     capsys.readouterr()
     assert main(base + ["--no-ref"]) == EXIT_OK
+
+
+def test_cli_bench_reference_obeys_the_brute_force_guard(monkeypatch, capsys):
+    # a guard of 8 stands in for the default 28, so n=10 is above it;
+    # --small-n 2 keeps the count itself off the brute-force route
+    monkeypatch.setattr(cli, "CounterConfig",
+                        functools.partial(CounterConfig, brute_force_guard=8))
+    base = ["bench", "--n", "10", "--m", "30", "--trials", "1",
+            "--strategies", "thurley", "--small-n", "2", "--threads", "1",
+            "--seed", "3"]
+    assert main(base) == EXIT_GUARD
+    assert "exceeds guard of 2^8" in capsys.readouterr().err
+    assert main(base + ["--force"]) == EXIT_OK
+    row, = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    expected = brute_force_count(generate(GeneratorSpec(10, 30, 3, 3))).value
+    assert row["reference"]["value"] == str(expected)
 
 
 def test_cli_bench_unknown_strategy(capsys):
