@@ -6,6 +6,14 @@ outside them is a fair coin.  The universe size U is exact integer
 arithmetic; the estimator scales the empirical hit rate by U, so its
 expectation is the true model count whenever the subformulas all appear
 in the target formula.
+
+A draw packs an assignment into one 64-bit word.  The free variables take
+one raw 64-bit draw under a mask.  The groups' models are merged, in
+order, into product tables of at most ``_TABLE_ROWS`` rows each; one
+uniform ``uint64`` index into the product of the tables, split by mixed
+radix, picks one row per table.  A uniform index into the product is an
+independent uniform model per group, so the universe and the estimator
+are those of one draw per group.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 CHERNOFF_FACTOR = 3
 _SAMPLE_CHUNK = 1 << 18
+_TABLE_ROWS = 1 << 16
+_SLICE = 1 << 15
 _CELL_LIMIT = 200_000
 
 
@@ -89,31 +99,47 @@ class Universe:
         self.variables = universe
         self.n = len(universe)
         self.free_vars = tuple(v for v in universe if v not in claimed)
-        size = 1 << len(self.free_vars)
-        for sigma in self.structs:
-            size *= sigma.l_sigma
-        self.size = size
+        self.free_mask = sum(1 << (v - 1) for v in self.free_vars)
+        self._models = math.prod(sigma.l_sigma for sigma in self.structs)
+        self.size = self._models << len(self.free_vars)
+        # product tables and the draw's buffers, made on the first draw
+        self._tables: list[np.ndarray] | None = None
 
-    # -- mask plumbing (fast path requires variable indices <= 64) ---------
-
-    def _free_mask(self) -> int:
-        mask = 0
-        for v in self.free_vars:
-            mask |= 1 << (v - 1)
-        return mask
+    def _check_words(self) -> None:
+        if self.variables and self.variables[-1] > 64:
+            raise ValueError("assignment words limited to variable indices <= 64")
 
     def sample_words(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Vector of assignment words, bit (v-1) = value of x_v."""
         if self.size == 0:
             raise ValueError("cannot sample an empty universe")
-        if self.variables and self.variables[-1] > 64:
-            raise ValueError("word sampling limited to variable indices <= 64")
+        self._check_words()
         words = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
-        words &= np.uint64(self._free_mask())
-        for sigma in self.structs:
-            models = sigma.satisfying_words()
-            pick = rng.integers(0, len(models), size=count)
-            words |= models[pick]
+        words &= np.uint64(self.free_mask)
+        if not self.structs:
+            return words
+        if self._tables is None:
+            self._tables = _product_tables(
+                [sigma.satisfying_words() for sigma in self.structs],
+                _TABLE_ROWS)
+            self._digit = np.empty(_SLICE, dtype=np.uint64)
+            self._row = np.empty(_SLICE, dtype=np.uint64)
+        *head, last = self._tables
+        # one uniform index per sample into the product of the tables (at
+        # most 2^64 rows: fewer than 2^|vars| models per group, every index
+        # <= 64), split by mixed radix into one uniform row per table.  Every
+        # digit is below its table's length, so its int64 view is exact.
+        # Slices keep the index and both buffers in L2 cache.
+        for start in range(0, count, _SLICE):
+            part = words[start:start + _SLICE]
+            digit, row = self._digit[:len(part)], self._row[:len(part)]
+            index = rng.integers(0, self._models, size=len(part),
+                                 dtype=np.uint64)
+            for table in head:
+                np.divmod(index, np.uint64(len(table)), out=(index, digit))
+                part |= np.take(table, digit.view(np.int64), out=row,
+                                mode="clip")
+            part |= np.take(last, index.view(np.int64), out=row, mode="clip")
         return words
 
     def decode_word(self, word: int) -> dict[int, bool]:
@@ -125,18 +151,29 @@ class Universe:
         if self.size > _CELL_LIMIT:
             raise ValueError(f"universe of size {self.size} exceeds "
                              f"enumeration limit {_CELL_LIMIT}")
-        if self.variables and self.variables[-1] > 64:
-            raise ValueError("word enumeration limited to variable indices <= 64")
-        free = np.zeros(1, dtype=np.uint64)
-        for v in self.free_vars:
-            bit = np.uint64(1 << (v - 1))
-            free = np.concatenate([free, free | bit])
-        cells = free
-        for sigma in self.structs:
-            models = sigma.satisfying_words()
-            cells = (cells[:, None] | models[None, :]).reshape(-1)
+        self._check_words()
+        coins = [np.array([0, 1 << (v - 1)], dtype=np.uint64)
+                 for v in self.free_vars]
+        # the leading one-row table makes the single product a fresh array
+        [cells] = _product_tables(
+            [np.zeros(1, dtype=np.uint64), *coins,
+             *(sigma.satisfying_words() for sigma in self.structs)],
+            _CELL_LIMIT)
         cells.sort()
         return cells
+
+
+def _product_tables(parts: Sequence[np.ndarray], cap: int) -> list[np.ndarray]:
+    """Merge word tables, in order, into product tables of at most ``cap``
+    rows: row i*len(b) + j of the merge of a and b is a[i] | b[j].  A part
+    larger than ``cap`` keeps a table of its own."""
+    tables: list[np.ndarray] = []
+    for part in parts:
+        if tables and len(tables[-1]) * len(part) <= cap:
+            tables[-1] = (tables[-1][:, None] | part[None, :]).reshape(-1)
+        else:
+            tables.append(part)
+    return tables
 
 
 def sample_universe(universe: Universe, rng: np.random.Generator) -> dict[int, bool]:

@@ -386,7 +386,9 @@ def red_structs(phi: CnfFormula, params, eps: float, delta: float,
             value=0, exact=True, epsilon=eps, delta=delta))
     n = phi.num_vars
 
-    pool: list[Struct] = []
+    # groups grow as (clauses, closed variables) pairs; a later pick absorbs
+    # most of them, so only the final pool is scanned into Structs
+    groups: list[tuple[list[tuple[int, ...]], tuple[int, ...]]] = []
     var_owner: dict[int, int] = {}
     closed_union: set[int] = set()
     while True:
@@ -401,14 +403,14 @@ def red_structs(phi: CnfFormula, params, eps: float, delta: float,
                            if abs(code) in var_owner})
         merged: list[tuple[int, ...]] = []
         for i in absorbed:
-            merged.extend(pool[i].clauses)
+            merged.extend(groups[i][0])
         merged.append(pick)
-        closed = match_library(merged)
-        sigma = Struct(merged, closed)
-        pool = [s for i, s in enumerate(pool) if i not in absorbed]
-        pool.append(sigma)
-        var_owner = {v: i for i, s in enumerate(pool) for v in s.vars}
-        closed_union = {v for s in pool for v in s.closed_vars}
+        groups = [g for i, g in enumerate(groups) if i not in absorbed]
+        groups.append((merged, match_library(merged)))
+        var_owner = {v: i for i, (cls, _) in enumerate(groups)
+                     for v in vars_of(cls)}
+        closed_union = {v for _, closed in groups for v in closed}
+    pool = [Struct(cls, closed) for cls, closed in groups]
 
     if pool and all(s.w_sigma > 0 for s in pool):
         alpha_lo = params.alpha(k - 1)

@@ -219,3 +219,63 @@ def test_sampled_assignments_pass_chi_square(psi, cells):
     stat, p = chi_square_uniformity(draws, uni)
     assert p > 0.01
     assert stat < 3 * cells
+
+
+def test_universe_without_groups_draws_plain_coins():
+    # no groups, no index draw: the words are one raw draw under the mask
+    uni = Universe(EMPTY_STRUCT_SET, variables=(2, 5, 9, 40))
+    words = uni.sample_words(1000, generator(3))
+    raw = generator(3).integers(0, 2 ** 64, size=1000, dtype=np.uint64)
+    assert np.array_equal(words, raw & np.uint64(uni.free_mask))
+
+
+def test_merged_draw_over_split_tables_passes_chi_square(monkeypatch):
+    # three 7-model groups and two coins; a 49-row cap merges the first two
+    # groups into one table and leaves the third on its own
+    from scipy import stats
+
+    from indepcount import mc
+
+    monkeypatch.setattr(mc, "_TABLE_ROWS", 49)
+    psi = StructSet((_struct((1, 2, 3)), _struct((4, -5, 6)),
+                     _struct((-7, 8, 9))))
+    uni = Universe(psi, 11)
+    cells = uni.enumerate_words()
+    assert len(cells) == uni.size == 7 ** 3 * 4
+    rng = generator(31)
+    # two calls of different lengths share the draw's buffers
+    words = np.concatenate([uni.sample_words(70_000, rng),
+                            uni.sample_words(40_000, rng)])
+    assert [len(t) for t in uni._tables] == [49, 7]
+    at = np.searchsorted(cells, words)
+    assert np.array_equal(cells[at], words)
+    _, p = stats.chisquare(np.bincount(at, minlength=len(cells)))
+    assert p > 0.01
+
+
+def test_product_index_beyond_int64_stays_exact():
+    # four 16-literal clauses over x1..x64, one table each: 65535^4 > 2^63
+    # product rows, so the index needs all 64 bits; every word satisfies
+    # all four clauses and each group's model is near uniform
+    from scipy import stats
+
+    blocks = [range(16 * i + 1, 16 * i + 17) for i in range(4)]
+    signs = (1, -1, 1, -1)
+    groups = [Struct((tuple(s * v for v in b),), tuple(b))
+              for s, b in zip(signs, blocks)]
+    uni = Universe(StructSet(tuple(groups)), 64)
+    assert uni.size == 65535 ** 4 > 2 ** 63
+    words = uni.sample_words(200_000, generator(17))
+    assert len(uni._tables) == 4
+    for i, s in enumerate(signs):
+        field = (words >> np.uint64(16 * i)) & np.uint64(0xFFFF)
+        banned = 0 if s > 0 else 0xFFFF   # the one falsifying assignment
+        assert not np.any(field == banned)
+        # 256 models per byte value, 255 where the banned value's byte is
+        for byte, gap in ((field & np.uint64(0xFF), banned & 0xFF),
+                          (field >> np.uint64(8), banned >> 8)):
+            share = np.full(256, 256.0)
+            share[gap] = 255.0
+            observed = np.bincount(byte.astype(np.intp), minlength=256)
+            _, p = stats.chisquare(observed, share * len(words) / 65535)
+            assert p > 0.01

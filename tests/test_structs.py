@@ -264,6 +264,28 @@ def test_red_structs_recursion_is_exact():
     assert recursed >= 5  # sparse instances must exercise the fallback
 
 
+def test_red_structs_builds_structs_only_for_the_final_pool(monkeypatch):
+    # intermediate groups stay (clauses, closed) pairs until the loop ends
+    built = []
+    original = Struct.__init__
+
+    def counting_init(self, clauses, closed_vars):
+        built.append(len(clauses))
+        original(self, clauses, closed_vars)
+
+    monkeypatch.setattr(Struct, "__init__", counting_init)
+    merged = 0
+    for seed in range(500, 508):
+        phi = generate(GeneratorSpec(n=23, m=46, k=3, seed=seed))
+        built.clear()
+        out = red_structs(phi, _structs_params(3, 23), 0.2, 0.1,
+                          _exact_counter)
+        assert out.struct_set is not None
+        assert len(built) == len(out.struct_set)
+        merged += sum(len(sigma.clauses) > 1 for sigma in out.struct_set)
+    assert merged > 0  # groups were absorbed on the way
+
+
 def test_red_structs_empty_clause_short_circuits():
     phi = CnfFormula([(), (1, 2, 3)], 3)
     out = red_structs(phi, _structs_params(3, 3), 0.2, 0.1, _exact_counter)
