@@ -8,9 +8,9 @@ strategy dispatcher gluing them together.
 from .cnf import (CnfFormula, DimacsError, evaluate, parse_dimacs, restrict,
                   serialize_dimacs)
 from .cut import BranchKind, CutKind, CutResult, cut
-from .decide import DecisionOutcome, decide
-from .exact import (ExactCount, GuardError, brute_force_count,
-                    connected_components, count_2sat_exact)
+from .exact import (DecisionOutcome, ExactCount, GuardError,
+                    brute_force_count, connected_components, count_2sat_exact,
+                    decide)
 from .gen import GeneratorSpec, generate
 from .harness import bench, chi_square_uniformity, eps_accurate, run_report
 from .mc import Estimate, Universe, mc_estimate, sample_size, sample_universe

@@ -55,6 +55,8 @@ class CnfFormula:
         cls_tuple = tuple(map(check_clause, clauses))
         if variables is not None:
             universe = tuple(sorted(set(variables)))
+            if universe and universe[0] < 1:
+                raise ValueError("variables are positive integers")
             if num_vars is not None and num_vars != len(universe):
                 raise ValueError("num_vars disagrees with explicit variables")
         elif num_vars is not None:
@@ -147,11 +149,13 @@ def parse_dimacs(text: str, *, k: int | None = None,
                  stats: ParseStats | None = None) -> CnfFormula:
     """Parse DIMACS CNF text.
 
-    Comment lines start with ``c`` (or ``%``).  Clauses are runs of signed
-    integers terminated by ``0`` and may span lines.  Tautological clauses
-    are dropped with a warning, duplicate literals inside a clause are
-    merged, and a clause-count mismatch against the header is reported as
-    a warning rather than an error.
+    Comment lines start with ``c``.  A line starting with ``%`` ends the
+    clause data, so SATLIB's ``%`` / ``0`` trailer is not read as an
+    empty clause.  Clauses are runs of signed integers terminated by
+    ``0`` and may span lines.  Tautological clauses are dropped with a
+    warning, duplicate literals inside a clause are merged, and a
+    clause-count mismatch against the header is reported as a warning
+    rather than an error.
     """
     if stats is None:
         stats = ParseStats()
@@ -160,7 +164,9 @@ def parse_dimacs(text: str, *, k: int | None = None,
     tokens: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line[0] in "c%":
+        if line.startswith("%"):
+            break
+        if not line or line[0] == "c":
             continue
         if line.startswith("p"):
             if num_vars is not None:
@@ -256,25 +262,30 @@ def evaluate(phi: CnfFormula, assignment: Mapping[int, bool]) -> bool:
                for c in phi.clauses)
 
 
-def restrict(phi: CnfFormula, assignment: Mapping[int, bool]) -> CnfFormula:
-    """Fix some variables and simplify.
+def assign(clauses: Iterable[tuple[int, ...]],
+           assignment: Mapping[int, bool]) -> tuple[tuple[int, ...], ...]:
+    """Fix some variables in int clauses, keeping the clause order.
 
     Clauses with a satisfied literal disappear; falsified literals are
-    stripped (possibly leaving an empty, unsatisfiable clause).  The fixed
-    variables leave the universe; the rest keep their indices.
+    stripped (possibly leaving an empty, unsatisfiable clause).
     """
-    true = set()  # the literals the assignment makes true
-    for v, value in assignment.items():
-        if v not in phi._varset:
-            raise ValueError(f"x{v} is not free in this formula")
-        true.add(v if value else -v)
+    true = {v if value else -v for v, value in assignment.items()}
     false = {-code for code in true}
     # list comprehensions, not generators: this runs at every tree node
-    kept = [c if false.isdisjoint(c)
-            else tuple([x for x in c if x not in false])
-            for c in phi.clauses if true.isdisjoint(c)]
+    return tuple([c if false.isdisjoint(c)
+                  else tuple([x for x in c if x not in false])
+                  for c in clauses if true.isdisjoint(c)])
+
+
+def restrict(phi: CnfFormula, assignment: Mapping[int, bool]) -> CnfFormula:
+    """``assign`` on a formula: the fixed variables leave the universe,
+    and the rest keep their indices."""
+    for v in assignment:
+        if v not in phi._varset:
+            raise ValueError(f"x{v} is not free in this formula")
     return CnfFormula._checked(
-        tuple(kept), tuple([v for v in phi.variables if v not in assignment]))
+        assign(phi.clauses, assignment),
+        tuple([v for v in phi.variables if v not in assignment]))
 
 
 # ---------------------------------------------------------------------------

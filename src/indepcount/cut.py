@@ -2,11 +2,13 @@
 
 The tree fixes variables in blocks: whole subformula groups first (one
 branch per model of the group), then clause-guided or single-variable
-branching.  Every node is vetted by the exact satisfiability decider so
-that falsified branches never expand.  A global counter accumulates, at
-each clause-free node, the number of models below it; the run either
-finishes (the counter is then the exact model count) or aborts once the
-counter reaches the threshold, certifying "at least that many models".
+branching.  A node is its residual int clauses plus the set of variables
+still free; every node is vetted by the exact DPLL search
+(``exact.find_model``) so that falsified branches never expand.  A global
+counter accumulates, at each clause-free node, the number of models below
+it; the run either finishes (the counter is then the exact model count)
+or aborts once the counter reaches the threshold, certifying "at least
+that many models".
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cnf import CnfFormula, restrict
-from .decide import decide
+from .cnf import CnfFormula, assign
+from .exact import find_model
 from .structs import StructSet
 
 
@@ -103,55 +105,45 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
     state = {"count": 0, "branch_nodes": 0, "decider_calls": 0,
              "leaves": 0, "pruned": 0}
 
-    def emit(depth: int, label: str, factor: int) -> None:
-        if trace is not None:
-            trace.append(f"{depth}\t{label}\t{factor}")
-
-    def explore(sub: CnfFormula, depth: int, next_struct: int) -> None:
+    def explore(clauses, free: frozenset[int], depth: int,
+                next_struct: int) -> None:
         state["decider_calls"] += 1
-        if not decide(sub).satisfiable:
+        if find_model(clauses) is None:
             state["pruned"] += 1
             return
-        if not sub.clauses:
+        if not clauses:
             state["leaves"] += 1
-            state["count"] += 1 << sub.num_vars
+            state["count"] += 1 << len(free)
             if state["count"] >= ell:
                 raise _Abort
             return
 
         if branching is BranchKind.BINARY:
-            var = next(v for v in order if v in sub.varset)
-            state["branch_nodes"] += 1
-            emit(depth, f"x{var}", 2)
-            for value in (False, True):
-                explore(restrict(sub, {var: value}), depth + 1, next_struct)
-            return
-
-        if branching is BranchKind.STRUCT_GUIDED and next_struct < len(structs):
+            var = next(v for v in order if v in free)
+            label, factor = f"x{var}", 2
+            models = ({var: value} for value in (False, True))
+        elif branching is BranchKind.STRUCT_GUIDED and next_struct < len(structs):
             sigma = structs[next_struct]
-            state["branch_nodes"] += 1
-            emit(depth, f"group{next_struct}", sigma.l_sigma)
-            for model in sigma.iter_satisfying_assignments():
-                explore(restrict(sub, model), depth + 1, next_struct + 1)
-            return
-
-        clause = min(sub.clauses, key=len)
-        if check_reduction and next_struct >= len(structs):
-            assert len(clause) <= width_bound, \
-                "residual clause wider than expected after the groups"
+            label, factor = f"group{next_struct}", sigma.l_sigma
+            models = sigma.iter_satisfying_assignments()
+            next_struct += 1
+        else:
+            clause = min(clauses, key=len)
+            if check_reduction and next_struct >= len(structs):
+                assert len(clause) <= width_bound, \
+                    "residual clause wider than expected after the groups"
+            label, factor = " ".join(map(str, clause)), (1 << len(clause)) - 1
+            models = _clause_models(clause)
         state["branch_nodes"] += 1
-        emit(depth, " ".join(map(str, clause)), (1 << len(clause)) - 1)
-        for model in _clause_models(clause):
-            explore(restrict(sub, model), depth + 1, next_struct)
+        if trace is not None:
+            trace.append(f"{depth}\t{label}\t{factor}")
+        for model in models:
+            explore(assign(clauses, model), free - model.keys(),
+                    depth + 1, next_struct)
 
     try:
-        explore(phi, 0, 0)
+        explore(phi.clauses, phi.varset, 0, 0)
+        kind = CutKind.EXACT
     except _Abort:
-        return CutResult(kind=CutKind.AT_LEAST_ELL, count=state["count"],
-                         branch_nodes=state["branch_nodes"],
-                         decider_calls=state["decider_calls"],
-                         leaves=state["leaves"], pruned=state["pruned"])
-    return CutResult(kind=CutKind.EXACT, count=state["count"],
-                     branch_nodes=state["branch_nodes"],
-                     decider_calls=state["decider_calls"],
-                     leaves=state["leaves"], pruned=state["pruned"])
+        kind = CutKind.AT_LEAST_ELL
+    return CutResult(kind=kind, **state)

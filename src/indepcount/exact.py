@@ -1,16 +1,20 @@
-"""Exact model-count references.
+"""Exact model counts and satisfiability decisions.
 
-Two independent routes: full enumeration of the assignment space (the
-ground truth everything else is checked against) and a much faster
-counter for width-two formulas based on component splitting, unit
-propagation and branching on a busiest variable.
+Two independent counting routes: full enumeration of the assignment
+space (the ground truth everything else is checked against) and a much
+faster counter for width-two formulas based on component splitting, unit
+propagation and branching on a busiest variable.  The same propagator
+and branching rule drive a complete search (DPLL) that decides any
+formula without error: ``find_model`` works on int clauses and is what
+the explore phase calls at every node; ``decide`` wraps it for a
+formula and returns a checked model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import (CnfFormula, bit_positions, clause_tables,
+from .cnf import (CnfFormula, bit_positions, clause_tables, evaluate,
                   satisfying_indices, vars_of)
 
 BRUTE_FORCE_MAX_VARS = 28
@@ -193,3 +197,41 @@ def count_2sat_exact(phi: CnfFormula) -> ExactCount:
     base = _count_width2(canonical, {}, nodes)
     return ExactCount(value=base << (phi.num_vars - len(touched)),
                       nodes_visited=max(nodes[0], 1))
+
+
+# ---------------------------------------------------------------------------
+# Satisfiability
+
+def find_model(clauses, fixed: dict[int, bool] | None = None
+               ) -> dict[int, bool] | None:
+    """A partial model of int ``clauses`` extending ``fixed`` (the
+    variables the search had to set), or None if none exists."""
+    propagated = propagate(clauses, fixed or {})
+    if propagated is None:
+        return None
+    residual, fixed = propagated
+    if not residual:
+        return fixed
+    v = busiest_var(residual)
+    for value in (True, False):
+        found = find_model(residual, {**fixed, v: value})
+        if found is not None:
+            return found
+    return None
+
+
+@dataclass(frozen=True)
+class DecisionOutcome:
+    satisfiable: bool
+    witness: dict[int, bool] | None
+
+
+def decide(phi: CnfFormula) -> DecisionOutcome:
+    """Decide satisfiability exactly; "satisfiable" comes with a checked
+    model over the whole universe, "unsatisfiable" is never a missed one."""
+    found = find_model(phi.clauses)
+    if found is None:
+        return DecisionOutcome(False, None)
+    witness = {v: found.get(v, False) for v in phi.variables}
+    assert evaluate(phi, witness)
+    return DecisionOutcome(True, witness)

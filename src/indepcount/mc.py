@@ -181,10 +181,10 @@ def sample_universe(universe: Universe, rng: np.random.Generator) -> dict[int, b
     return universe.decode_word(universe.sample_words(1, rng)[0])
 
 
-def sample_size(universe_size: int, ell: int, eps: float, delta: float, *,
-                factor: float = CHERNOFF_FACTOR) -> int:
+def sample_size(universe_size: int, ell: int, eps: float, delta: float) -> int:
     """Samples needed for a relative (eps, delta) guarantee given that the
-    true count is at least ``ell``: ceil(factor * ln(2/delta) * U / (eps^2 ell)).
+    true count is at least ``ell``:
+    ceil(CHERNOFF_FACTOR * ln(2/delta) * U / (eps^2 ell)).
     """
     if universe_size < 0 or ell < 1:
         raise ValueError("need universe_size >= 0 and ell >= 1")
@@ -193,7 +193,7 @@ def sample_size(universe_size: int, ell: int, eps: float, delta: float, *,
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     ratio = Fraction(universe_size, ell)
-    need = Fraction(factor) * Fraction(math.log(2.0 / delta)) * ratio \
+    need = Fraction(CHERNOFF_FACTOR) * Fraction(math.log(2.0 / delta)) * ratio \
         / Fraction(eps) ** 2
     return max(1, math.ceil(need))
 

@@ -45,20 +45,18 @@ class Strategy(enum.Enum):
 
 
 @lru_cache(maxsize=None)
-def mu_k(k: int, tol: float = MU_DEFAULT_TOL) -> float:
+def mu_k(k: int) -> float:
     """Partial sum of 1 / (j (j + 1/(k-1))) with an integral tail estimate.
 
     The summand is decreasing, so the tail beyond J lies between the
     integral from J+1 and that integral plus the J-th term; taking the
     integral plus half the J-th term keeps the absolute error below
-    1/(2 J^2), and J is sized so that this is at most ``tol``.
+    1/(2 J^2), and J is sized so that this is at most ``MU_DEFAULT_TOL``.
     """
     if k < 2:
         raise ValueError("mu is defined for k >= 2")
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must lie in (0, 1)")
     c = 1.0 / (k - 1)
-    terms = max(64, math.ceil(1.0 / math.sqrt(2.0 * tol)))
+    terms = max(64, math.ceil(1.0 / math.sqrt(2.0 * MU_DEFAULT_TOL)))
     j = np.arange(1, terms + 1, dtype=np.float64)
     head = float(np.sum(1.0 / (j * (j + c))))
     edge = terms + 1.0

@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from indepcount import (CnfFormula, DimacsError, brute_force_count, evaluate,
-                        parse_dimacs, restrict, serialize_dimacs)
-from indepcount.cnf import (_SLICE_WORDS, ParseStats, bit_positions,
-                            clause_tables, satisfied_rows)
+from indepcount import (CnfFormula, DimacsError, approx_count,
+                        brute_force_count, evaluate, parse_dimacs, restrict,
+                        serialize_dimacs)
+from indepcount.cnf import (_SLICE_WORDS, DimacsWarning, ParseStats,
+                            bit_positions, clause_tables, satisfied_rows)
 from indepcount.gen import GeneratorSpec, generate
 
 from conftest import CHAIN3_TEXT
@@ -86,6 +87,23 @@ def test_parse_clause_count_mismatch_is_warning():
         phi = parse_dimacs("p cnf 2 5\n1 2 0\n")
     assert phi.num_clauses == 1
     assert any("declares 5" in str(w.message) for w in caught)
+
+
+def test_parse_satlib_trailer_ends_clause_data():
+    # SATLIB files end in "%" then "0"; that 0 is not an empty clause
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DimacsWarning)
+        phi = parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n")
+    assert phi.int_clauses() == ((1, -2, 3), (-1, 2))
+    assert (approx_count(phi, 0.2, 0.1).value
+            == brute_force_count(phi).value == 5)
+
+
+def test_formula_rejects_non_positive_variables():
+    with pytest.raises(ValueError):
+        CnfFormula([], variables=[0, 3])
+    with pytest.raises(ValueError):
+        CnfFormula([(-3,)], variables=[3, -3])
 
 
 def test_formula_rejects_literal_outside_universe():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from indepcount import (BranchKind, CnfFormula, CutKind, Estimate,
@@ -117,3 +119,44 @@ def test_work_counters_are_consistent(chain3):
     res = cut(chain3, EMPTY, BIG, BranchKind.BINARY)
     # every node got one decider call: branches + leaves + pruned
     assert res.decider_calls == res.branch_nodes + res.leaves + res.pruned
+
+
+# Full results of one completed and one aborted run per branching rule,
+# recorded before the search moved to int-clause residuals: the tree, and
+# so every counter and the trace, must stay exactly as it was.
+PIN_PHI = GeneratorSpec(n=18, m=36, k=3, seed=9)
+PIN_GROUPS = (
+    (((11, 13, 17), (-11, 1, 3)), (1, 3, 11, 13, 17)),
+    (((-5, 9, 16),), (16,)),
+    (((7, 15, 18), (-12, 6, 14), (2, 12, 15)), (2, 6, 7, 12, 14, 15, 18)),
+)
+CUT_PINS = [
+    # (branching, ell, kind, count, branch_nodes, decider_calls, leaves,
+    #  pruned, trace lines, sha256 prefix of the trace)
+    (BranchKind.BINARY, BIG, CutKind.EXACT, 2472, 5825, 11651, 1654, 4172, 5825,
+     "12c9ecb0b48f22ff"),
+    (BranchKind.BINARY, 824, CutKind.AT_LEAST_ELL, 824, 1834, 3659, 563, 1262, 1834,
+     "5bbc1d0fa170caed"),
+    (BranchKind.PRUNED_CLAUSE, BIG, CutKind.EXACT, 2472, 1104, 2189, 971, 114, 1104,
+     "26c20d4e8147423b"),
+    (BranchKind.PRUNED_CLAUSE, 824, CutKind.AT_LEAST_ELL, 828, 335, 605, 250, 20, 335,
+     "6826e0f90d5afac6"),
+    (BranchKind.STRUCT_GUIDED, BIG, CutKind.EXACT, 2472, 3596, 11390, 1447, 6347, 3596,
+     "96ea784bced71d19"),
+    (BranchKind.STRUCT_GUIDED, 824, CutKind.AT_LEAST_ELL, 825, 1130, 3019, 460, 1429, 1130,
+     "6b6ee38b16120f74"),
+]
+
+
+@pytest.mark.parametrize("pin", CUT_PINS, ids=lambda p: f"{p[0].name}-{p[2].name}")
+def test_cut_results_are_pinned(pin):
+    branching, ell, *want = pin
+    phi = generate(PIN_PHI)
+    psi = EMPTY
+    if branching is BranchKind.STRUCT_GUIDED:
+        psi = StructSet(tuple(Struct(cls, closed) for cls, closed in PIN_GROUPS))
+    trace: list[str] = []
+    res = cut(phi, psi, ell, branching, trace=trace)
+    digest = hashlib.sha256("\n".join(trace).encode()).hexdigest()[:16]
+    assert [res.kind, res.count, res.branch_nodes, res.decider_calls,
+            res.leaves, res.pruned, len(trace), digest] == want
