@@ -9,8 +9,7 @@ from .cnf import (CnfFormula, DimacsError, evaluate, parse_dimacs, restrict,
                   serialize_dimacs)
 from .cut import BranchKind, CutKind, CutResult, cut
 from .exact import (DecisionOutcome, ExactCount, GuardError,
-                    brute_force_count, connected_components, count_2sat_exact,
-                    decide)
+                    brute_force_count, count_2sat_exact, decide)
 from .gen import GeneratorSpec, generate
 from .harness import bench, chi_square_uniformity, eps_accurate, run_report
 from .mc import Estimate, Universe, mc_estimate, sample_size, sample_universe
@@ -26,8 +25,7 @@ __all__ = [
     "serialize_dimacs",
     "BranchKind", "CutKind", "CutResult", "cut",
     "DecisionOutcome", "decide",
-    "ExactCount", "GuardError", "brute_force_count", "connected_components",
-    "count_2sat_exact",
+    "ExactCount", "GuardError", "brute_force_count", "count_2sat_exact",
     "GeneratorSpec", "generate",
     "bench", "chi_square_uniformity", "eps_accurate", "run_report",
     "Estimate", "Universe", "mc_estimate", "sample_size", "sample_universe",

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Verbs: ``count`` one instance, ``gen`` a random instance as DIMACS,
-``bench`` a batch with optional exact references, ``selftest`` a quick
+``bench`` a batch with optional exact references (``--threads N`` runs
+it in a pool of N worker processes, default 1), ``selftest`` a quick
 smoke of the library's fixed constants.
 
 Exit codes: 0 success, 2 usage, 3 bad input, 4 refused by a size guard.
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from .cnf import DimacsError, parse_dimacs, serialize_dimacs
@@ -24,20 +24,10 @@ from .params import Strategy, params_for, theta_k
 from .ras import CounterConfig
 from .structs import Struct, match_library
 
-THREADS_ENV = "INDEPCOUNT_THREADS"
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_GUARD = 4
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
@@ -82,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--strategies", default="structs",
                          help="comma-separated strategy names")
     _add_run_flags(p_bench)
-    p_bench.add_argument("--threads", type=int, default=None,
-                         help=f"worker processes (default ${THREADS_ENV} or 1)")
+    p_bench.add_argument("--threads", type=int, default=1,
+                         help="worker processes (default 1)")
     p_bench.add_argument("--planted", action="store_true")
     p_bench.add_argument("--no-ref", action="store_true",
                          help="skip exact references")
@@ -171,11 +161,10 @@ def _cmd_bench(args) -> int:
         raise GuardError(
             f"exact references above {EXACT_REFERENCE_GUARD} variables need "
             f"--force (or pass --no-ref)")
-    threads = args.threads if args.threads is not None else _default_threads()
     rows = bench(args.n, args.m, args.k, args.trials, strategies,
                  args.eps, args.delta,
                  args.seed if args.seed is not None else 0,
-                 threads=threads, config=_config_from(args),
+                 threads=args.threads, config=_config_from(args),
                  want_ref=want_ref, planted=args.planted)
     if args.csv:
         writer = csv.writer(sys.stdout)

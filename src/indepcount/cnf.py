@@ -145,8 +145,7 @@ class ParseStats:
         return self.declared_clauses != self.parsed_clauses
 
 
-def parse_dimacs(text: str, *, k: int | None = None,
-                 stats: ParseStats | None = None) -> CnfFormula:
+def parse_dimacs(text: str, *, stats: ParseStats | None = None) -> CnfFormula:
     """Parse DIMACS CNF text.
 
     Comment lines start with ``c``.  A line starting with ``%`` ends the
@@ -230,7 +229,7 @@ def parse_dimacs(text: str, *, k: int | None = None,
         warnings.warn(
             f"header declares {declared} clauses, found {stats.parsed_clauses}",
             DimacsWarning)
-    return CnfFormula(clauses, num_vars, k=k)
+    return CnfFormula(clauses, num_vars)
 
 
 def serialize_dimacs(phi: CnfFormula, *, comment: str | None = None) -> str:

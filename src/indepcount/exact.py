@@ -48,14 +48,6 @@ def brute_force_count(phi: CnfFormula, *, max_vars: int = BRUTE_FORCE_MAX_VARS) 
 # ---------------------------------------------------------------------------
 # Width-2 exact counting
 
-@dataclass(frozen=True)
-class ComponentSplit:
-    """Partition of a clause set into variable-connected parts."""
-
-    parts: tuple[tuple[tuple[int, ...], ...], ...]
-    untouched_vars: int
-
-
 def _split(clauses) -> list[list]:
     """Union-find over shared variables.
 
@@ -82,13 +74,6 @@ def _split(clauses) -> list[list]:
     for cl in clauses:
         groups.setdefault(find(abs(cl[0])) if cl else None, []).append(cl)
     return list(groups.values())
-
-
-def connected_components(phi: CnfFormula) -> ComponentSplit:
-    """Group clauses that share variables (empty clauses form their own part)."""
-    touched = len(vars_of(phi.clauses))
-    return ComponentSplit(parts=tuple(map(tuple, _split(phi.clauses))),
-                          untouched_vars=phi.num_vars - touched)
 
 
 def propagate(clauses, fixed: dict[int, bool]):

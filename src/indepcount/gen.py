@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,9 @@ def generate(spec: GeneratorSpec) -> CnfFormula:
 
     Duplicate clauses are redrawn a bounded number of times, so they only
     appear when ``m`` forces them.  Planted mode fixes a hidden assignment
-    first and redraws any clause it falsifies, guaranteeing at least one
-    model.
+    first and never keeps a clause it falsifies: a duplicate that it
+    satisfies is kept over a fresh clause that it falsifies, so every
+    planted formula has at least one model.
     """
     rng = generator(spec.seed)
     hidden: dict[int, bool] | None = None
@@ -51,13 +53,13 @@ def generate(spec: GeneratorSpec) -> CnfFormula:
     seen: set[tuple[int, ...]] = set()
     clauses: list[tuple[int, ...]] = []
     while len(clauses) < spec.m:
-        for _ in range(_DUP_TRIES):
+        kept = None
+        for tries in itertools.count(1):
             codes = _draw_clause(rng, spec.n, spec.k)
-            if hidden is not None and not any(
-                    hidden[abs(c)] == (c > 0) for c in codes):
-                continue
-            if codes not in seen:
+            if hidden is None or any(hidden[abs(c)] == (c > 0) for c in codes):
+                kept = codes
+            if kept is not None and (kept not in seen or tries >= _DUP_TRIES):
                 break
-        seen.add(codes)
-        clauses.append(codes)
+        seen.add(kept)
+        clauses.append(kept)
     return CnfFormula(clauses, spec.n, k=spec.k)

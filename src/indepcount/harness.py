@@ -162,7 +162,8 @@ def bench(n: int, m: int, k: int, trials: int,
     """Run ``trials`` generated instances under each strategy.
 
     Trial i uses instance seed ``seed + i`` and an independent run seed, so
-    rows are reproducible one by one regardless of pool scheduling.
+    rows are reproducible one by one regardless of pool scheduling.  With
+    ``threads`` above 1 the trials run in that many worker processes.
     """
     jobs = []
     trial = 0

@@ -13,12 +13,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cnf import CnfFormula
 from .cut import BranchKind, CutKind, cut
-from .exact import brute_force_count, count_2sat_exact
+from .exact import BRUTE_FORCE_MAX_VARS, brute_force_count, count_2sat_exact
 from .mc import Estimate, mc_estimate
 from .params import Strategy, params_for
-from .rng import derived_generator, seed_sequence
+from .rng import derived_generator
 from .structs import EMPTY_STRUCT_SET, red_clauses, red_structs
 
 SMALL_N_DEFAULT = 18
@@ -30,7 +32,7 @@ class CounterConfig:
     """Knobs for the dispatcher; the defaults suit desk-scale runs."""
 
     small_n: int = SMALL_N_DEFAULT
-    brute_force_guard: int = 28
+    brute_force_guard: int = BRUTE_FORCE_MAX_VARS
     sample_budget: int | None = SAMPLE_BUDGET_DEFAULT
 
     def __post_init__(self):
@@ -86,7 +88,7 @@ def approx_count(phi: CnfFormula, eps: float, delta: float,
         return _exact_estimate(got.value, eps, delta, seed)
 
     params = params_for(phi.k, n, strategy)
-    root = seed_sequence(seed)
+    root = np.random.SeedSequence(seed)
     mc_rng = derived_generator(root, "mc", phi.k, n)
 
     if strategy is Strategy.THURLEY:

@@ -13,10 +13,6 @@ import hashlib
 import numpy as np
 
 
-def seed_sequence(seed: int | None) -> np.random.SeedSequence:
-    return np.random.SeedSequence(seed)
-
-
 def generator(seed_or_seq: int | None | np.random.SeedSequence) -> np.random.Generator:
     if isinstance(seed_or_seq, np.random.SeedSequence):
         seq = seed_or_seq

@@ -109,7 +109,7 @@ class Struct:
     """
 
     __slots__ = ("clauses", "vars", "closed_vars", "n_sigma", "l_sigma",
-                 "w_sigma", "f_sigma", "_model_idx", "_closed_idx", "_words")
+                 "w_sigma", "f_sigma", "_model_idx", "_closed_idx")
 
     def __init__(self, clauses: Sequence[tuple[int, ...]],
                  closed_vars: Sequence[int]):
@@ -132,7 +132,6 @@ class Struct:
         object.__setattr__(self, "f_sigma", len(closed))
         object.__setattr__(self, "_model_idx", model_idx)
         object.__setattr__(self, "_closed_idx", closed_idx)
-        object.__setattr__(self, "_words", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Struct is immutable")
@@ -142,11 +141,8 @@ class Struct:
         return self.f_sigma == self.n_sigma
 
     def satisfying_words(self) -> np.ndarray:
-        """Models as assignment words (bit v-1 per variable), cached."""
-        if self._words is None:
-            object.__setattr__(self, "_words",
-                               _expand_words(self._model_idx, self.vars))
-        return self._words
+        """Models as assignment words (bit v-1 per variable)."""
+        return _expand_words(self._model_idx, self.vars)
 
     def iter_satisfying_assignments(self) -> Iterator[dict[int, bool]]:
         """Models over the group's variables, in scan order."""
@@ -170,16 +166,27 @@ class Struct:
                 f"l={self.l_sigma}, closed={self.closed_vars})")
 
 
-def struct_stats(sigma: Struct, *, cap: int = STRUCT_CAP) -> tuple[int, int, int, int]:
-    """Recompute (n, l, w, f) for a group by enumeration.
+def struct_stats(sigma: Struct) -> tuple[int, int, int, int]:
+    """Recompute (n, l, w, f) for a group by plain enumeration.
 
-    Refuses groups larger than ``cap`` variables; the counts are exact.
+    A reference for the constructor's kernel scan, sharing no code with
+    it; refuses groups of more than ``STRUCT_CAP`` variables.
     """
-    if sigma.n_sigma > cap:
-        raise GuardError(f"group has {sigma.n_sigma} variables, cap is {cap}")
-    l_count, _ = _scan_models(sigma.clauses, sigma.vars)
-    w_count, _ = _scan_models(sigma.clauses, sigma.closed_vars)
-    return (sigma.n_sigma, l_count, w_count, sigma.f_sigma)
+    if sigma.n_sigma > STRUCT_CAP:
+        raise GuardError(f"group has {sigma.n_sigma} variables, "
+                         f"cap is {STRUCT_CAP}")
+
+    def count(over_vars) -> int:
+        """Assignments of ``over_vars`` that falsify no clause."""
+        total = 0
+        for bits in itertools.product((False, True), repeat=len(over_vars)):
+            values = dict(zip(over_vars, bits))
+            total += not any(all(values.get(abs(code)) == (code < 0)
+                                 for code in c) for c in sigma.clauses)
+        return total
+
+    return (sigma.n_sigma, count(sigma.vars), count(sigma.closed_vars),
+            sigma.f_sigma)
 
 
 @dataclass(frozen=True)
@@ -206,13 +213,9 @@ class StructSet:
     def all_vars(self) -> frozenset[int]:
         return frozenset(v for s in self.structs for v in s.vars)
 
-    @property
-    def closed_union(self) -> frozenset[int]:
-        return frozenset(v for s in self.structs for v in s.closed_vars)
-
     def covers(self, phi: CnfFormula) -> bool:
         """Does every clause of ``phi`` contain a closed variable?"""
-        closed = self.closed_union
+        closed = {v for s in self.structs for v in s.closed_vars}
         return all(_touches(c, closed) for c in phi.clauses)
 
 
@@ -339,8 +342,7 @@ def _branch_delta(delta: float, n: int) -> float:
 
 
 def _recurse_branches(phi: CnfFormula, structs: Sequence[Struct], eps: float,
-                      delta: float, recursive_counter: RecursiveCounter,
-                      width_bound: int) -> Estimate:
+                      delta: float, recursive_counter: RecursiveCounter) -> Estimate:
     """Sum recursive counts over all non-falsifying closed assignments."""
     sub_delta = _branch_delta(delta, phi.num_vars)
     total = lower = 0
@@ -352,7 +354,7 @@ def _recurse_branches(phi: CnfFormula, structs: Sequence[Struct], eps: float,
         for part in combo:
             binding.update(part)
         sub = restrict(phi, binding)
-        assert sub.k <= width_bound, "reduction must shorten every clause"
+        assert sub.k <= max(phi.k - 1, 0), "reduction must shorten every clause"
         est = recursive_counter(sub, eps, sub_delta)
         total = total + est.value
         lower += est.lower_bound
@@ -390,11 +392,11 @@ def red_structs(phi: CnfFormula, params, eps: float, delta: float,
     # most of them, so only the final pool is scanned into Structs
     groups: list[tuple[list[tuple[int, ...]], tuple[int, ...]]] = []
     var_owner: dict[int, int] = {}
-    closed_union: set[int] = set()
+    all_closed: set[int] = set()
     while True:
         pick = None
         for c in phi.clauses:
-            if not _touches(c, closed_union):
+            if not _touches(c, all_closed):
                 pick = c
                 break
         if pick is None:
@@ -409,7 +411,7 @@ def red_structs(phi: CnfFormula, params, eps: float, delta: float,
         groups.append((merged, match_library(merged)))
         var_owner = {v: i for i, (cls, _) in enumerate(groups)
                      for v in vars_of(cls)}
-        closed_union = {v for _, closed in groups for v in closed}
+        all_closed = {v for _, closed in groups for v in closed}
     pool = [Struct(cls, closed) for cls, closed in groups]
 
     if pool and all(s.w_sigma > 0 for s in pool):
@@ -424,7 +426,7 @@ def red_structs(phi: CnfFormula, params, eps: float, delta: float,
         # no clauses at all: nothing to cut, nothing to branch on
         return RedOutcome(struct_set=EMPTY_STRUCT_SET)
 
-    estimate = _recurse_branches(phi, pool, eps, delta, recursive_counter, k - 1)
+    estimate = _recurse_branches(phi, pool, eps, delta, recursive_counter)
     return RedOutcome(estimate=estimate)
 
 
@@ -448,7 +450,5 @@ def red_clauses(phi: CnfFormula, m_hat: int, eps: float, delta: float,
             for c in chosen]
     if len(pool) >= m_hat:
         return RedOutcome(struct_set=StructSet(tuple(pool)))
-    width_bound = max(phi.k - 1, 0)
-    estimate = _recurse_branches(phi, pool, eps, delta, recursive_counter,
-                                 width_bound)
+    estimate = _recurse_branches(phi, pool, eps, delta, recursive_counter)
     return RedOutcome(estimate=estimate)

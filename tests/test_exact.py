@@ -1,7 +1,8 @@
 import pytest
 
 from indepcount import (CnfFormula, GuardError, brute_force_count,
-                        connected_components, count_2sat_exact, parse_dimacs)
+                        count_2sat_exact, parse_dimacs)
+from indepcount.exact import _split
 from indepcount.gen import GeneratorSpec, generate
 
 from conftest import slow_count
@@ -92,12 +93,15 @@ def test_2sat_untouched_vars_multiply():
     assert count_2sat_exact(padded).value == 2 * count_2sat_exact(core).value
 
 
+def _part_vars(part):
+    return sorted({abs(code) for c in part for code in c})
+
+
 def _component_product(phi, counter):
-    split = connected_components(phi)
-    prod = 1 << split.untouched_vars
-    for part in split.parts:
-        vs = sorted({abs(code) for c in part for code in c})
-        prod *= counter(CnfFormula(part, variables=vs)).value
+    parts = _split(phi.clauses)
+    prod = 1 << (phi.num_vars - sum(len(_part_vars(p)) for p in parts))
+    for part in parts:
+        prod *= counter(CnfFormula(part, variables=_part_vars(part))).value
         if prod == 0:
             break
     return prod
@@ -105,11 +109,9 @@ def _component_product(phi, counter):
 
 def test_components_partition_touched_vars():
     phi = CnfFormula([(1, 2), (2, 3), (5, 6)], 7)
-    split = connected_components(phi)
-    groups = sorted(sorted({abs(code) for c in part for code in c})
-                    for part in split.parts)
+    groups = sorted(_part_vars(part) for part in _split(phi.clauses))
     assert groups == [[1, 2, 3], [5, 6]]
-    assert split.untouched_vars == 2
+    assert phi.num_vars - sum(map(len, groups)) == 2
 
 
 def test_component_counts_multiply():

@@ -6,6 +6,7 @@ import pytest
 
 from indepcount import (CnfFormula, CounterConfig, GuardError, Strategy,
                         approx_count, brute_force_count, params_for)
+from indepcount import structs
 from indepcount.gen import GeneratorSpec, generate
 
 ALL = [Strategy.BRUTE_FORCE, Strategy.THURLEY, Strategy.PRUNED_TREE,
@@ -91,6 +92,35 @@ def test_sampled_estimates_replay_pinned_values():
         got = (est.value, est.samples, est.hits, est.decider_calls,
                est.branch_nodes)
         assert got == tuple(pinned), (k, n, m, strategy)
+
+
+# Recursion-route counts pinned from a reference run: each instance is too
+# loose for a group set, so the reduction branches over the closed
+# assignments and every branch is counted exactly.  Entries are
+# (k, n, m, generator seed, strategy, value, branches); the counts use seed 7.
+RECURSION_PINS = [
+    (3, 24, 9, 8, Strategy.INDEP_STRUCTS, 6120448, 1268),
+    (3, 24, 9, 2, Strategy.INDEP_CLAUSES, 4536320, 343),
+    (4, 22, 5, 7, Strategy.INDEP_STRUCTS, 3025920, 38),
+]
+
+
+def test_recursion_route_replays_pinned_values(monkeypatch):
+    branches = []
+    restrict = structs.restrict
+
+    def counted(*args):
+        branches.append(args)
+        return restrict(*args)
+    monkeypatch.setattr(structs, "restrict", counted)
+    for k, n, m, seed, strategy, value, n_branches in RECURSION_PINS:
+        phi = generate(GeneratorSpec(n=n, m=m, k=k, seed=seed))
+        branches.clear()
+        est = approx_count(phi, 0.2, 0.1, strategy, seed=7)
+        got = (est.value, est.exact, est.lower_bound, est.decider_calls,
+               est.branch_nodes, len(branches))
+        assert got == (value, True, value, 0, 0, n_branches), (k, n, m, seed)
+        assert value == brute_force_count(phi).value
 
 
 def test_dense_unsat_formula_counts_zero_on_every_two_phase_strategy():

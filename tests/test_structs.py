@@ -5,6 +5,7 @@ import pytest
 from indepcount import (CnfFormula, Estimate, GuardError, Strategy,
                         Struct, StructSet, brute_force_count, match_library,
                         params_for, red_clauses, red_structs, struct_stats)
+from indepcount import cnf, structs
 from indepcount.gen import GeneratorSpec, generate
 from indepcount.structs import EMPTY_STRUCT_SET, SHAPES, StructPattern
 
@@ -78,10 +79,33 @@ def test_struct_stats_agree_with_constructor_on_random_groups():
         assert struct_stats(sigma)[1:3] == (sigma.l_sigma, sigma.w_sigma)
 
 
+def test_struct_stats_shares_no_code_with_the_kernel_scan(monkeypatch):
+    # criterion 2's shapes as (clauses, n, l, w, f)
+    shapes = [
+        (_clauses((1, 2, 3)), 3, 7, 2, 1),
+        (_clauses((1, 2, 3), (1, 4, 5)), 5, 25, 2, 1),
+        (_clauses((1, 2, 3), (1, 2, 4)), 4, 13, 2, 1),
+        (_clauses((1, 2, 3), (1, 4, 5), (2, 6, 7)), 7, 89, 4, 2),
+        (_clauses((1, 2, 3, 4)), 4, 15, 2, 1),
+        (_clauses((1, 2, 3, 4), (1, 5, 6, 7)), 7, 113, 2, 1),
+        (_clauses((1, 2, 3, 4), (1, 5, 6, 7), (2, 8, 9, 10)), 10, 851, 4, 2),
+    ]
+    sigmas = [Struct(cls, match_library(cls)) for cls, *_ in shapes]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("struct_stats reached the kernel scan")
+    monkeypatch.setattr(structs, "_scan_models", refuse)
+    for module in (cnf, structs):
+        monkeypatch.setattr(module, "satisfying_indices", refuse)
+        monkeypatch.setattr(module, "clause_tables", refuse)
+    for sigma, (_, *want) in zip(sigmas, shapes):
+        assert struct_stats(sigma) == tuple(want)
+
+
 def test_struct_stats_guard():
     big = Struct(_clauses(tuple(range(1, 18))), (1,))
     with pytest.raises(GuardError):
-        struct_stats(big, cap=16)
+        struct_stats(big)
 
 
 def test_models_listing_matches_count():
