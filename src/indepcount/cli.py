@@ -145,6 +145,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.threads < 1:
+        print("error: --threads must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     strategies = []
     for name in args.strategies.split(","):
         name = name.strip()

@@ -70,6 +70,7 @@ def _estimate_payload(est: Estimate) -> dict:
         "epsilon": est.epsilon,
         "delta": est.delta,
         "samples": est.samples,
+        "samples_wanted": est.samples_wanted,
         "hits": est.hits,
         "seed": est.seed,
         "under_sampled": est.under_sampled,
@@ -163,8 +164,11 @@ def bench(n: int, m: int, k: int, trials: int,
 
     Trial i uses instance seed ``seed + i`` and an independent run seed, so
     rows are reproducible one by one regardless of pool scheduling.  With
-    ``threads`` above 1 the trials run in that many worker processes.
+    ``threads`` above 1 the trials run in that many worker processes;
+    fewer than one is refused.
     """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     jobs = []
     trial = 0
     for i in range(trials):
@@ -174,7 +178,7 @@ def bench(n: int, m: int, k: int, trials: int,
             jobs.append((trial, spec_args, strategy.value, eps, delta,
                          run_seed, config, want_ref))
             trial += 1
-    if threads <= 1:
+    if threads == 1:
         return [_bench_one(job) for job in jobs]
     with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
         rows = list(pool.map(_bench_one, jobs))

@@ -3,9 +3,9 @@
 A set of variable-disjoint subformulas restricts the space we sample
 from: each subformula contributes one of its own models, every variable
 outside them is a fair coin.  The universe size U is exact integer
-arithmetic; the estimator scales the empirical hit rate by U, so its
-expectation is the true model count whenever the subformulas all appear
-in the target formula.
+arithmetic; the estimator scales the empirical hit rate by U, so over a
+fixed sample count its expectation is the true model count whenever the
+subformulas all appear in the target formula.
 
 A draw packs an assignment into one 64-bit word.  The free variables take
 one raw 64-bit draw under a mask.  The groups' models are merged, in
@@ -14,6 +14,20 @@ uniform ``uint64`` index into the product of the tables, split by mixed
 radix, picks one row per table.  A uniform index into the product is an
 independent uniform model per group, so the universe and the estimator
 are those of one draw per group.
+
+How many draws a run takes: for 0 < eps < 1 the run stops at the
+Upsilon_1-th hit, the stopping rule of Dagum, Karp, Luby and Ross ("An
+Optimal Algorithm for Monte Carlo Estimation", SIAM J. Comput. 2000), and
+reports U * Upsilon_1 / N, N being the index of that hit; run at failure
+probability d, the rule is relative (eps, d) accurate whatever the count.
+The paper's Chernoff count at delta/2, sized from the certified lower
+bound ``ell``, caps the run, so it never draws more than the paper's
+bound; if the cap ends it first, the hit rate is (eps, delta/2) accurate.
+The rule runs at d = (delta/2)^3, so by the union bound the run fails
+with probability at most delta.  At d = delta/2 (319 hits at eps 0.2,
+delta 0.1) about one count in 1,200 misses eps, where the Chernoff count
+missed practically never; at (delta/2)^3 (836 hits) about 2e-7 do.
+At eps = 1 the run draws the Chernoff count at delta.
 """
 
 from __future__ import annotations
@@ -48,6 +62,9 @@ class Estimate:
     ``lower_bound`` is a model count the run certified: the value itself
     on exact routes, the cut's count on sampled ones.  A flagged
     (``under_sampled``) value is never reported below it.
+    ``samples_wanted`` is the Chernoff count, within the budget, that a
+    sampled run was sized for; ``samples`` falls below it when the
+    stopping rule ends the run first.
     """
 
     value: int | Fraction
@@ -61,6 +78,7 @@ class Estimate:
     decider_calls: int = 0
     branch_nodes: int = 0
     lower_bound: int = 0
+    samples_wanted: int = 0
 
     def __post_init__(self):
         if self.value < 0 or self.lower_bound < 0:
@@ -198,16 +216,42 @@ def sample_size(universe_size: int, ell: int, eps: float, delta: float) -> int:
     return max(1, math.ceil(need))
 
 
+def _stop_hits(eps: float, delta: float) -> int:
+    """Upsilon_1 of the stopping rule: the hits after which a run with
+    0 < eps < 1 stops, ceil(1 + (1 + eps) 4 (e - 2) ln(2/delta) / eps^2).
+    Rounding up only raises the rule's Upsilon, which tightens its delta.
+    """
+    return math.ceil(1 + (1 + eps) * 4 * (math.e - 2) * math.log(2.0 / delta)
+                     / eps ** 2)
+
+
+def _hit_index(words: np.ndarray, kept: np.ndarray, need: int) -> int:
+    """Position in ``words`` of its ``need``-th surviving word.
+
+    ``kept`` holds the survivors in input order, and whether a word
+    survives depends on the word alone, so that survivor is the c-th copy
+    of its word in ``words``, c being its copies among the first ``need``.
+    """
+    word = kept[need - 1]
+    copies = int(np.count_nonzero(kept[:need] == word))
+    return int(np.flatnonzero(words == word)[copies - 1])
+
+
 def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
                 delta: float, rng: np.random.Generator | None = None, *,
                 seed: int | None = None,
                 sample_budget: int | None = None) -> Estimate:
     """Sampled count: draw from the universe, scale hit rate by its size.
 
-    The (eps, delta) guarantee holds when the true count is >= ell.  If the
-    prescribed sample count exceeds ``sample_budget`` the run is truncated
-    and flagged ``under_sampled`` instead of silently weakening anything;
-    a budget below one sample is refused.
+    For 0 < eps < 1 the run stops at the ``_stop_hits(eps, (delta/2)^3)``-th
+    hit and reports U * hits / N, N being that hit's index, unless the
+    Chernoff count ``sample_size(U, ell, eps, delta/2)`` is drawn first;
+    then it reports the hit rate times U.  Each ending fails with
+    probability at most delta/2, the second when the true count is >= ell,
+    so the run is (eps, delta) accurate.  At eps = 1 it draws
+    ``sample_size(U, ell, eps, delta)``.  If ``sample_budget`` ends the run
+    first, the result is flagged ``under_sampled`` instead of silently
+    weakening anything; a budget below one sample is refused.
     """
     if sample_budget is not None and sample_budget < 1:
         raise ValueError("sample_budget must be at least 1")
@@ -220,24 +264,37 @@ def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
     universe = Universe(psi, variables=phi.variables)
     if universe.size == 0:
         return Estimate(value=0, exact=True, epsilon=eps, delta=delta, seed=seed)
-    wanted = sample_size(universe.size, ell, eps, delta)
+    rule = eps < 1
+    wanted = sample_size(universe.size, ell, eps, delta / 2 if rule else delta)
     t = wanted
     under = False
     if sample_budget is not None and wanted > sample_budget:
         t = sample_budget
         under = True
+    # without the rule no run reaches t + 1 hits
+    stop = _stop_hits(eps, (delta / 2) ** 3) if rule else t + 1
 
     # every draw satisfies the groups' own clauses; only the rest are checked
     tables = clause_tables([c for c in phi.clauses if c not in drawn],
                            {v: v - 1 for v in phi.variables})
     hits = 0
     done = 0
+    # under the rule a draw is one kernel slice, so a run stops within a
+    # slice of its stop; at eps = 1 the chunks keep their full size
+    chunk = _SLICE if rule else _SAMPLE_CHUNK
     while done < t:
-        chunk = min(_SAMPLE_CHUNK, t - done)
-        words = universe.sample_words(chunk, rng)
+        words = universe.sample_words(min(chunk, t - done), rng)
         # survivors, not nonzero words: the all-false word 0 can be a model
-        hits += len(satisfied_rows(tables, words))
-        done += chunk
+        kept = satisfied_rows(tables, words)
+        if hits + len(kept) >= stop:
+            n = done + _hit_index(words, kept, stop - hits) + 1
+            return Estimate(value=Fraction(stop * universe.size, n),
+                            exact=False, epsilon=eps, delta=delta,
+                            samples=n, hits=stop, seed=seed,
+                            samples_wanted=t)
+        hits += len(kept)
+        done += len(words)
     value = Fraction(hits * universe.size, t)
     return Estimate(value=value, exact=False, epsilon=eps, delta=delta,
-                    samples=t, hits=hits, seed=seed, under_sampled=under)
+                    samples=t, hits=hits, seed=seed, under_sampled=under,
+                    samples_wanted=t)

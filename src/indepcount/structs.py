@@ -348,7 +348,7 @@ def _recurse_branches(phi: CnfFormula, structs: Sequence[Struct], eps: float,
     total = lower = 0
     exact = True
     under = False
-    samples = hits = decider_calls = branch_nodes = 0
+    samples = hits = wanted = decider_calls = branch_nodes = 0
     for combo in itertools.product(*[s.closed_ok_assignments() for s in structs]):
         binding: dict[int, bool] = {}
         for part in combo:
@@ -362,11 +362,12 @@ def _recurse_branches(phi: CnfFormula, structs: Sequence[Struct], eps: float,
         under = under or est.under_sampled
         samples += est.samples
         hits += est.hits
+        wanted += est.samples_wanted
         decider_calls += est.decider_calls
         branch_nodes += est.branch_nodes
     return Estimate(value=total, exact=exact, epsilon=eps, delta=delta,
                     samples=samples, hits=hits, under_sampled=under,
-                    decider_calls=decider_calls,
+                    samples_wanted=wanted, decider_calls=decider_calls,
                     branch_nodes=branch_nodes).with_lower_bound(lower)
 
 

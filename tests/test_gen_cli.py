@@ -14,7 +14,7 @@ from indepcount import (Strategy, Struct, StructSet, Universe,
                         brute_force_count, chi_square_uniformity,
                         match_library, serialize_dimacs)
 from indepcount import cli
-from indepcount.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, main
+from indepcount.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from indepcount.gen import GeneratorSpec, generate
 from indepcount.harness import (CSV_COLUMNS, bench, bench_csv_row,
                                 eps_accurate, run_report)
@@ -132,6 +132,22 @@ def test_bench_is_reproducible_across_pools():
     assert _strip_times(serial) == _strip_times(pooled)
     again = bench(*args, threads=1)
     assert _strip_times(serial) == _strip_times(again)
+
+
+def test_bench_refuses_fewer_than_one_thread():
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            bench(12, 16, 3, 1, [Strategy.PRUNED_TREE], 0.2, 0.1, 9,
+                  threads=threads)
+
+
+def test_run_report_shows_samples_wanted_next_to_samples():
+    # a sampled count stops at the rule well short of its Chernoff count
+    phi = generate(GeneratorSpec(n=23, m=46, k=3, seed=1))
+    est = run_report(phi, Strategy.INDEP_STRUCTS, 0.2, 0.1, 7)["estimate"]
+    assert not est["exact"] and est["hits"] == 836
+    assert 0 < est["samples"] < est["samples_wanted"]
+    assert list(est).index("samples_wanted") == list(est).index("samples") + 1
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -257,6 +273,13 @@ def test_cli_bench_reference_obeys_the_brute_force_guard(monkeypatch, capsys):
     row, = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     expected = brute_force_count(generate(GeneratorSpec(10, 30, 3, 3))).value
     assert row["reference"]["value"] == str(expected)
+
+
+def test_cli_bench_refuses_fewer_than_one_thread(capsys):
+    code = main(["bench", "--n", "10", "--m", "5", "--trials", "1",
+                 "--threads", "-3"])
+    assert code == EXIT_USAGE
+    assert "--threads must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_bench_unknown_strategy(capsys):

@@ -279,3 +279,113 @@ def test_product_index_beyond_int64_stays_exact():
             observed = np.bincount(byte.astype(np.intp), minlength=256)
             _, p = stats.chisquare(observed, share * len(words) / 65535)
             assert p > 0.01
+
+
+# -- the stopping rule -----------------------------------------------------
+
+def _word_hits(words, clauses):
+    """Per-word truth of the formula by plain bit tests, not the kernel."""
+    ok = np.ones(len(words), dtype=bool)
+    for c in clauses:
+        sat = np.zeros(len(words), dtype=bool)
+        for code in c:
+            bit = (words >> np.uint64(abs(code) - 1)) & np.uint64(1)
+            sat |= bit == (1 if code > 0 else 0)
+        ok &= sat
+    return ok
+
+
+def _recount_stop(phi, psi, stop, seed):
+    """Index of the ``stop``-th hit in the stream a rule run draws: one
+    ``mc._SLICE``-word draw after another from a fresh generator."""
+    from indepcount import mc
+
+    uni = Universe(psi, variables=phi.variables)
+    rng = generator(seed)
+    seen = done = 0
+    while True:
+        words = uni.sample_words(mc._SLICE, rng)
+        at = np.flatnonzero(_word_hits(words, phi.clauses))
+        if seen + len(at) >= stop:
+            return done + int(at[stop - seen - 1]) + 1
+        seen += len(at)
+        done += len(words)
+
+
+def test_rule_stops_at_836_hits_and_covers_the_true_count():
+    # the rule runs at (delta/2)^3 = 1.25e-4: 836 hits.  ell = 1 puts the
+    # Chernoff cap near 277 U samples, far above the rule's ~836 U / 517,
+    # so every run ends at the rule.  200 runs at eps = 0.2, delta = 0.1:
+    # at least 1 - delta of them (180) must lie within eps of the
+    # brute-force count.
+    phi = generate(GeneratorSpec(n=12, m=16, k=3, seed=5))
+    want = brute_force_count(phi).value
+    assert want == 517
+    good = 0
+    for seed in range(200):
+        est = mc_estimate(phi, EMPTY_STRUCT_SET, 1, 0.2, 0.1,
+                          generator(4000 + seed))
+        assert est.hits == 836 and not est.under_sampled
+        assert est.value == Fraction(836 * 2 ** 12, est.samples)
+        assert est.samples < est.samples_wanted == sample_size(
+            2 ** 12, 1, 0.2, 0.05)
+        good += abs(est.value - want) <= 0.2 * want
+    assert good >= 180
+
+
+def test_stop_index_is_exact_past_a_slice_boundary(monkeypatch):
+    # 16-word slices, one draw each: over 300 seeds the Upsilon_1-th hit
+    # (34 hits at eps = 0.9, (delta/2)^3 = 1/64) lands on the first and second
+    # word of a draw and on the last; N must match a per-word recount of
+    # the same stream in every run.  A group takes the first clause, so the
+    # kernel checks only the rest while the recount checks them all.
+    from indepcount import mc
+
+    monkeypatch.setattr(mc, "_SLICE", 16)
+    phi = generate(GeneratorSpec(n=10, m=12, k=3, seed=3))
+    psi = StructSet((_struct(phi.clauses[0]),))
+    offsets = set()
+    for seed in range(300):
+        est = mc_estimate(phi, psi, 1, 0.9, 0.5, generator(seed))
+        assert est.hits == 34
+        assert est.samples == _recount_stop(phi, psi, 34, seed), seed
+        offsets.add((est.samples - 1) % 16)
+    assert {0, 1, 15} <= offsets
+
+
+def test_stop_index_is_exact_across_a_full_slice():
+    # 128 models of 2^14 need ~107,000 samples for 836 hits, so the runs
+    # cross several 2^15-word draws; N matches the per-word recount.
+    from indepcount import mc
+
+    phi = generate(GeneratorSpec(n=14, m=36, k=3, seed=3))
+    crossed = 0
+    for seed in range(4):
+        est = mc_estimate(phi, EMPTY_STRUCT_SET, 1, 0.2, 0.1, generator(seed))
+        assert est.samples == _recount_stop(phi, EMPTY_STRUCT_SET, 836, seed)
+        crossed += est.samples > mc._SLICE
+    assert crossed >= 1
+
+
+def test_tiny_hit_rate_ends_at_the_chernoff_cap():
+    # 9 models of 2^12 and ell = 9: the cap at delta/2 expects ~277 hits,
+    # short of the rule's 836, so the cap ends the run with the guarantee
+    phi = generate(GeneratorSpec(n=12, m=45, k=3, seed=3))
+    assert brute_force_count(phi).value == 9
+    cap = sample_size(2 ** 12, 9, 0.2, 0.05)
+    est = mc_estimate(phi, EMPTY_STRUCT_SET, 9, 0.2, 0.1, generator(3))
+    assert est.samples == est.samples_wanted == cap
+    assert est.hits < 836 and not est.under_sampled
+    assert est.value == Fraction(est.hits * 2 ** 12, cap)
+
+
+def test_rule_inside_a_budget_below_the_cap_is_unflagged():
+    # the cap (~4.5 M samples) exceeds the budget, which used to flag the
+    # run; the rule's ~3,200 samples fit inside it, so the result carries
+    # the guarantee
+    phi = generate(GeneratorSpec(n=14, m=10, k=3, seed=9))
+    assert sample_size(2 ** 14, 1, 0.2, 0.05) > 100_000
+    est = mc_estimate(phi, EMPTY_STRUCT_SET, 1, 0.2, 0.1, generator(2),
+                      sample_budget=100_000)
+    assert not est.under_sampled
+    assert est.hits == 836 and est.samples < 100_000 == est.samples_wanted

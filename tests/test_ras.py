@@ -73,14 +73,14 @@ def test_replay_is_bit_identical():
 # the instances use generator seed 1 and the counts seed 7.  Their true
 # counts are 8,588 (k=3) and 484 (k=4); every value is within eps=0.2.
 REPLAY_PINS = [
-    (3, 23, 46, Strategy.THURLEY, Fraction(523239424, 60877), 4383144, 4491, 2576, 1294),
-    (3, 23, 46, Strategy.PRUNED_TREE, Fraction(33999028224, 3959563), 3959563, 4053, 736, 443),
-    (3, 23, 46, Strategy.INDEP_CLAUSES, Fraction(17300991344, 2102655), 2102655, 5252, 1538, 555),
-    (3, 23, 46, Strategy.INDEP_STRUCTS, Fraction(46986100, 5619), 1887984, 5575, 2051, 433),
-    (4, 19, 114, Strategy.THURLEY, Fraction(991952896, 2030983), 2030983, 1892, 399, 205),
-    (4, 19, 114, Strategy.PRUNED_TREE, Fraction(953155584, 1931099), 1931099, 1818, 95, 61),
-    (4, 19, 114, Strategy.INDEP_CLAUSES, Fraction(833328000, 1673479), 1673479, 1929, 263, 135),
-    (4, 19, 114, Strategy.INDEP_STRUCTS, Fraction(751435776, 1554971), 1554971, 1872, 418, 112),
+    (3, 23, 46, Strategy.THURLEY, Fraction(7012876288, 813947), 813947, 836, 2576, 1294),
+    (3, 23, 46, Strategy.PRUNED_TREE, Fraction(7012876288, 813947), 813947, 836, 736, 443),
+    (3, 23, 46, Strategy.INDEP_CLAUSES, Fraction(2753927792, 341963), 341963, 836, 1538, 555),
+    (3, 23, 46, Strategy.INDEP_STRUCTS, Fraction(591847872, 65279), 261116, 836, 2051, 433),
+    (4, 19, 114, Strategy.THURLEY, Fraction(438304768, 885513), 885513, 836, 399, 205),
+    (4, 19, 114, Strategy.PRUNED_TREE, Fraction(438304768, 885513), 885513, 836, 95, 61),
+    (4, 19, 114, Strategy.INDEP_CLAUSES, Fraction(120384000, 247609), 742827, 836, 263, 135),
+    (4, 19, 114, Strategy.INDEP_STRUCTS, Fraction(167788544, 343899), 687798, 836, 418, 112),
 ]
 
 
@@ -217,6 +217,46 @@ def test_sample_budget_flag_propagates():
                        config=CounterConfig(small_n=0, sample_budget=50))
     assert not est.exact
     assert est.under_sampled and est.samples == 50
+
+
+def test_sampled_runs_never_draw_past_the_chernoff_cap(monkeypatch):
+    # 50 random instances (k = 3 and 4, n = 12-15), every two-phase
+    # strategy, with and without a budget: no Monte Carlo run, recursion
+    # branches included, draws more than min(sample_size(U, ell, eps,
+    # delta/2), budget), which is what it reports as samples_wanted
+    from indepcount import ras
+    from indepcount.mc import Universe, sample_size
+
+    runs = []
+    real = ras.mc_estimate
+
+    def spy(phi, psi, ell, eps, delta, rng, **kw):
+        est = real(phi, psi, ell, eps, delta, rng, **kw)
+        runs.append((Universe(psi, variables=phi.variables).size, ell, eps,
+                     delta, kw["sample_budget"], est))
+        return est
+    monkeypatch.setattr(ras, "mc_estimate", spy)
+    for i in range(50):
+        k = 3 + i % 2
+        n = 12 + i % 4
+        phi = generate(GeneratorSpec(n=n, m=round(n * (3.0 if k == 3 else 7.0)),
+                                     k=k, seed=5_000 + i))
+        budget = 3_000 if i % 3 == 0 else None
+        for strategy in ALL[1:]:
+            approx_count(phi, 0.2, 0.1, strategy, seed=i,
+                         config=CounterConfig(small_n=0, sample_budget=budget))
+    assert len(runs) >= 100
+    endings = set()
+    for size, ell, eps, delta, budget, est in runs:
+        if size == 0:
+            continue
+        cap = sample_size(size, ell, eps, delta / 2)
+        if budget is not None:
+            cap = min(cap, budget)
+        assert est.samples <= est.samples_wanted == cap
+        endings.add("budget" if est.under_sampled else
+                    "cap" if est.samples == cap else "rule")
+    assert endings == {"rule", "cap", "budget"}
 
 
 def test_sample_budget_below_one_is_refused():
