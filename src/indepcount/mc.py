@@ -46,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .structs import StructSet
 
 CHERNOFF_FACTOR = 3
-_SAMPLE_CHUNK = 1 << 18
 _TABLE_ROWS = 1 << 16
 _SLICE = 1 << 15
 _CELL_LIMIT = 200_000
@@ -279,11 +278,9 @@ def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
                            {v: v - 1 for v in phi.variables})
     hits = 0
     done = 0
-    # under the rule a draw is one kernel slice, so a run stops within a
-    # slice of its stop; at eps = 1 the chunks keep their full size
-    chunk = _SLICE if rule else _SAMPLE_CHUNK
+    # one kernel slice a draw, so a run stops within a slice of its stop
     while done < t:
-        words = universe.sample_words(min(chunk, t - done), rng)
+        words = universe.sample_words(min(_SLICE, t - done), rng)
         # survivors, not nonzero words: the all-false word 0 can be a model
         kept = satisfied_rows(tables, words)
         if hits + len(kept) >= stop:
