@@ -145,6 +145,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.trials < 0:
+        print("error: --trials must be at least 0", file=sys.stderr)
+        return EXIT_USAGE
     if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return EXIT_USAGE

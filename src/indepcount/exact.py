@@ -7,15 +7,17 @@ propagation and branching on a busiest variable.  The same propagator
 and branching rule drive a complete search (DPLL) that decides any
 formula without error: ``find_model`` works on int clauses and is what
 the explore phase calls at every node; ``decide`` wraps it for a
-formula and returns a checked model.
+formula and returns a checked model.  The propagator strips clauses with
+``cnf.assign``, the one routine that also builds the explore phase's
+children and ``restrict``'s formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import (CnfFormula, bit_positions, clause_tables, evaluate,
-                  satisfying_indices, vars_of)
+from .cnf import (CnfFormula, assign, bit_positions, clause_tables,
+                  evaluate, satisfying_indices, vars_of)
 
 BRUTE_FORCE_MAX_VARS = 28
 
@@ -79,45 +81,23 @@ def _split(clauses) -> list[list]:
 def propagate(clauses, fixed: dict[int, bool]):
     """Apply ``fixed`` and run unit propagation to a fixpoint.
 
-    ``clauses`` holds DIMACS-style int tuples.  Each pass assigns every
-    pending unit at once; two units that disagree are a conflict.  Returns
-    (residual clause set, all fixed vars) or None on conflict.
+    ``clauses`` holds DIMACS-style int tuples.  Every strip is one
+    ``cnf.assign`` pass: first of ``fixed`` (skipped when empty), then of
+    all pending units at once.  An empty clause is a conflict (two units
+    that disagree leave one after their pass).  Returns (residual clause
+    set, all fixed vars) or None on conflict.
     """
     fixed = dict(fixed)
-    work = set(clauses)
+    residual = assign(clauses, fixed) if fixed else clauses
     while True:
-        nxt: set[tuple[int, ...]] = set()
-        units: dict[int, bool] = {}
-        for cl in work:
-            keep = []
-            sat = False
-            for code in cl:
-                v = abs(code)
-                want = code > 0
-                if v in fixed:
-                    if fixed[v] == want:
-                        sat = True
-                        break
-                else:
-                    keep.append(code)
-            if sat:
-                continue
-            if not keep:
-                return None
-            if len(keep) == 1:
-                code = keep[0]
-                v, want = abs(code), code > 0
-                if v in units and units[v] != want:
-                    return None
-                units[v] = want
-            nxt.add(tuple(keep))
-        if not units:
-            return frozenset(nxt), fixed
-        for v, want in units.items():
-            if v in fixed and fixed[v] != want:
-                return None
-            fixed[v] = want
-        work = nxt
+        short = [c for c in residual if len(c) < 2]
+        if not short:
+            return frozenset(residual), fixed
+        if () in short:
+            return None
+        units = {abs(code): code > 0 for code, in short}
+        fixed.update(units)
+        residual = assign(residual, units)
 
 
 def busiest_var(clauses) -> int:
@@ -199,9 +179,9 @@ def find_model(clauses, fixed: dict[int, bool] | None = None
         return fixed
     v = busiest_var(residual)
     for value in (True, False):
-        found = find_model(residual, {**fixed, v: value})
+        found = find_model(residual, {v: value})
         if found is not None:
-            return found
+            return {**fixed, **found}
     return None
 
 

@@ -165,8 +165,10 @@ def bench(n: int, m: int, k: int, trials: int,
     Trial i uses instance seed ``seed + i`` and an independent run seed, so
     rows are reproducible one by one regardless of pool scheduling.  With
     ``threads`` above 1 the trials run in that many worker processes;
-    fewer than one is refused.
+    fewer than one is refused, as is a negative ``trials``.
     """
+    if trials < 0:
+        raise ValueError("trials must be at least 0")
     if threads < 1:
         raise ValueError("threads must be at least 1")
     jobs = []

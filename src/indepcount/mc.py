@@ -284,14 +284,12 @@ def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
         # survivors, not nonzero words: the all-false word 0 can be a model
         kept = satisfied_rows(tables, words)
         if hits + len(kept) >= stop:
-            n = done + _hit_index(words, kept, stop - hits) + 1
-            return Estimate(value=Fraction(stop * universe.size, n),
-                            exact=False, epsilon=eps, delta=delta,
-                            samples=n, hits=stop, seed=seed,
-                            samples_wanted=t)
+            # the rule ended the run, so no budget weakened it
+            done += _hit_index(words, kept, stop - hits) + 1
+            hits, under = stop, False
+            break
         hits += len(kept)
         done += len(words)
-    value = Fraction(hits * universe.size, t)
-    return Estimate(value=value, exact=False, epsilon=eps, delta=delta,
-                    samples=t, hits=hits, seed=seed, under_sampled=under,
-                    samples_wanted=t)
+    return Estimate(value=Fraction(hits * universe.size, done), exact=False,
+                    epsilon=eps, delta=delta, samples=done, hits=hits,
+                    seed=seed, under_sampled=under, samples_wanted=t)

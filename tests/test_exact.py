@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 
 from indepcount import (CnfFormula, GuardError, brute_force_count,
                         count_2sat_exact, parse_dimacs)
-from indepcount.exact import _split
+from indepcount.cnf import vars_of
+from indepcount.exact import _split, propagate
 from indepcount.gen import GeneratorSpec, generate
 
 from conftest import slow_count
@@ -61,12 +65,16 @@ def test_2sat_matches_brute_force():
 
 # (n, m, generator seed, value, nodes_visited) from a reference run; the
 # component split, the propagator and the branching rule fix nodes_visited.
-# The last instance has no models.
+# The fourth instance has no models; the last three are the size of the
+# benchmark's 2-CNF cell.
 TWOSAT_PINS = [
     (110, 121, 5230, 8413646287219458048, 536),
     (112, 123, 5384, 626834104074731520, 464),
     (119, 130, 5223, 2079857996867174400, 455),
     (71, 78, 5027, 0, 4),
+    (18, 18, 5405, 1422, 16),
+    (18, 18, 5411, 1504, 14),
+    (18, 18, 5417, 192, 4),
 ]
 
 
@@ -123,3 +131,75 @@ def test_component_multiplicativity_random():
     for seed in range(20):
         phi = generate(GeneratorSpec(n=12, m=7, k=2, seed=2000 + seed))
         assert _component_product(phi, count_2sat_exact) == count_2sat_exact(phi).value
+
+
+# ---------------------------------------------------------------------------
+# propagate's contract, checked against every assignment of a small universe
+
+def _satisfies(clauses, assignment):
+    return all(any(assignment[abs(code)] == (code > 0) for code in c)
+               for c in clauses)
+
+
+def _extends(assignment, partial):
+    return all(assignment[v] == value for v, value in partial.items())
+
+
+def _check_propagate(clauses, fixed, n):
+    before = dict(fixed)
+    got = propagate(clauses, fixed)
+    assert fixed == before, "the caller's dict is left alone"
+    cube = [dict(zip(range(1, n + 1), bits))
+            for bits in itertools.product((False, True), repeat=n)]
+    models = [a for a in cube if _extends(a, fixed) and _satisfies(clauses, a)]
+    if got is None:
+        assert not models
+        return
+    residual, implied = got
+    assert implied.items() >= fixed.items()
+    assert all(_extends(a, implied) for a in models)
+    assert not vars_of(residual) & implied.keys()
+    assert all(len(c) >= 2 for c in residual)
+    for a in cube:
+        if _extends(a, implied):
+            assert _satisfies(clauses, a) == _satisfies(residual, a)
+
+
+def test_propagate_keeps_exactly_the_models_extending_fixed():
+    outcomes = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        clauses = []
+        for _ in range(rng.randint(0, 10)):
+            if clauses and rng.random() < 0.15:
+                clauses.append(rng.choice(clauses))
+                continue
+            width = min(n, rng.choices((0, 1, 2, 3), weights=(1, 6, 10, 10))[0])
+            clauses.append(tuple(v if rng.random() < 0.5 else -v
+                                 for v in rng.sample(range(1, n + 1), width)))
+        fixed = {v: rng.random() < 0.5
+                 for v in rng.sample(range(1, n + 1), rng.randint(0, n // 2))}
+        _check_propagate(clauses, fixed, n)
+        outcomes.add(propagate(clauses, fixed) is None)
+    assert outcomes == {False, True}
+
+
+def test_propagate_empty_clause_is_a_conflict():
+    assert propagate([(1, 2), ()], {}) is None
+
+
+def test_propagate_opposite_units_conflict():
+    assert propagate([(1,), (-1,)], {}) is None
+    assert propagate([(1,), (-2, 3), (-1,)], {}) is None
+
+
+def test_propagate_unit_against_fixed_is_a_conflict():
+    assert propagate([(-1,), (2, 3)], {1: True}) is None
+
+
+def test_propagate_collapses_duplicate_residual_clauses():
+    residual, implied = propagate([(1, 2, 3), (1, 2, -4), (4,)], {3: False})
+    assert residual == frozenset({(1, 2)})
+    assert implied == {3: False, 4: True}
+    _check_propagate([(1, 2, 3), (1, 2, -4), (4,)], {3: False}, 4)

@@ -141,6 +141,12 @@ def test_bench_refuses_fewer_than_one_thread():
                   threads=threads)
 
 
+def test_bench_refuses_a_negative_trial_count():
+    with pytest.raises(ValueError, match="trials"):
+        bench(12, 16, 3, -2, [Strategy.PRUNED_TREE], 0.2, 0.1, 9)
+    assert bench(12, 16, 3, 0, [Strategy.PRUNED_TREE], 0.2, 0.1, 9) == []
+
+
 def test_run_report_shows_samples_wanted_next_to_samples():
     # a sampled count stops at the rule well short of its Chernoff count
     phi = generate(GeneratorSpec(n=23, m=46, k=3, seed=1))
@@ -280,6 +286,15 @@ def test_cli_bench_refuses_fewer_than_one_thread(capsys):
                  "--threads", "-3"])
     assert code == EXIT_USAGE
     assert "--threads must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_bench_refuses_a_negative_trial_count(capsys):
+    code = main(["bench", "--n", "10", "--m", "20", "--trials", "-2", "--csv"])
+    assert code == EXIT_USAGE
+    assert "--trials must be at least 0" in capsys.readouterr().err
+    assert main(["bench", "--n", "10", "--m", "20", "--trials", "0",
+                 "--csv"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [",".join(CSV_COLUMNS)]
 
 
 def test_cli_bench_unknown_strategy(capsys):
