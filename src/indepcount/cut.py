@@ -2,13 +2,17 @@
 
 The tree fixes variables in blocks: whole subformula groups first (one
 branch per model of the group), then clause-guided or single-variable
-branching.  A node is its residual int clauses plus the set of variables
-still free; every node is vetted by the exact DPLL search
-(``exact.find_model``) so that falsified branches never expand.  A global
-counter accumulates, at each clause-free node, the number of models below
-it; the run either finishes (the counter is then the exact model count)
-or aborts once the counter reaches the threshold, certifying "at least
-that many models".
+branching.  A node is a bit-sliced residual over the formula's clauses
+(``exact.ClauseIndex``) plus the set of variables still free; a child
+fixes its model in the parent's residual.  Every node is vetted so that
+falsified branches never expand: a child whose model empties a clause is
+pruned, a child whose model agrees with the parent's witness keeps that
+witness (every surviving clause keeps the literal it made true), and any
+other node runs the exact DPLL search on its residual.  A global counter
+accumulates, at each clause-free node, the number of models below it;
+the run either finishes (the counter is then the exact model count) or
+aborts once the counter reaches the threshold, certifying "at least that
+many models".
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cnf import CnfFormula, assign
-from .exact import find_model
+from .cnf import CnfFormula
+from .exact import ClauseIndex
 from .structs import StructSet
 
 
@@ -86,8 +90,10 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
 
     The decider is exact, so a completed run's count is the exact model
     count and an aborted run's count is a true lower bound.  A clause-free
-    node contributes 2^(free variables) models.  ``trace``, if given,
-    receives one line per branch node.
+    node contributes 2^(free variables) models.  ``decider_calls`` counts
+    vetted nodes, not searches: a node pruned for an empty clause or
+    carrying its parent's witness is vetted without one.  ``trace``, if
+    given, receives one line per branch node.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
@@ -101,17 +107,21 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
     structs = tuple(psi.structs) if branching is BranchKind.STRUCT_GUIDED else ()
     check_reduction = bool(structs)
     width_bound = phi.k - 1
+    index = ClauseIndex(phi.clauses, phi.variables[-1] if phi.variables else 0)
 
     state = {"count": 0, "branch_nodes": 0, "decider_calls": 0,
              "leaves": 0, "pruned": 0}
 
-    def explore(clauses, free: frozenset[int], depth: int,
+    def explore(alive: int, planes: tuple[int, ...], free: frozenset[int],
+                witness: dict[int, bool] | None, depth: int,
                 next_struct: int) -> None:
         state["decider_calls"] += 1
-        if find_model(clauses) is None:
-            state["pruned"] += 1
-            return
-        if not clauses:
+        if alive and witness is None:
+            witness = index.search(alive, planes, free)
+            if witness is None:
+                state["pruned"] += 1
+                return
+        if not alive:
             state["leaves"] += 1
             state["count"] += 1 << len(free)
             if state["count"] >= ell:
@@ -121,14 +131,15 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
         if branching is BranchKind.BINARY:
             var = next(v for v in order if v in free)
             label, factor = f"x{var}", 2
-            models = ({var: value} for value in (False, True))
+            models = ({var: False}, {var: True})
         elif branching is BranchKind.STRUCT_GUIDED and next_struct < len(structs):
             sigma = structs[next_struct]
             label, factor = f"group{next_struct}", sigma.l_sigma
             models = sigma.iter_satisfying_assignments()
             next_struct += 1
         else:
-            clause = min(clauses, key=len)
+            clause = tuple([code for code in phi.clauses[index.shortest(alive, planes)]
+                            if abs(code) in free])
             if check_reduction and next_struct >= len(structs):
                 assert len(clause) <= width_bound, \
                     "residual clause wider than expected after the groups"
@@ -138,11 +149,22 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
         if trace is not None:
             trace.append(f"{depth}\t{label}\t{factor}")
         for model in models:
-            explore(assign(clauses, model), free - model.keys(),
-                    depth + 1, next_struct)
+            child = index.assign(alive, planes, model)
+            if child is None:
+                # a clause emptied: vetted and pruned without a search
+                state["decider_calls"] += 1
+                state["pruned"] += 1
+                continue
+            # the witness still satisfies the child if the model agrees with it
+            keep = witness
+            for v, value in model.items():
+                if witness.get(v, value) != value:
+                    keep = None
+                    break
+            explore(*child, free - model.keys(), keep, depth + 1, next_struct)
 
     try:
-        explore(phi.clauses, phi.varset, 0, 0)
+        explore(*index.root, phi.varset, None, 0, 0)
         kind = CutKind.EXACT
     except _Abort:
         kind = CutKind.AT_LEAST_ELL

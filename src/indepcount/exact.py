@@ -3,13 +3,13 @@
 Two independent counting routes: full enumeration of the assignment
 space (the ground truth everything else is checked against) and a much
 faster counter for width-two formulas based on component splitting, unit
-propagation and branching on a busiest variable.  The same propagator
-and branching rule drive a complete search (DPLL) that decides any
-formula without error: ``find_model`` works on int clauses and is what
-the explore phase calls at every node; ``decide`` wraps it for a
-formula and returns a checked model.  The propagator strips clauses with
-``cnf.assign``, the one routine that also builds the explore phase's
-children and ``restrict``'s formulas.
+propagation (``propagate``, which strips clauses with ``cnf.assign``) and
+branching on a busiest variable.  A complete search (DPLL) decides any
+formula without error: ``ClauseIndex`` keeps a clause list's occurrence
+bitmasks, its residuals are a few ints, and ``ClauseIndex.search`` runs
+on them.  The explore phase walks those residuals and searches at its
+nodes; ``find_model`` indexes int clauses and searches once; ``decide``
+wraps it for a formula and returns a checked model.
 """
 
 from __future__ import annotations
@@ -167,22 +167,141 @@ def count_2sat_exact(phi: CnfFormula) -> ExactCount:
 # ---------------------------------------------------------------------------
 # Satisfiability
 
+class ClauseIndex:
+    """Occurrence bitmasks of a clause list, for bit-sliced residuals.
+
+    Bit j of every mask stands for clause j, in input order.  ``pos[v]``
+    and ``neg[v]`` mark the clauses where x_v occurs positive and
+    negative.  A residual is a pair ``(alive, planes)``: ``alive`` marks
+    the clauses that no fixed literal satisfies yet, and bit j of
+    ``planes[p]`` is bit p of clause j's count of unfixed literals (read
+    on alive clauses only).  Fixing a literal clears the clauses it
+    satisfies from ``alive`` and decrements, by a borrow chain over the
+    planes, the alive clauses it falsifies, so it touches only the
+    clauses its variable occurs in.  Residuals are immutable ints, so a
+    parent's residual stays valid while its children are built from it.
+    """
+
+    __slots__ = ("clauses", "pos", "neg", "occurs", "root")
+
+    def __init__(self, clauses, top: int = 0):
+        self.clauses = clauses = tuple(clauses)
+        top = max(top, max((abs(code) for c in clauses for code in c), default=0))
+        pos, neg = [0] * (top + 1), [0] * (top + 1)
+        counts = []
+        for j, c in enumerate(clauses):
+            literals = set(c)
+            for code in literals:
+                if code > 0:
+                    pos[code] |= 1 << j
+                else:
+                    neg[-code] |= 1 << j
+            counts.append(len(literals))
+        depth = max(max(counts, default=0).bit_length(), 1)
+        self.pos, self.neg = pos, neg
+        self.occurs = [p | n for p, n in zip(pos, neg)]
+        self.root = ((1 << len(clauses)) - 1,
+                     tuple(sum(1 << j for j, w in enumerate(counts) if w >> p & 1)
+                           for p in range(depth)))
+
+    def assign(self, alive: int, planes: tuple[int, ...],
+               model: dict[int, bool]):
+        """The residual after fixing ``model``'s free variables, or None
+        if that empties a clause."""
+        pos, neg = self.pos, self.neg
+        for v, value in model.items():
+            alive &= ~(pos[v] if value else neg[v])
+        counts = list(planes)
+        for v, value in model.items():
+            borrow = (neg[v] if value else pos[v]) & alive
+            p = 0
+            while borrow:
+                plane = counts[p]
+                counts[p] = plane ^ borrow
+                borrow &= ~plane
+                p += 1
+        nonempty = 0
+        for plane in counts:
+            nonempty |= plane
+        return None if alive & ~nonempty else (alive, tuple(counts))
+
+    def shortest(self, alive: int, planes: tuple[int, ...]) -> int:
+        """The first alive clause with the fewest unfixed literals; no
+        alive clause may be empty."""
+        width = 1
+        while True:
+            mask = alive
+            for p, plane in enumerate(planes):
+                mask &= plane if width >> p & 1 else ~plane
+            if mask:
+                return (mask & -mask).bit_length() - 1
+            width += 1
+
+    def search(self, alive: int, planes: tuple[int, ...],
+               free) -> dict[int, bool] | None:
+        """DPLL from a residual whose unfixed variables are among ``free``.
+
+        Units are fixed one at a time to a fixpoint; then the busiest
+        variable (most alive occurrences, ties to the smallest index) is
+        tried True, then False.  The search is iterative: each stack entry
+        is a residual, the trail length to undo to and the decision to
+        fix in it.  Returns the variables it set, under which every alive
+        clause holds, or None if no assignment of ``free`` satisfies them.
+        """
+        clauses, occurs = self.clauses, self.occurs
+        model: dict[int, bool] = {}
+        trail: list[int] = []
+        stack = [(alive, planes, 0, {})]
+        while stack:
+            alive, planes, mark, decision = stack.pop()
+            for v in trail[mark:]:
+                del model[v]
+            del trail[mark:]
+            model.update(decision)
+            trail.extend(decision)
+            residual = self.assign(alive, planes, decision)
+            # unit propagation: fix the first unit's one unfixed literal
+            while residual is not None and residual[0]:
+                alive, planes = residual
+                units = alive & planes[0]
+                for plane in planes[1:]:
+                    units &= ~plane
+                if not units:
+                    break
+                for code in clauses[(units & -units).bit_length() - 1]:
+                    v = abs(code)
+                    if v in free and v not in model:
+                        break
+                model[v] = code > 0
+                trail.append(v)
+                residual = self.assign(alive, planes, {v: code > 0})
+            if residual is None:
+                continue
+            alive, planes = residual
+            if not alive:
+                return model
+            best, most = 0, 0
+            for v in free:
+                if v not in model:
+                    n = (occurs[v] & alive).bit_count()
+                    if n > most or (n == most and v < best):
+                        best, most = v, n
+            stack.append((alive, planes, len(trail), {best: False}))
+            stack.append((alive, planes, len(trail), {best: True}))
+        return None
+
+
 def find_model(clauses, fixed: dict[int, bool] | None = None
                ) -> dict[int, bool] | None:
-    """A partial model of int ``clauses`` extending ``fixed`` (the
-    variables the search had to set), or None if none exists."""
-    propagated = propagate(clauses, fixed or {})
-    if propagated is None:
+    """A partial model of int ``clauses`` extending ``fixed`` (every
+    clause has a literal it makes true), or None if none exists."""
+    fixed = fixed or {}
+    index = ClauseIndex(clauses, max(fixed, default=0))
+    residual = index.assign(*index.root, fixed)
+    if residual is None:
         return None
-    residual, fixed = propagated
-    if not residual:
-        return fixed
-    v = busiest_var(residual)
-    for value in (True, False):
-        found = find_model(residual, {v: value})
-        if found is not None:
-            return {**fixed, **found}
-    return None
+    found = index.search(*residual, vars_of(index.clauses) - fixed.keys())
+    return None if found is None else {**fixed, **found}
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 import hashlib
+import itertools
+import random
 
 import pytest
 
-from indepcount import (BranchKind, CnfFormula, CutKind, Estimate,
+from indepcount import (BranchKind, CnfFormula, CutKind, Estimate, Strategy,
                         Struct, StructSet, brute_force_count, cut,
-                        red_clauses)
+                        params_for, red_clauses, red_structs)
+from indepcount.cnf import assign, vars_of
 from indepcount.gen import GeneratorSpec, generate
 
 BIG = 10 ** 9
@@ -160,3 +163,159 @@ def test_cut_results_are_pinned(pin):
     digest = hashlib.sha256("\n".join(trace).encode()).hexdigest()[:16]
     assert [res.kind, res.count, res.branch_nodes, res.decider_calls,
             res.leaves, res.pruned, len(trace), digest] == want
+
+
+# ---------------------------------------------------------------------------
+# The cut against a reference walk: residuals as int-clause tuples stripped
+# by ``cnf.assign``, and satisfiability by trying every assignment
+
+def _reference_models(clause):
+    return [{abs(code): (code > 0) == bool((pattern >> i) & 1)
+             for i, code in enumerate(clause)}
+            for pattern in range(1, 1 << len(clause))]
+
+
+def _brute_sat(clauses, memo):
+    key = frozenset(clauses)
+    if key not in memo:
+        vs = sorted(vars_of(clauses))
+        memo[key] = any(
+            all(any(a[abs(code)] == (code > 0) for code in c) for c in clauses)
+            for a in (dict(zip(vs, bits))
+                      for bits in itertools.product((False, True), repeat=len(vs))))
+    return memo[key]
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reference_cut(phi, psi, ell, branching, memo):
+    occur = {v: 0 for v in phi.variables}
+    for c in phi.clauses:
+        for code in c:
+            occur[abs(code)] += 1
+    order = sorted(occur, key=lambda v: (-occur[v], v))
+    structs = tuple(psi) if branching is BranchKind.STRUCT_GUIDED else ()
+    state = dict(count=0, branch_nodes=0, decider_calls=0, leaves=0, pruned=0)
+    trace = []
+
+    def walk(clauses, free, depth, nxt):
+        state["decider_calls"] += 1
+        if not _brute_sat(clauses, memo):
+            state["pruned"] += 1
+            return
+        if not clauses:
+            state["leaves"] += 1
+            state["count"] += 1 << len(free)
+            if state["count"] >= ell:
+                raise _Reached
+            return
+        if branching is BranchKind.BINARY:
+            var = next(v for v in order if v in free)
+            label, factor = f"x{var}", 2
+            models = [{var: False}, {var: True}]
+        elif nxt < len(structs):
+            label, factor = f"group{nxt}", structs[nxt].l_sigma
+            models = list(structs[nxt].iter_satisfying_assignments())
+            nxt += 1
+        else:
+            clause = min(clauses, key=len)
+            label, factor = " ".join(map(str, clause)), (1 << len(clause)) - 1
+            models = _reference_models(clause)
+        state["branch_nodes"] += 1
+        trace.append(f"{depth}\t{label}\t{factor}")
+        for model in models:
+            walk(assign(clauses, model), free - model.keys(), depth + 1, nxt)
+
+    try:
+        walk(phi.clauses, phi.varset, 0, 0)
+        kind = CutKind.EXACT
+    except _Reached:
+        kind = CutKind.AT_LEAST_ELL
+    return [kind, *state.values()], trace
+
+
+def _struct_psi(phi) -> StructSet | None:
+    params = params_for(phi.k, phi.num_vars, Strategy.INDEP_STRUCTS)
+    return red_structs(phi, params, 0.2, 0.1, _exact_counter).struct_set
+
+
+def test_cut_matches_reference_walk():
+    kinds, seen, memo = set(), set(), {}
+    for seed in range(60):
+        rng = random.Random(seed)
+        k = 2 + seed % 3
+        n = rng.randint(k + 2, 12)
+        m = rng.randint(1, {2: 3, 3: 5, 4: 9}[k] * n)
+        phi = generate(GeneratorSpec(n=n, m=m, k=k, seed=seed))
+        strategies = [(BranchKind.BINARY, EMPTY),
+                      (BranchKind.PRUNED_CLAUSE, EMPTY)]
+        psi = _struct_psi(phi) if k >= 3 else None
+        if psi is not None:
+            strategies.append((BranchKind.STRUCT_GUIDED, psi))
+        for branching, psi in strategies:
+            for ell in (rng.randint(1, 6), rng.randint(8, 64), BIG):
+                want, want_trace = _reference_cut(phi, psi, ell, branching, memo)
+                trace: list[str] = []
+                res = cut(phi, psi, ell, branching, trace=trace)
+                assert [res.kind, res.count, res.branch_nodes, res.decider_calls,
+                        res.leaves, res.pruned] == want, (seed, branching, ell)
+                assert trace == want_trace, (seed, branching, ell)
+                kinds.add(res.kind)
+                seen.add(branching)
+    assert kinds == set(CutKind) and seen == set(BranchKind)
+
+
+# Benchmark-scale cuts, recorded before the walk moved to bit-sliced
+# residuals.  k=3, n=28, m=84, generator seed 1 (802 models), completed:
+BENCH_PHI = GeneratorSpec(n=28, m=84, k=3, seed=1)
+BENCH_PINS = [
+    # (strategy, kind, count, branch_nodes, decider_calls, leaves, pruned)
+    (Strategy.THURLEY, CutKind.EXACT, 802, 4497, 8995, 627, 3871),
+    (Strategy.PRUNED_TREE, CutKind.EXACT, 802, 1050, 1549, 383, 116),
+]
+
+
+def _strategy_cut(phi, strategy, trace=None):
+    """The cut that ``approx_count`` makes for ``strategy``, at its ell,
+    without the sampling that follows it."""
+    params = params_for(phi.k, phi.num_vars, strategy)
+    if strategy is Strategy.THURLEY:
+        branching, psi = BranchKind.BINARY, EMPTY
+    elif strategy is Strategy.PRUNED_TREE:
+        branching, psi = BranchKind.PRUNED_CLAUSE, EMPTY
+    else:
+        branching = BranchKind.STRUCT_GUIDED
+        if strategy is Strategy.INDEP_STRUCTS:
+            out = red_structs(phi, params, 0.2, 0.1, _exact_counter)
+        else:
+            out = red_clauses(phi, params.m_hat, 0.2, 0.1, _exact_counter)
+        assert out.struct_set is not None
+        psi = out.struct_set
+    return cut(phi, psi, params.ell, branching, trace=trace)
+
+
+@pytest.mark.parametrize("pin", BENCH_PINS, ids=lambda p: p[0].value)
+def test_benchmark_scale_cuts_are_pinned(pin):
+    strategy, *want = pin
+    res = _strategy_cut(generate(BENCH_PHI), strategy)
+    assert [res.kind, res.count, res.branch_nodes, res.decider_calls,
+            res.leaves, res.pruned] == want
+
+
+def test_sparse_sample_cell_cuts_are_pinned():
+    # 8 instances of the sampling benchmark's two cells, generator seeds
+    # 1-4 each, under all four two-phase strategies: one digest over every
+    # CutResult field and trace line of the 32 cuts
+    digest = hashlib.sha256()
+    for k, n, m in ((3, 23, 46), (4, 19, 114)):
+        for seed in range(1, 5):
+            phi = generate(GeneratorSpec(n=n, m=m, k=k, seed=seed))
+            for strategy in (Strategy.THURLEY, Strategy.PRUNED_TREE,
+                             Strategy.INDEP_CLAUSES, Strategy.INDEP_STRUCTS):
+                trace: list[str] = []
+                res = _strategy_cut(phi, strategy, trace)
+                digest.update(repr(res).encode())
+                digest.update("\n".join(trace).encode())
+    assert digest.hexdigest()[:16] == "6ef1a12ef087d824"

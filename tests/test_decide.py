@@ -64,3 +64,11 @@ def test_witness_covers_untouched_variables():
     assert out.satisfiable and sorted(out.witness) == [1, 2, 3, 4, 5]
     assert evaluate(phi, out.witness)
 
+
+
+def test_long_decision_chains_are_not_recursive():
+    # thousands of decisions deep: a search that recursed once per
+    # decision hit the interpreter's recursion limit here
+    phi = generate(GeneratorSpec(n=3000, m=3000, k=3, seed=1, planted=True))
+    out = decide(phi)
+    assert out.satisfiable and evaluate(phi, out.witness)

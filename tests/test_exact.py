@@ -6,7 +6,7 @@ import pytest
 from indepcount import (CnfFormula, GuardError, brute_force_count,
                         count_2sat_exact, parse_dimacs)
 from indepcount.cnf import vars_of
-from indepcount.exact import _split, propagate
+from indepcount.exact import _split, find_model, propagate
 from indepcount.gen import GeneratorSpec, generate
 
 from conftest import slow_count
@@ -203,3 +203,57 @@ def test_propagate_collapses_duplicate_residual_clauses():
     assert residual == frozenset({(1, 2)})
     assert implied == {3: False, 4: True}
     _check_propagate([(1, 2, 3), (1, 2, -4), (4,)], {3: False}, 4)
+
+
+# ---------------------------------------------------------------------------
+# find_model's contract, checked against every assignment of a small universe
+
+def _check_find_model(clauses, fixed, n):
+    before = dict(fixed)
+    got = find_model(clauses, fixed)
+    assert fixed == before, "the caller's dict is left alone"
+    extendable = any(
+        _satisfies(clauses, a) for a in (
+            dict(zip(range(1, n + 1), bits))
+            for bits in itertools.product((False, True), repeat=n))
+        if _extends(a, fixed))
+    if not extendable:
+        assert got is None
+        return
+    assert got is not None
+    assert got.items() >= fixed.items()
+    # a partial model: every clause already holds, whatever the rest is
+    assert all(any(got.get(abs(code)) == (code > 0) for code in c)
+               for c in clauses)
+
+
+def test_find_model_answers_exactly_when_a_model_extends_fixed():
+    outcomes = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        clauses = []
+        for _ in range(rng.randint(0, 14)):
+            if clauses and rng.random() < 0.15:
+                clauses.append(rng.choice(clauses))
+                continue
+            width = min(n, rng.choices((0, 1, 2, 3, 4), weights=(1, 5, 10, 10, 6))[0])
+            clauses.append(tuple(v if rng.random() < 0.5 else -v
+                                 for v in rng.sample(range(1, n + 1), width)))
+        fixed = {v: rng.random() < 0.5
+                 for v in rng.sample(range(1, n + 1), rng.randint(0, n // 2))}
+        _check_find_model(clauses, fixed, n)
+        outcomes.add(find_model(clauses, fixed) is None)
+    assert outcomes == {False, True}
+
+
+def test_find_model_named_cases():
+    _check_find_model([], {}, 1)
+    _check_find_model([()], {}, 1)
+    _check_find_model([(1,), (-1,)], {}, 2)
+    _check_find_model([(1, 2), (1, 2), (-1, 2)], {}, 2)
+    _check_find_model([(-1,), (2, 3)], {1: True}, 3)
+    _check_find_model([(1, 2, 3, 4), (-1,), (-2,), (-3,)], {4: False}, 4)
+    assert find_model([(1,), (-1,)]) is None
+    assert find_model([(-1,), (2, 3)], {1: True}) is None
+    assert find_model([(1, 2)], {3: True}).items() >= {3: True}.items()
