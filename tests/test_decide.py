@@ -65,7 +65,6 @@ def test_witness_covers_untouched_variables():
     assert evaluate(phi, out.witness)
 
 
-
 def test_long_decision_chains_are_not_recursive():
     # thousands of decisions deep: a search that recursed once per
     # decision hit the interpreter's recursion limit here
