@@ -3,7 +3,7 @@
 The tree fixes variables in blocks: whole subformula groups first (one
 branch per model of the group), then clause-guided or single-variable
 branching.  A node is a bit-sliced residual over the formula's clauses
-(``exact.ClauseIndex``) plus the set of variables still free; a child
+(``exact.ClauseIndex``) plus the bitmask of variables still free; a child
 fixes its model in the parent's residual.  Every node is vetted so that
 falsified branches never expand: a child whose model empties a clause is
 pruned, a child whose model agrees with the parent's witness keeps that
@@ -112,7 +112,7 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
     state = {"count": 0, "branch_nodes": 0, "decider_calls": 0,
              "leaves": 0, "pruned": 0}
 
-    def explore(alive: int, planes: tuple[int, ...], free: frozenset[int],
+    def explore(alive: int, planes: tuple[int, ...], free: int,
                 witness: dict[int, bool] | None, depth: int,
                 next_struct: int) -> None:
         state["decider_calls"] += 1
@@ -123,13 +123,13 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
                 return
         if not alive:
             state["leaves"] += 1
-            state["count"] += 1 << len(free)
+            state["count"] += 1 << free.bit_count()
             if state["count"] >= ell:
                 raise _Abort
             return
 
         if branching is BranchKind.BINARY:
-            var = next(v for v in order if v in free)
+            var = next(v for v in order if free >> v & 1)
             label, factor = f"x{var}", 2
             models = ({var: False}, {var: True})
         elif branching is BranchKind.STRUCT_GUIDED and next_struct < len(structs):
@@ -139,7 +139,7 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
             next_struct += 1
         else:
             clause = tuple([code for code in phi.clauses[index.shortest(alive, planes)]
-                            if abs(code) in free])
+                            if free >> abs(code) & 1])
             if check_reduction and next_struct >= len(structs):
                 assert len(clause) <= width_bound, \
                     "residual clause wider than expected after the groups"
@@ -156,15 +156,15 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
                 state["pruned"] += 1
                 continue
             # the witness still satisfies the child if the model agrees with it
-            keep = witness
+            keep, rest = witness, free
             for v, value in model.items():
+                rest &= ~(1 << v)
                 if witness.get(v, value) != value:
                     keep = None
-                    break
-            explore(*child, free - model.keys(), keep, depth + 1, next_struct)
+            explore(*child, rest, keep, depth + 1, next_struct)
 
     try:
-        explore(*index.root, phi.varset, None, 0, 0)
+        explore(*index.root, sum(1 << v for v in phi.variables), None, 0, 0)
         kind = CutKind.EXACT
     except _Abort:
         kind = CutKind.AT_LEAST_ELL

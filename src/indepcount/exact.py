@@ -1,23 +1,26 @@
 """Exact model counts and satisfiability decisions.
 
-Two independent counting routes: full enumeration of the assignment
-space (the ground truth everything else is checked against) and a much
-faster counter for width-two formulas based on component splitting, unit
-propagation (``propagate``, which strips clauses with ``cnf.assign``) and
-branching on a busiest variable.  A complete search (DPLL) decides any
-formula without error: ``ClauseIndex`` keeps a clause list's occurrence
-bitmasks, its residuals are a few ints, and ``ClauseIndex.search`` runs
-on them.  The explore phase walks those residuals and searches at its
-nodes; ``find_model`` indexes int clauses and searches once; ``decide``
-wraps it for a formula and returns a checked model.
+``ClauseIndex`` keeps a clause list's occurrence bitmasks; its residuals
+are a few ints.  One unit step (``ClauseIndex.fix``) and one branching
+rule (``ClauseIndex.busiest``) serve both engines that run on them:
+
+* ``ClauseIndex.search``, a complete DPLL search.  The explore phase
+  walks residuals and searches at its nodes; ``find_model`` indexes int
+  clauses and searches once; ``decide`` wraps it for a formula and
+  returns a checked model.
+* ``ClauseIndex.count``, a component-caching DPLL counter.  Its public
+  entry is ``count_2sat_exact``, for width-two formulas.
+
+``brute_force_count`` enumerates the assignment space instead; it is the
+ground truth everything else is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import (CnfFormula, assign, bit_positions, clause_tables,
-                  evaluate, satisfying_indices, vars_of)
+from .cnf import (CnfFormula, bit_positions, clause_tables, evaluate,
+                  satisfying_indices, vars_of)
 
 BRUTE_FORCE_MAX_VARS = 28
 
@@ -28,6 +31,13 @@ class GuardError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExactCount:
+    """An exact model count and the work behind it.
+
+    ``nodes_visited`` is the number of assignments scanned when the count
+    comes from ``brute_force_count``, and the number of components
+    branched on when it comes from the counter (``count_2sat_exact``).
+    """
+
     value: int
     nodes_visited: int
 
@@ -48,157 +58,46 @@ def brute_force_count(phi: CnfFormula, *, max_vars: int = BRUTE_FORCE_MAX_VARS) 
 
 
 # ---------------------------------------------------------------------------
-# Width-2 exact counting
-
-def _split(clauses) -> list[list]:
-    """Union-find over shared variables.
-
-    Returns the clauses grouped into variable-connected parts, in order of
-    first appearance; clauses without variables share one part.
-    """
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for cl in clauses:
-        vs = [abs(code) for code in cl]
-        for v in vs:
-            parent.setdefault(v, v)
-        for v in vs[1:]:
-            ra, rb = find(vs[0]), find(v)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int | None, list] = {}
-    for cl in clauses:
-        groups.setdefault(find(abs(cl[0])) if cl else None, []).append(cl)
-    return list(groups.values())
-
-
-def propagate(clauses, fixed: dict[int, bool]):
-    """Apply ``fixed`` and run unit propagation to a fixpoint.
-
-    ``clauses`` holds DIMACS-style int tuples.  Every strip is one
-    ``cnf.assign`` pass: first of ``fixed`` (skipped when empty), then of
-    all pending units at once.  An empty clause is a conflict (two units
-    that disagree leave one after their pass).  Returns (residual clause
-    set, all fixed vars) or None on conflict.
-    """
-    fixed = dict(fixed)
-    residual = assign(clauses, fixed) if fixed else clauses
-    while True:
-        short = [c for c in residual if len(c) < 2]
-        if not short:
-            return frozenset(residual), fixed
-        if () in short:
-            return None
-        units = {abs(code): code > 0 for code, in short}
-        fixed.update(units)
-        residual = assign(residual, units)
-
-
-def busiest_var(clauses) -> int:
-    """The variable occurring most often; ties go to the smallest index."""
-    occur: dict[int, int] = {}
-    for cl in clauses:
-        for code in cl:
-            occur[abs(code)] = occur.get(abs(code), 0) + 1
-    return max(sorted(occur), key=occur.get)
-
-
-def _count_width2(clauses: frozenset[tuple[int, ...]],
-                  memo: dict, nodes: list[int]) -> int:
-    """Models of ``clauses`` over exactly the variables they mention."""
-    if any(len(cl) == 0 for cl in clauses):
-        return 0
-    if not clauses:
-        return 1
-    got = memo.get(clauses)
-    if got is not None:
-        return got
-    nodes[0] += 1
-
-    parts = _split(clauses)
-    if len(parts) > 1:
-        result = 1
-        for part in parts:
-            # freeze a set built clause by clause, not the list: the two can
-            # lay colliding clauses out differently, and the order a part
-            # iterates in decides where a zero sub-part stops the product,
-            # which shows in nodes_visited
-            result *= _count_width2(frozenset(set(part)), memo, nodes)
-            if result == 0:
-                break
-        memo[clauses] = result
-        return result
-
-    branch_var = busiest_var(clauses)
-    here = vars_of(clauses)
-    result = 0
-    for value in (False, True):
-        propagated = propagate(clauses, {branch_var: value})
-        if propagated is None:
-            continue
-        residual, fixed = propagated
-        vanished = len(here) - len(fixed) - len(vars_of(residual))
-        result += _count_width2(residual, memo, nodes) << vanished
-    memo[clauses] = result
-    return result
-
-
-def count_2sat_exact(phi: CnfFormula) -> ExactCount:
-    """Exact model count for formulas whose clauses have at most 2 literals."""
-    for c in phi.clauses:
-        if len(c) > 2:
-            raise ValueError("count_2sat_exact requires clause width <= 2")
-    canonical = frozenset(tuple(sorted(c, key=abs)) for c in phi.clauses)
-    # distinct clauses over the same variable pair are all kept by frozenset;
-    # duplicates across input order collapse, which preserves the count
-    touched = vars_of(canonical)
-    nodes = [0]
-    base = _count_width2(canonical, {}, nodes)
-    return ExactCount(value=base << (phi.num_vars - len(touched)),
-                      nodes_visited=max(nodes[0], 1))
-
-
-# ---------------------------------------------------------------------------
-# Satisfiability
+# Search and count on bit-sliced residuals
 
 class ClauseIndex:
     """Occurrence bitmasks of a clause list, for bit-sliced residuals.
 
     Bit j of every mask stands for clause j, in input order.  ``pos[v]``
     and ``neg[v]`` mark the clauses where x_v occurs positive and
-    negative.  A residual is a pair ``(alive, planes)``: ``alive`` marks
-    the clauses that no fixed literal satisfies yet, and bit j of
-    ``planes[p]`` is bit p of clause j's count of unfixed literals (read
-    on alive clauses only).  Fixing a literal clears the clauses it
-    satisfies from ``alive`` and decrements, by a borrow chain over the
-    planes, the alive clauses it falsifies, so it touches only the
-    clauses its variable occurs in.  Residuals are immutable ints, so a
-    parent's residual stays valid while its children are built from it.
+    negative, and bit v of ``spans[j]`` marks x_v in clause j.  A
+    residual is a pair ``(alive, planes)``: ``alive`` marks the clauses
+    that no fixed literal satisfies yet, and bit j of ``planes[p]`` is
+    bit p of clause j's count of unfixed literals (read on alive clauses
+    only).  Fixing a literal clears the clauses it satisfies from
+    ``alive`` and decrements, by a borrow chain over the planes, the
+    alive clauses it falsifies, so it touches only the clauses its
+    variable occurs in.  Residuals are immutable ints, so a parent's
+    residual stays valid while its children are built from it.  Which
+    variables are still unfixed is a bitmask too (bit v for x_v), and an
+    alive clause's unfixed literals are exactly its literals on them.
     """
 
-    __slots__ = ("clauses", "pos", "neg", "occurs", "root")
+    __slots__ = ("clauses", "pos", "neg", "occurs", "spans", "root")
 
     def __init__(self, clauses, top: int = 0):
         self.clauses = clauses = tuple(clauses)
         top = max(top, max((abs(code) for c in clauses for code in c), default=0))
         pos, neg = [0] * (top + 1), [0] * (top + 1)
-        counts = []
+        counts, spans = [], []
         for j, c in enumerate(clauses):
             literals = set(c)
+            span = 0
             for code in literals:
                 if code > 0:
                     pos[code] |= 1 << j
                 else:
                     neg[-code] |= 1 << j
+                span |= 1 << abs(code)
             counts.append(len(literals))
+            spans.append(span)
         depth = max(max(counts, default=0).bit_length(), 1)
-        self.pos, self.neg = pos, neg
+        self.pos, self.neg, self.spans = pos, neg, spans
         self.occurs = [p | n for p, n in zip(pos, neg)]
         self.root = ((1 << len(clauses)) - 1,
                      tuple(sum(1 << j for j, w in enumerate(counts) if w >> p & 1)
@@ -237,58 +136,148 @@ class ClauseIndex:
                 return (mask & -mask).bit_length() - 1
             width += 1
 
-    def search(self, alive: int, planes: tuple[int, ...],
-               free) -> dict[int, bool] | None:
-        """DPLL from a residual whose unfixed variables are among ``free``.
+    def fix(self, alive: int, planes: tuple[int, ...], unfixed: int,
+            code: int, trail: list[int]):
+        """Set literal ``code`` (0 sets none), then run units to a fixpoint.
 
-        Units are fixed one at a time to a fixpoint; then the busiest
-        variable (most alive occurrences, ties to the smallest index) is
-        tried True, then False.  The search is iterative: each stack entry
-        is a residual, the trail length to undo to and the decision to
-        fix in it.  Returns the variables it set, under which every alive
-        clause holds, or None if no assignment of ``free`` satisfies them.
+        A unit step sets the one unfixed literal of the first alive clause
+        that has exactly one.  Every literal set is appended to ``trail``.
+        Returns the residual with its unfixed mask, ``(alive, planes,
+        unfixed)``, or None if a clause empties.
         """
-        clauses, occurs = self.clauses, self.occurs
-        model: dict[int, bool] = {}
-        trail: list[int] = []
-        stack = [(alive, planes, 0, {})]
-        while stack:
-            alive, planes, mark, decision = stack.pop()
-            for v in trail[mark:]:
-                del model[v]
-            del trail[mark:]
-            model.update(decision)
-            trail.extend(decision)
-            residual = self.assign(alive, planes, decision)
-            # unit propagation: fix the first unit's one unfixed literal
-            while residual is not None and residual[0]:
-                alive, planes = residual
+        clauses = self.clauses
+        while True:
+            if not code:
                 units = alive & planes[0]
                 for plane in planes[1:]:
                     units &= ~plane
                 if not units:
-                    break
+                    return alive, planes, unfixed
                 for code in clauses[(units & -units).bit_length() - 1]:
-                    v = abs(code)
-                    if v in free and v not in model:
+                    if unfixed >> abs(code) & 1:
                         break
-                model[v] = code > 0
-                trail.append(v)
-                residual = self.assign(alive, planes, {v: code > 0})
+            v = abs(code)
+            trail.append(code)
+            unfixed &= ~(1 << v)
+            residual = self.assign(alive, planes, {v: code > 0})
+            if residual is None:
+                return None
+            alive, planes = residual
+            code = 0
+
+    def busiest(self, alive: int, unfixed: int) -> int:
+        """The unfixed variable with the most alive occurrences; ties go
+        to the smallest index."""
+        occurs = self.occurs
+        best, most = 0, 0
+        while unfixed:
+            low = unfixed & -unfixed
+            v = low.bit_length() - 1
+            n = (occurs[v] & alive).bit_count()
+            if n > most:
+                best, most = v, n
+            unfixed ^= low
+        return best
+
+    def search(self, alive: int, planes: tuple[int, ...],
+               unfixed: int) -> dict[int, bool] | None:
+        """DPLL from a residual whose unfixed variables are the bits of
+        ``unfixed``.
+
+        Units are fixed to a fixpoint (``fix``); then the busiest variable
+        is tried True, then False.  The search is iterative: each stack
+        entry is a residual, its unfixed mask, the trail length to undo to
+        and the decision literal to set in it.  Returns the variables it
+        set, under which every alive clause holds, or None if no
+        assignment of the unfixed variables satisfies them.
+        """
+        trail: list[int] = []
+        stack = [(alive, planes, unfixed, 0, 0)]
+        while stack:
+            alive, planes, unfixed, mark, code = stack.pop()
+            del trail[mark:]
+            residual = self.fix(alive, planes, unfixed, code, trail)
             if residual is None:
                 continue
-            alive, planes = residual
+            alive, planes, unfixed = residual
             if not alive:
-                return model
-            best, most = 0, 0
-            for v in free:
-                if v not in model:
-                    n = (occurs[v] & alive).bit_count()
-                    if n > most or (n == most and v < best):
-                        best, most = v, n
-            stack.append((alive, planes, len(trail), {best: False}))
-            stack.append((alive, planes, len(trail), {best: True}))
+                return {abs(code): code > 0 for code in trail}
+            best = self.busiest(alive, unfixed)
+            stack.append((alive, planes, unfixed, len(trail), -best))
+            stack.append((alive, planes, unfixed, len(trail), best))
         return None
+
+    def count(self, alive: int, planes: tuple[int, ...], unfixed: int,
+              memo: dict[tuple[int, int], int]) -> int:
+        """Models over the ``unfixed`` variables of a residual with no
+        empty clause, such as ``fix`` returns.
+
+        The alive clauses split into components, each found by a walk
+        from its first clause through the clauses' unfixed variables and
+        their occurrences.  A component is the pair (clause mask, mask of
+        its unfixed variables); that pair fixes its residual, so it is
+        the key of its count in ``memo``.  An uncounted component
+        branches on its busiest variable, False then True, runs the units
+        of each branch and counts what is left.  Counts multiply across
+        components, and each unfixed variable in no alive clause doubles
+        the total.
+        """
+        occurs, spans = self.occurs, self.spans
+        total, covered = 1, 0
+        while alive:
+            part = new = alive & -alive
+            here = 0
+            while new:
+                found = 0
+                while new:
+                    low = new & -new
+                    found |= spans[low.bit_length() - 1]
+                    new ^= low
+                found &= unfixed & ~here
+                here |= found
+                while found:
+                    low = found & -found
+                    new |= occurs[low.bit_length() - 1]
+                    found ^= low
+                new &= alive & ~part
+                part |= new
+            alive &= ~part
+            covered |= here
+            got = memo.get((part, here))
+            if got is None:
+                v = self.busiest(part, here)
+                got = 0
+                for code in (-v, v):
+                    residual = self.fix(part, planes, here, code, [])
+                    if residual is not None:
+                        got += self.count(*residual, memo)
+                memo[part, here] = got
+            total *= got
+            if not total:
+                return 0
+        return total << (unfixed & ~covered).bit_count()
+
+
+def _count(clauses, variables) -> ExactCount:
+    """Models of int ``clauses`` over the universe ``variables``, which
+    holds every variable they mention: ``ClauseIndex.count`` after the
+    root's units.  ``nodes_visited`` is the number of components it
+    branched on."""
+    if any(not c for c in clauses):
+        return ExactCount(value=0, nodes_visited=0)
+    index = ClauseIndex(clauses, max(variables, default=0))
+    memo: dict[tuple[int, int], int] = {}
+    residual = index.fix(*index.root, sum(1 << v for v in variables), 0, [])
+    value = 0 if residual is None else index.count(*residual, memo)
+    return ExactCount(value=value, nodes_visited=len(memo))
+
+
+def count_2sat_exact(phi: CnfFormula) -> ExactCount:
+    """Exact model count for formulas whose clauses have at most 2 literals."""
+    for c in phi.clauses:
+        if len(c) > 2:
+            raise ValueError("count_2sat_exact requires clause width <= 2")
+    return _count(phi.clauses, phi.variables)
 
 
 def find_model(clauses, fixed: dict[int, bool] | None = None
@@ -300,7 +289,8 @@ def find_model(clauses, fixed: dict[int, bool] | None = None
     residual = index.assign(*index.root, fixed)
     if residual is None:
         return None
-    found = index.search(*residual, vars_of(index.clauses) - fixed.keys())
+    unfixed = sum(1 << v for v in vars_of(index.clauses) - fixed.keys())
+    found = index.search(*residual, unfixed)
     return None if found is None else {**fixed, **found}
 
 

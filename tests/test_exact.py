@@ -1,15 +1,17 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from indepcount import (CnfFormula, GuardError, brute_force_count,
                         count_2sat_exact, parse_dimacs)
-from indepcount.cnf import vars_of
-from indepcount.exact import _split, find_model, propagate
+from indepcount.exact import _count, find_model
 from indepcount.gen import GeneratorSpec, generate
 
 from conftest import slow_count
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_chain3_count(chain3):
@@ -63,18 +65,19 @@ def test_2sat_matches_brute_force():
         assert count_2sat_exact(phi).value == brute_force_count(phi).value
 
 
-# (n, m, generator seed, value, nodes_visited) from a reference run; the
-# component split, the propagator and the branching rule fix nodes_visited.
-# The fourth instance has no models; the last three are the size of the
-# benchmark's 2-CNF cell.
+# (n, m, generator seed, value, nodes_visited) from a reference run.
+# nodes_visited is the number of distinct components the counter branched
+# on (its memo entries after the root's units); the component walk, the
+# unit step and the branching rule fix it.  The fourth instance has no
+# models; the last three are the size of the benchmark's 2-CNF cell.
 TWOSAT_PINS = [
-    (110, 121, 5230, 8413646287219458048, 536),
-    (112, 123, 5384, 626834104074731520, 464),
-    (119, 130, 5223, 2079857996867174400, 455),
-    (71, 78, 5027, 0, 4),
-    (18, 18, 5405, 1422, 16),
-    (18, 18, 5411, 1504, 14),
-    (18, 18, 5417, 192, 4),
+    (110, 121, 5230, 8413646287219458048, 294),
+    (112, 123, 5384, 626834104074731520, 261),
+    (119, 130, 5223, 2079857996867174400, 247),
+    (71, 78, 5027, 0, 2),
+    (18, 18, 5405, 1422, 12),
+    (18, 18, 5411, 1504, 13),
+    (18, 18, 5417, 192, 3),
 ]
 
 
@@ -105,21 +108,32 @@ def _part_vars(part):
     return sorted({abs(code) for c in part for code in c})
 
 
+def _parts(clauses):
+    """Clauses grouped by shared variables (a union-find over variables)."""
+    parent: dict[int, int] = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    for c in clauses:
+        for code in c[1:]:
+            parent[find(abs(code))] = find(abs(c[0]))
+    groups: dict[int, list] = {}
+    for c in clauses:
+        groups.setdefault(find(abs(c[0])), []).append(c)
+    return list(groups.values())
+
+
 def _component_product(phi, counter):
-    parts = _split(phi.clauses)
+    parts = _parts(phi.clauses)
     prod = 1 << (phi.num_vars - sum(len(_part_vars(p)) for p in parts))
     for part in parts:
         prod *= counter(CnfFormula(part, variables=_part_vars(part))).value
         if prod == 0:
             break
     return prod
-
-
-def test_components_partition_touched_vars():
-    phi = CnfFormula([(1, 2), (2, 3), (5, 6)], 7)
-    groups = sorted(_part_vars(part) for part in _split(phi.clauses))
-    assert groups == [[1, 2, 3], [5, 6]]
-    assert phi.num_vars - sum(map(len, groups)) == 2
 
 
 def test_component_counts_multiply():
@@ -134,7 +148,7 @@ def test_component_multiplicativity_random():
 
 
 # ---------------------------------------------------------------------------
-# propagate's contract, checked against every assignment of a small universe
+# The counter's contract, checked against every assignment of a small universe
 
 def _satisfies(clauses, assignment):
     return all(any(assignment[abs(code)] == (code > 0) for code in c)
@@ -145,64 +159,54 @@ def _extends(assignment, partial):
     return all(assignment[v] == value for v, value in partial.items())
 
 
-def _check_propagate(clauses, fixed, n):
-    before = dict(fixed)
-    got = propagate(clauses, fixed)
-    assert fixed == before, "the caller's dict is left alone"
-    cube = [dict(zip(range(1, n + 1), bits))
-            for bits in itertools.product((False, True), repeat=n)]
-    models = [a for a in cube if _extends(a, fixed) and _satisfies(clauses, a)]
-    if got is None:
-        assert not models
-        return
-    residual, implied = got
-    assert implied.items() >= fixed.items()
-    assert all(_extends(a, implied) for a in models)
-    assert not vars_of(residual) & implied.keys()
-    assert all(len(c) >= 2 for c in residual)
-    for a in cube:
-        if _extends(a, implied):
-            assert _satisfies(clauses, a) == _satisfies(residual, a)
+def _random_clauses(rng, n, count, weights):
+    """Random int clauses over x1..xn, some of them repeats of earlier ones."""
+    clauses = []
+    for _ in range(count):
+        if clauses and rng.random() < 0.15:
+            clauses.append(rng.choice(clauses))
+            continue
+        width = min(n, rng.choices(range(len(weights)), weights=weights)[0])
+        clauses.append(tuple(v if rng.random() < 0.5 else -v
+                             for v in rng.sample(range(1, n + 1), width)))
+    return clauses
 
 
-def test_propagate_keeps_exactly_the_models_extending_fixed():
-    outcomes = set()
+def test_counter_counts_every_width_against_enumeration():
+    # the private entry point: count_2sat_exact refuses width 3 and above
+    values = set()
     for seed in range(300):
         rng = random.Random(seed)
-        n = rng.randint(1, 8)
-        clauses = []
-        for _ in range(rng.randint(0, 10)):
-            if clauses and rng.random() < 0.15:
-                clauses.append(rng.choice(clauses))
-                continue
-            width = min(n, rng.choices((0, 1, 2, 3), weights=(1, 6, 10, 10))[0])
-            clauses.append(tuple(v if rng.random() < 0.5 else -v
-                                 for v in rng.sample(range(1, n + 1), width)))
-        fixed = {v: rng.random() < 0.5
-                 for v in rng.sample(range(1, n + 1), rng.randint(0, n // 2))}
-        _check_propagate(clauses, fixed, n)
-        outcomes.add(propagate(clauses, fixed) is None)
-    assert outcomes == {False, True}
+        n = rng.randint(1, 9)
+        clauses = _random_clauses(rng, n, rng.randint(0, 12), (1, 6, 10, 10, 6))
+        if rng.random() < 0.2:
+            v = rng.randint(1, n)
+            clauses += [(v,), (-v,)]
+        # universe variables past n appear in no clause
+        universe = range(1, n + rng.randint(0, 3) + 1)
+        want = sum(_satisfies(clauses, dict(zip(universe, bits)))
+                   for bits in itertools.product((False, True),
+                                                 repeat=len(universe)))
+        got = _count(clauses, universe)
+        assert got.value == want, (seed, clauses)
+        values.add(min(want, 2))
+    assert values == {0, 1, 2}
+    assert _count([], range(1, 4)).value == 8
+    assert _count([(1, 2), ()], range(1, 3)).value == 0
+    assert _count([(1,), (-1,)], range(1, 3)).value == 0
+    assert _count([(1, 2, 3), (1, 2, 3), (-1,)], range(1, 5)).value == 6
 
 
-def test_propagate_empty_clause_is_a_conflict():
-    assert propagate([(1, 2), ()], {}) is None
+def test_2sat_matches_exactref_above_brute_force_size(monkeypatch):
+    # perfbench's reference counter shares no code with the library
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import exactref
 
-
-def test_propagate_opposite_units_conflict():
-    assert propagate([(1,), (-1,)], {}) is None
-    assert propagate([(1,), (-2, 3), (-1,)], {}) is None
-
-
-def test_propagate_unit_against_fixed_is_a_conflict():
-    assert propagate([(-1,), (2, 3)], {1: True}) is None
-
-
-def test_propagate_collapses_duplicate_residual_clauses():
-    residual, implied = propagate([(1, 2, 3), (1, 2, -4), (4,)], {3: False})
-    assert residual == frozenset({(1, 2)})
-    assert implied == {3: False, 4: True}
-    _check_propagate([(1, 2, 3), (1, 2, -4), (4,)], {3: False}, 4)
+    for seed in range(40):
+        n = 40 + (seed * 37) % 81
+        phi = generate(GeneratorSpec(n=n, m=n + n // 10, k=2, seed=3000 + seed))
+        assert (count_2sat_exact(phi).value
+                == exactref.count_models(phi.int_clauses(), n)), seed
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +236,7 @@ def test_find_model_answers_exactly_when_a_model_extends_fixed():
     for seed in range(400):
         rng = random.Random(seed)
         n = rng.randint(1, 8)
-        clauses = []
-        for _ in range(rng.randint(0, 14)):
-            if clauses and rng.random() < 0.15:
-                clauses.append(rng.choice(clauses))
-                continue
-            width = min(n, rng.choices((0, 1, 2, 3, 4), weights=(1, 5, 10, 10, 6))[0])
-            clauses.append(tuple(v if rng.random() < 0.5 else -v
-                                 for v in rng.sample(range(1, n + 1), width)))
+        clauses = _random_clauses(rng, n, rng.randint(0, 14), (1, 5, 10, 10, 6))
         fixed = {v: rng.random() < 0.5
                  for v in rng.sample(range(1, n + 1), rng.randint(0, n // 2))}
         _check_find_model(clauses, fixed, n)

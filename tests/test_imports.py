@@ -1,6 +1,8 @@
 """Import lint: every name imported in the package or the tests is used,
 every module-level private name of the package is referenced elsewhere
-in it, and every name the package exports resolves.
+in it, every public function or class the package does not export is
+referenced from the package or the benchmark (tests do not count), and
+every name the package exports resolves.
 
 Built on the standard library's ``ast`` so that it runs wherever the
 tests do.  A name counts as used when the module loads it anywhere, lists
@@ -17,6 +19,7 @@ import indepcount
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "indepcount").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 CHECKED = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -103,17 +106,41 @@ def _references(tree: ast.AST) -> Counter:
     return out
 
 
-def unreferenced_private_names(paths) -> list[str]:
-    """``file: name`` of each module-level private name that no code outside
-    its own definition refers to."""
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"),
-                             filename=str(path)) for path in paths}
+def _parsed(paths) -> dict:
+    return {path: ast.parse(path.read_text(encoding="utf-8"),
+                            filename=str(path)) for path in paths}
+
+
+def _total_references(trees) -> Counter:
     total: Counter = Counter()
     for tree in trees.values():
         total += _references(tree)
+    return total
+
+
+def unreferenced_private_names(paths) -> list[str]:
+    """``file: name`` of each module-level private name that no code outside
+    its own definition refers to."""
+    trees = _parsed(paths)
+    total = _total_references(trees)
     return sorted(f"{path.name}: {name}" for path, tree in trees.items()
                   for name, node in _private_definitions(tree)
                   if total[name] == _references(node)[name])
+
+
+def unreferenced_public_names(paths, users, exported) -> list[str]:
+    """``file: name`` of each module-level public function or class in
+    ``paths`` that is not in ``exported`` and that no code in ``paths`` or
+    ``users`` refers to outside its own definition."""
+    trees = _parsed(paths)
+    total = _total_references(trees) + _total_references(_parsed(users))
+    return sorted(f"{path.name}: {node.name}" for path, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and node.name not in exported
+                  and total[node.name] == _references(node)[node.name])
 
 
 def test_lint_sees_the_files():
@@ -167,6 +194,53 @@ def test_lint_flags_a_dead_private_helper(tmp_path):
 def test_every_private_name_is_referenced():
     found = unreferenced_private_names(PACKAGE)
     assert not found, "unreferenced private names:\n" + "\n".join(found)
+
+
+def test_lint_flags_a_dead_public_helper(tmp_path):
+    package, users = tmp_path / "package", tmp_path / "users"
+    package.mkdir()
+    users.mkdir()
+    (package / "a.py").write_text(
+        "def exported(x):\n"
+        "    return x\n"
+        "def helper(x):\n"
+        "    return x + 1\n"
+        "def inner(x):\n"
+        "    return x - 1\n"
+        "def dead(x):\n"
+        "    return dead(x - 1) if x else 0\n"
+        "def _private(x):\n"
+        "    return x\n"
+        "class Gone:\n"
+        "    pass\n"
+        "LIMIT = 3\n",
+        encoding="utf-8")
+    (package / "b.py").write_text(
+        "from .a import inner\n"
+        "def exported_too(x):\n"
+        "    return inner(x)\n",
+        encoding="utf-8")
+    (users / "bench.py").write_text(
+        "import a\n"
+        "print(a.helper(2))\n",
+        encoding="utf-8")
+    # a test that calls a helper does not keep it alive
+    (users / "test_a.py").write_text(
+        "from a import dead\n"
+        "def test_dead():\n"
+        "    assert dead(3) == 0\n",
+        encoding="utf-8")
+    found = unreferenced_public_names(
+        sorted(package.glob("*.py")), [users / "bench.py"],
+        {"exported", "exported_too"})
+    assert found == ["a.py: Gone", "a.py: dead"]
+
+
+def test_every_unexported_public_name_is_referenced():
+    found = unreferenced_public_names(PACKAGE, BENCHMARK,
+                                      set(indepcount.__all__))
+    assert not found, ("public names neither exported nor used by the "
+                       "package or the benchmark:\n" + "\n".join(found))
 
 
 def test_every_export_resolves():
