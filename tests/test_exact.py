@@ -6,7 +6,8 @@ import pytest
 
 from indepcount import (CnfFormula, GuardError, brute_force_count,
                         count_2sat_exact, parse_dimacs)
-from indepcount.exact import _count, find_model
+from indepcount.cnf import vars_of
+from indepcount.exact import ClauseIndex, _count, find_model
 from indepcount.gen import GeneratorSpec, generate
 
 from conftest import slow_count
@@ -195,6 +196,81 @@ def test_counter_counts_every_width_against_enumeration():
     assert _count([(1, 2), ()], range(1, 3)).value == 0
     assert _count([(1,), (-1,)], range(1, 3)).value == 0
     assert _count([(1, 2, 3), (1, 2, 3), (-1,)], range(1, 5)).value == 6
+
+
+# ---------------------------------------------------------------------------
+# The unit step's contract: ClauseIndex.assign of ``fixed``, then
+# ClauseIndex.fix to a fixpoint, read back as int clauses
+
+def propagate(clauses, fixed):
+    """(residual clause set, all fixed vars) after ``fixed`` and the units
+    it leads to, or None if a clause empties."""
+    index = ClauseIndex(clauses, max(fixed, default=0))
+    residual = index.assign(*index.root, fixed)
+    if residual is None:
+        return None
+    unfixed = sum(1 << v for v in vars_of(index.clauses) - fixed.keys())
+    trail: list[int] = []
+    residual = index.fix(*residual, unfixed, 0, trail)
+    if residual is None:
+        return None
+    alive, _, unfixed = residual
+    left = frozenset(tuple(code for code in c if unfixed >> abs(code) & 1)
+                     for j, c in enumerate(index.clauses) if alive >> j & 1)
+    return left, {**fixed, **{abs(code): code > 0 for code in trail}}
+
+
+def _check_propagate(clauses, fixed, n):
+    before = dict(fixed)
+    got = propagate(clauses, fixed)
+    assert fixed == before, "the caller's dict is left alone"
+    cube = [dict(zip(range(1, n + 1), bits))
+            for bits in itertools.product((False, True), repeat=n)]
+    models = [a for a in cube if _extends(a, fixed) and _satisfies(clauses, a)]
+    if got is None:
+        assert not models
+        return
+    residual, implied = got
+    assert implied.items() >= fixed.items()
+    assert all(_extends(a, implied) for a in models)
+    assert not vars_of(residual) & implied.keys()
+    assert all(len(c) >= 2 for c in residual)
+    for a in cube:
+        if _extends(a, implied):
+            assert _satisfies(clauses, a) == _satisfies(residual, a)
+
+
+def test_propagate_keeps_exactly_the_models_extending_fixed():
+    outcomes = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        clauses = _random_clauses(rng, n, rng.randint(0, 10), (1, 6, 10, 10))
+        fixed = {v: rng.random() < 0.5
+                 for v in rng.sample(range(1, n + 1), rng.randint(0, n // 2))}
+        _check_propagate(clauses, fixed, n)
+        outcomes.add(propagate(clauses, fixed) is None)
+    assert outcomes == {False, True}
+
+
+def test_propagate_empty_clause_is_a_conflict():
+    assert propagate([(1, 2), ()], {}) is None
+
+
+def test_propagate_opposite_units_conflict():
+    assert propagate([(1,), (-1,)], {}) is None
+    assert propagate([(1,), (-2, 3), (-1,)], {}) is None
+
+
+def test_propagate_unit_against_fixed_is_a_conflict():
+    assert propagate([(-1,), (2, 3)], {1: True}) is None
+
+
+def test_propagate_collapses_duplicate_residual_clauses():
+    residual, implied = propagate([(1, 2, 3), (1, 2, -4), (4,)], {3: False})
+    assert residual == frozenset({(1, 2)})
+    assert implied == {3: False, 4: True}
+    _check_propagate([(1, 2, 3), (1, 2, -4), (4,)], {3: False}, 4)
 
 
 def test_2sat_matches_exactref_above_brute_force_size(monkeypatch):
