@@ -229,7 +229,9 @@ def parse_dimacs(text: str, *, stats: ParseStats | None = None) -> CnfFormula:
         warnings.warn(
             f"header declares {declared} clauses, found {stats.parsed_clauses}",
             DimacsWarning)
-    return CnfFormula(clauses, num_vars)
+    # the loop above already rejected variables outside the header's range,
+    # merged repeated literals and dropped tautologies
+    return CnfFormula._checked(tuple(clauses), tuple(range(1, num_vars + 1)))
 
 
 def serialize_dimacs(phi: CnfFormula, *, comment: str | None = None) -> str:
@@ -302,9 +304,15 @@ def restrict(phi: CnfFormula, assignment: Mapping[int, bool]) -> CnfFormula:
 # set in every entry of T_b.  The kernel runs over slices of
 # _SLICE_WORDS words, small enough that a slice and its temporaries stay
 # in L2, and later blocks see only the survivors of earlier ones.
+#
+# Listing every satisfying index of [0, 2^n) needs no gather per index:
+# ``satisfying_indices`` joins the low _HALF_BITS bits of the index with
+# the bits above them, ANDing each half's own table entries by broadcast
+# and testing a pair only on the clauses that span both halves.
 
 _TABLE_CLAUSES = 64
 _SLICE_WORDS = 1 << 15
+_HALF_BITS = 16
 
 ClauseTables = tuple[tuple[tuple[int, ...], np.ndarray], ...]
 
@@ -404,12 +412,91 @@ def satisfied_rows(tables: ClauseTables, words: np.ndarray) -> np.ndarray:
     return np.concatenate(kept) if kept else words
 
 
+def _half_masks(used: tuple[int, ...], table: np.ndarray, high: bool,
+                base: int, digits: tuple[np.ndarray, np.ndarray],
+                start) -> np.ndarray:
+    """``start`` ANDed with one block's masks over one half of the index:
+    the AND of its table entries for bytes 0-1 (the low half) or for bytes
+    2 and up (the high half, the index shifted right by ``_HALF_BITS``).
+    ``digits`` holds bytes 0 and 1 of offsets from ``base``, a multiple of
+    2^16; the bytes above are those of ``base``.  The two arrays broadcast
+    together, so a column of byte-1 values against a row of byte-0 values
+    covers a whole 2^16 range with one AND per value."""
+    acc = start
+    for i, b in enumerate(used):
+        if (b >= 2) != high:
+            continue
+        b -= 2 if high else 0
+        acc = acc & table[i, digits[b] if b < 2 else (base >> (8 * b)) & 0xFF]
+    return np.broadcast_to(acc, np.broadcast_shapes(*(d.shape for d in digits)))
+
+
+def _sieve(tables: ClauseTables, missing: list, high: bool, base: int,
+           bits: int) -> np.ndarray:
+    """The offsets in ``[0, 2^bits)`` from ``base`` of one half's values
+    that falsify no clause this half decides alone."""
+    keep = None
+    digits = (np.arange(min(1 << bits, 256)),
+              np.arange(1 << max(bits - 8, 0))[:, None])
+    for (used, table), miss in zip(tables, missing):
+        # the clauses with no literal in the other half
+        clear = (_half_masks(used, table, high, base, digits,
+                             miss[not high]) == 0).ravel()
+        keep = np.flatnonzero(clear) if keep is None else keep[clear]
+        digits = (keep & 0xFF, keep >> 8)
+    return np.arange(1 << bits) if keep is None else keep
+
+
 def satisfying_indices(tables: ClauseTables, nbits: int) -> Iterator[np.ndarray]:
     """Every index in ``[0, 2^nbits)`` that satisfies all clauses, as
-    ascending chunks of survivors from one kernel slice each."""
-    space = 1 << nbits
-    step = min(space, _SLICE_WORDS)
-    scratch = _scratch(step)
-    for base in range(0, space, step):
-        yield _check_slice(tables, np.arange(base, base + step, dtype=np.uint64),
-                           scratch)
+    ascending chunks.
+
+    A meet-in-the-middle join over the index split into its low
+    ``_HALF_BITS`` bits ``l`` and the bits above them ``h``.  In each
+    block, ``L[l]`` ANDs the table entries of bytes 0-1 and ``H[h]`` those
+    of bytes 2 and up, and ``h * 2^16 + l`` satisfies the block exactly
+    when ``L[l] & H[h] == 0``.  A clause with no literal in one half has
+    its bit set in every mask of that half, so the other half decides it
+    alone, and each side first drops the values that falsify such a
+    clause.  The surviving pairs are tested on the blocks left with a
+    clause that spans both halves, in slabs of whole ``h`` rows by every
+    low survivor, read row-major so the output stays ascending.  ``h`` is
+    walked in slices of at most 2^16 values, which bounds the memory at
+    every ``nbits`` up to 64.
+    """
+    low_bits = min(nbits, _HALF_BITS)
+    high_bits = nbits - low_bits
+    # per block: the clauses with no literal in the low half, then in the
+    # high half (all ones when the block touches no byte of that half)
+    missing = []
+    for used, table in tables:
+        miss = [~np.uint64(0), ~np.uint64(0)]
+        for i, b in enumerate(used):
+            miss[b >= 2] &= np.bitwise_and.reduce(table[i])
+        missing.append(miss)
+    low = _sieve(tables, missing, False, 0, low_bits)
+    if not len(low):
+        return
+    # the join reads only blocks with a clause that spans both halves
+    mixed = [(used, table) for (used, table), miss in zip(tables, missing)
+             if np.bitwise_or.reduce(table[0]) & ~(miss[0] | miss[1])]
+    low_masks = [_half_masks(used, table, False, 0, (low & 0xFF, low >> 8),
+                             ~np.uint64(0)) for used, table in mixed]
+    low = low.astype(np.uint64)
+    rows = max(1, _SLICE_WORDS // len(low))
+    slice_bits = min(high_bits, _HALF_BITS)
+    for base in range(0, 1 << high_bits, 1 << slice_bits):
+        high = _sieve(tables, missing, True, base, slice_bits)
+        high_masks = [_half_masks(used, table, True, base,
+                                  (high & 0xFF, high >> 8), ~np.uint64(0))
+                      for used, table in mixed]
+        heads = (high + base).astype(np.uint64) << np.uint64(_HALF_BITS)
+        for start in range(0, len(high), rows):
+            part = slice(start, start + rows)
+            pairs = heads[part, None] | low
+            if mixed:
+                clash = np.zeros(pairs.shape, dtype=bool)
+                for low_mask, high_mask in zip(low_masks, high_masks):
+                    clash |= (high_mask[part, None] & low_mask) != 0
+                pairs = pairs[~clash]
+            yield pairs.ravel()

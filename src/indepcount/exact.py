@@ -11,8 +11,10 @@ rule (``ClauseIndex.busiest``) serve both engines that run on them:
 * ``ClauseIndex.count``, a component-caching DPLL counter.  Its public
   entry is ``count_2sat_exact``, for width-two formulas.
 
-``brute_force_count`` enumerates the assignment space instead; it is the
-ground truth everything else is checked against.
+``brute_force_count`` lists the satisfying indices of the whole
+assignment space instead, by the half-index join of
+``cnf.satisfying_indices``; it is the ground truth everything else is
+checked against.
 """
 
 from __future__ import annotations
@@ -43,9 +45,12 @@ class ExactCount:
 
 
 def brute_force_count(phi: CnfFormula, *, max_vars: int = BRUTE_FORCE_MAX_VARS) -> ExactCount:
-    """Count models by enumerating all 2^n assignments of the universe.
+    """Count models over all 2^n assignments of the universe.
 
-    One table-lookup scan over every index; refuses to run for more than
+    The satisfying indices come from the half-index join of
+    ``satisfying_indices``, which tests the low and high halves of an
+    index apart and pairs only their survivors; ``nodes_visited`` is still
+    the 2^n assignments covered.  Refuses to run for more than
     ``max_vars`` free variables.
     """
     t = phi.num_vars

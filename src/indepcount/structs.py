@@ -60,7 +60,8 @@ def _scan_models(clauses: Sequence[tuple[int, ...]], over_vars: Sequence[int]):
                 collected.append(chunk)
     if collected is None:
         return count, None
-    return count, np.concatenate(collected)
+    return count, (np.concatenate(collected) if collected
+                   else np.empty(0, dtype=np.uint64))
 
 
 def _kept(indices: np.ndarray | None) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ from indepcount import (CnfFormula, DimacsError, approx_count,
                         brute_force_count, evaluate, parse_dimacs, restrict,
                         serialize_dimacs)
 from indepcount.cnf import (_SLICE_WORDS, DimacsWarning, ParseStats,
-                            bit_positions, clause_tables, satisfied_rows)
+                            bit_positions, clause_tables, satisfied_rows,
+                            satisfying_indices)
 from indepcount.gen import GeneratorSpec, generate
 
 from conftest import CHAIN3_TEXT
@@ -189,6 +191,32 @@ def test_chain3_text_matches_fixture(chain3):
     assert parse_dimacs(CHAIN3_TEXT) == chain3
 
 
+def _same_formula(phi, clauses, num_vars):
+    # == compares the clauses, the variables and k
+    built = CnfFormula(clauses, num_vars)
+    assert phi == built and phi.varset == built.varset
+
+
+def test_parsed_formula_equals_the_checked_constructor():
+    for seed in range(60):
+        k = 1 + seed % 5
+        n = k + seed % 13
+        phi = generate(GeneratorSpec(n=n, m=seed * 3 % 40, k=k, seed=500 + seed))
+        _same_formula(parse_dimacs(serialize_dimacs(phi)), phi.clauses, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DimacsWarning)
+        edge = [
+            ("p cnf 3 1\n1 1 -2 3 3 0\n", [(1, -2, 3)], 3),   # merged
+            ("p cnf 3 2\n1 -1 2 0\n-3 0\n", [(-3,)], 3),     # tautology
+            ("p cnf 4 2\n1 2 0\n-3 4\n", [(1, 2), (-3, 4)], 4),  # unterminated
+            ("p cnf 3 1\n1 -2 0\n%\n0\n", [(1, -2)], 3),   # SATLIB trailer
+            ("p cnf 0 0\n", [], 0),
+            ("p cnf 5 1\n0\n", [()], 5),                    # empty clause
+        ]
+        for text, clauses, n in edge:
+            _same_formula(parse_dimacs(text), clauses, n)
+
+
 # --- clause-scan kernel ------------------------------------------------------
 
 def _kernel(phi, words):
@@ -292,3 +320,51 @@ def test_brute_force_count_across_slices_matches_evaluate():
     expected = len(_models(phi, range(1 << phi.num_vars)))
     assert expected > 0
     assert brute_force_count(phi).value == expected
+
+
+def _tables(phi):
+    return clause_tables(phi.clauses, bit_positions(phi.variables))
+
+
+def _joined(tables, nbits):
+    chunks = list(satisfying_indices(tables, nbits))
+    assert all(chunk.dtype == np.uint64 for chunk in chunks)
+    return np.concatenate([np.empty(0, dtype=np.uint64), *chunks])
+
+
+def test_satisfying_indices_equals_the_kernel_on_every_index():
+    # the kernel path shares no code with the join
+    rng = np.random.default_rng(34)
+    cases = [CnfFormula([], 0), CnfFormula([()], 0), CnfFormula([()], 9),
+             CnfFormula([], 17), CnfFormula([(-17,), (1, 17)], 17)]
+    for seed in range(60):
+        k = 1 + seed % 4
+        n = int(rng.integers(k, 21))
+        # below the number of distinct clauses, so no duplicate is forced
+        m = int(rng.integers(0, min(150, math.comb(n, k) * 2 ** k // 2) + 1))
+        cases.append(generate(GeneratorSpec(n=n, m=m, k=k, seed=800 + seed)))
+    for phi in cases:
+        tables, t = _tables(phi), phi.num_vars
+        got = _joined(tables, t)
+        want = satisfied_rows(tables, np.arange(1 << t, dtype=np.uint64))
+        assert np.array_equal(got, want), phi
+        assert (np.diff(got.astype(np.int64)) > 0).all()
+
+
+def test_satisfying_indices_walks_high_slices_at_34_bits():
+    # 18 high variables pinned by units leave one value of h; the join
+    # walks its four 2^16 slices of h (a 2^34 index scan would not finish)
+    rng = np.random.default_rng(35)
+    pins = [int(v) if rng.integers(2) else -int(v) for v in range(17, 35)]
+    low = generate(GeneratorSpec(n=16, m=40, k=3, seed=9))
+    spans = [(1, pins[-1]), (-2, -pins[0]), (3, 4, -pins[5])]
+    phi = CnfFormula(low.clauses + tuple((p,) for p in pins) + tuple(spans), 34)
+    got = _joined(_tables(phi), 34)
+    head = sum(1 << (p - 1) for p in pins if p > 0)
+    # the pinned head leaves the spanning clauses on the low 16 bits alone
+    rest = CnfFormula(low.clauses + tuple(
+        tuple(code for code in c if abs(code) <= 16) for c in spans
+        if not any(code in pins for code in c)), 16)
+    low_models = satisfied_rows(_tables(rest), np.arange(1 << 16, dtype=np.uint64))
+    assert 0 < len(low_models) < 1 << 16
+    assert got.tolist() == (low_models + np.uint64(head)).tolist()

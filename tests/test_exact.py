@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -56,6 +57,61 @@ def test_brute_force_matches_slow_reference():
         m = 2 + (seed * 7) % 20
         phi = generate(GeneratorSpec(n=n, m=m, k=3, seed=seed))
         assert brute_force_count(phi).value == slow_count(phi)
+
+
+def _exactref(monkeypatch):
+    # perfbench's reference counter shares no code with the library
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import exactref
+    return exactref
+
+
+def test_brute_force_matches_exactref_across_index_widths(monkeypatch):
+    # n runs over <= 8, 9-16 and > 16 index bits, so the join sees a low
+    # half alone, a partial low half and high slices; m up to 150 fills
+    # up to three 64-clause blocks
+    exactref = _exactref(monkeypatch)
+    rng = random.Random(18)
+    for seed in range(500):
+        k = rng.randint(1, 5)
+        n = rng.randint(k, 22)
+        # below the number of distinct clauses, so no duplicate is forced
+        m = rng.randint(0, min(150, math.comb(n, k) * 2 ** k // 2))
+        phi = generate(GeneratorSpec(n=n, m=m, k=k, seed=7000 + seed))
+        got = brute_force_count(phi)
+        assert got.value == exactref.count_models(phi.int_clauses(), n), seed
+        assert got.nodes_visited == 1 << n
+
+
+def test_brute_force_hand_cases_match_exactref(monkeypatch):
+    exactref = _exactref(monkeypatch)
+    rng = random.Random(19)
+    top_units = [(22,), (-21,)] + [
+        tuple(rng.choice((-1, 1)) * v for v in rng.sample(range(1, 23), 3))
+        for _ in range(40)]
+    cases = [
+        CnfFormula([], 0),
+        CnfFormula([()], 0),
+        CnfFormula([], 19),
+        CnfFormula([(1, -2), (), (3,)], 20),
+        CnfFormula(top_units, 22),
+        CnfFormula([(-18,), (17,), (1, 2, -17)], 18),
+        CnfFormula([(-9,), (16, -8), (1, 9, 16)], 16),
+    ]
+    for phi in cases:
+        got = brute_force_count(phi)
+        assert got.value == exactref.count_models(phi.int_clauses(),
+                                                  phi.num_vars), phi
+        assert got.nodes_visited == 1 << phi.num_vars
+    # gapped universe: bit i stands for the i-th smallest variable
+    gapped = CnfFormula([(3, -40), (-3, 17), (41,), (-25, -41)],
+                        variables=[3, 17, 25, 40, 41])
+    rename = {v: i for i, v in enumerate(gapped.variables, start=1)}
+    dense = [tuple(rename[abs(c)] * (1 if c > 0 else -1) for c in clause)
+             for clause in gapped.clauses]
+    got = brute_force_count(gapped)
+    assert got.value == exactref.count_models(dense, 5) == slow_count(gapped)
+    assert got.nodes_visited == 32
 
 
 def test_2sat_matches_brute_force():
@@ -274,10 +330,7 @@ def test_propagate_collapses_duplicate_residual_clauses():
 
 
 def test_2sat_matches_exactref_above_brute_force_size(monkeypatch):
-    # perfbench's reference counter shares no code with the library
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    import exactref
-
+    exactref = _exactref(monkeypatch)
     for seed in range(40):
         n = 40 + (seed * 37) % 81
         phi = generate(GeneratorSpec(n=n, m=n + n // 10, k=2, seed=3000 + seed))

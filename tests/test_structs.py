@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from indepcount import (CnfFormula, Estimate, GuardError, Strategy,
@@ -106,6 +107,15 @@ def test_struct_stats_guard():
     big = Struct(_clauses(tuple(range(1, 18))), (1,))
     with pytest.raises(GuardError):
         struct_stats(big)
+
+
+def test_model_scan_with_no_models_keeps_empty_indices():
+    # the join yields no chunk when nothing survives
+    count, indices = structs._scan_models([(1, 2), (-1,), (-2,)], (1, 2, 3))
+    assert count == 0
+    assert indices.dtype == np.uint64 and indices.size == 0
+    count, indices = structs._scan_models([(1, 2), (-1, 3)], (1, 2, 3))
+    assert count == 4 and indices.tolist() == [2, 5, 6, 7]
 
 
 def test_models_listing_matches_count():
