@@ -428,7 +428,7 @@ def _half_masks(used: tuple[int, ...], table: np.ndarray, high: bool,
             continue
         b -= 2 if high else 0
         acc = acc & table[i, digits[b] if b < 2 else (base >> (8 * b)) & 0xFF]
-    return np.broadcast_to(acc, np.broadcast_shapes(*(d.shape for d in digits)))
+    return np.broadcast_to(acc, np.broadcast(*digits).shape)
 
 
 def _sieve(tables: ClauseTables, missing: list, high: bool, base: int,
@@ -475,6 +475,10 @@ def satisfying_indices(tables: ClauseTables, nbits: int) -> Iterator[np.ndarray]
             miss[b >= 2] &= np.bitwise_and.reduce(table[i])
         missing.append(miss)
     low = _sieve(tables, missing, False, 0, low_bits)
+    if not high_bits:
+        # no high half: every clause misses it, so the sieve decided all
+        yield low.astype(np.uint64)
+        return
     if not len(low):
         return
     # the join reads only blocks with a clause that spans both halves

@@ -139,27 +139,21 @@ class Universe:
             self._tables = _product_tables(
                 [sigma.satisfying_words() for sigma in self.structs],
                 _TABLE_ROWS)
-            self._digit, self._row, self._quot = (
-                np.empty(_SLICE, dtype=np.uint64) for _ in range(3))
+            self._digit = np.empty(_SLICE, dtype=np.uint64)
+            self._row = np.empty(_SLICE, dtype=np.uint64)
         *head, last = self._tables
         # one uniform index per sample into the product of the tables (at
         # most 2^64 rows: fewer than 2^|vars| models per group, every index
         # <= 64), split by mixed radix into one uniform row per table.  Every
         # digit is below its table's length, so its int64 view is exact.
-        # Slices keep the index and the buffers in L2 cache.
+        # Slices keep the index and both buffers in L2 cache.
         for start in range(0, count, _SLICE):
             part = words[start:start + _SLICE]
-            n = len(part)
-            digit, row, quot = self._digit[:n], self._row[:n], self._quot[:n]
-            index = rng.integers(0, self._models, size=n, dtype=np.uint64)
+            digit, row = self._digit[:len(part)], self._row[:len(part)]
+            index = rng.integers(0, self._models, size=len(part),
+                                 dtype=np.uint64)
             for table in head:
-                # the remainder as index - quotient * radix: np.divmod on
-                # uint64 takes about three times as long
-                radix = np.uint64(len(table))
-                np.floor_divide(index, radix, out=quot)
-                np.multiply(quot, radix, out=digit)
-                np.subtract(index, digit, out=digit)
-                index, quot = quot, index
+                np.divmod(index, np.uint64(len(table)), out=(index, digit))
                 part |= np.take(table, digit.view(np.int64), out=row,
                                 mode="clip")
             part |= np.take(last, index.view(np.int64), out=row, mode="clip")
