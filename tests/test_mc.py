@@ -1,12 +1,14 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from indepcount import (CnfFormula, Estimate, Struct, StructSet, Universe,
-                        brute_force_count, match_library, mc_estimate,
-                        sample_size, sample_universe)
+from indepcount import (CnfFormula, Estimate, Strategy, Struct, StructSet,
+                        Universe, approx_count, brute_force_count,
+                        match_library, mc_estimate, sample_size,
+                        sample_universe)
 from indepcount.gen import GeneratorSpec, generate
 from indepcount.rng import generator
 from indepcount.structs import EMPTY_STRUCT_SET
@@ -389,3 +391,25 @@ def test_rule_inside_a_budget_below_the_cap_is_unflagged():
                       sample_budget=100_000)
     assert not est.under_sampled
     assert est.hits == 836 and est.samples < 100_000 == est.samples_wanted
+
+
+# sha256 over (value, samples, hits, samples_wanted) of 24 sampled counts:
+# generator seeds 2-4 of both sparse-sample cells, every two-phase strategy,
+# count seed 11.  Recorded before the word check moved from byte tables to
+# chunk tables; any change to the draw or the check moves it.
+SAMPLER_FINGERPRINT = (
+    "f0baaf46f4f154b2b0f1bcdb0729acce7914f990cbc1392370a070a221b7faf7")
+
+
+def test_sampled_counts_match_the_recorded_fingerprint():
+    digest = hashlib.sha256()
+    for k, n, m in ((3, 23, 46), (4, 19, 114)):
+        for gen_seed in (2, 3, 4):
+            phi = generate(GeneratorSpec(n=n, m=m, k=k, seed=gen_seed))
+            for strategy in (Strategy.THURLEY, Strategy.PRUNED_TREE,
+                             Strategy.INDEP_CLAUSES, Strategy.INDEP_STRUCTS):
+                est = approx_count(phi, 0.2, 0.1, strategy, seed=11)
+                assert not est.exact and not est.under_sampled and est.hits
+                digest.update(f"{est.value}|{est.samples}|{est.hits}|"
+                              f"{est.samples_wanted}\n".encode())
+    assert digest.hexdigest() == SAMPLER_FINGERPRINT
