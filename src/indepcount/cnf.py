@@ -11,6 +11,7 @@ coherent.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -293,28 +294,36 @@ def restrict(phi: CnfFormula, assignment: Mapping[int, bool]) -> CnfFormula:
 # Bit-parallel helpers (shared by the exact counter, the groups and the sampler)
 #
 # An assignment is a uint64 word with one bit per variable position (bit
-# set = true).  A clause set is checked by table lookup, one byte of the
-# word at a time: clauses go in blocks of up to _TABLE_CLAUSES, and each
-# block keeps one 256-entry uint64 table per byte its clauses touch.  Bit
-# j of ``T_b[x]`` is set when byte value x agrees, on clause j's literals
-# in byte b, with the one assignment of them that falsifies clause j.
-# ANDing the entries a word selects leaves exactly the clauses it
-# falsifies, so a word satisfies the block when the AND is 0.  A clause
-# with no literal in byte b (an empty clause in every byte) has its bit
-# set in every entry of T_b.  The kernel runs over slices of
-# _SLICE_WORDS words, small enough that a slice and its temporaries stay
-# in L2, and later blocks see only the survivors of earlier ones.
+# set = true).  A clause set is checked by table lookup: clauses go in
+# blocks of up to _TABLE_CLAUSES, and each block keeps one 256-entry
+# uint64 table per byte its clauses touch.  Bit j of ``T_b[x]`` is set
+# when byte value x agrees, on clause j's literals in byte b, with the one
+# assignment of them that falsifies clause j.  ANDing the entries a word
+# selects leaves exactly the clauses it falsifies, so a word satisfies
+# the block when the AND is 0.  A clause with no literal in byte b (an
+# empty clause in every byte) has its bit set in every entry of T_b.
+#
+# The sampler's check, ``satisfied_rows``, reads chunk tables that
+# ``word_tables`` derives from the byte tables: one 4,096-entry (32 KB)
+# table per _CHUNK_BITS-bit chunk of the word, so a word of up to 24
+# variables takes two gathers per block, each indexed by a shift and a
+# mask.  It runs over slices of _SLICE_WORDS words, small enough that a
+# slice and its buffers stay in L2, and later blocks see only the
+# survivors of earlier ones.
 #
 # Listing every satisfying index of [0, 2^n) needs no gather per index:
 # ``satisfying_indices`` joins the low _HALF_BITS bits of the index with
-# the bits above them, ANDing each half's own table entries by broadcast
-# and testing a pair only on the clauses that span both halves.
+# the bits above them, ANDing each half's own byte-table entries by
+# broadcast and testing a pair only on the clauses that span both halves.
 
 _TABLE_CLAUSES = 64
 _SLICE_WORDS = 1 << 15
 _HALF_BITS = 16
+_CHUNK_BITS = 12
 
 ClauseTables = tuple[tuple[tuple[int, ...], np.ndarray], ...]
+WordTables = ClauseTables
+_buffers = threading.local()
 
 
 def bit_positions(variables: Iterable[int]) -> dict[int, int]:
@@ -363,52 +372,94 @@ def clause_tables(clauses: Iterable[tuple[int, ...]],
     return tuple(blocks)
 
 
-def _scratch(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Buffers one scan reuses for every slice: byte indices, the AND of
-    the gathered entries, and one gathered entry.
+def word_tables(tables: ClauseTables) -> WordTables:
+    """The chunk tables of ``clause_tables``' byte tables, for
+    ``satisfied_rows``.
 
-    A fresh 256 KB temporary per gather costs page faults that took as
-    long as the lookups themselves, so each scan allocates these once.
+    One ``(shifts, tables)`` pair per block: ``tables[i]`` is the
+    2^_CHUNK_BITS-entry table of the chunk of the word that starts at bit
+    ``shifts[i]``.  Chunks start at multiples of _CHUNK_BITS, and one
+    that holds no literal of the block is skipped.  A chunk's entry ANDs
+    the entries of the used bytes it overlaps, each first ORed over the
+    bits of its byte outside the chunk: one completion of those bits
+    agrees with each clause's falsifying assignment, so the OR keeps
+    exactly the agreement on the bits inside.
     """
-    return (np.empty(size, dtype=np.intp), np.empty(size, dtype=np.uint64),
-            np.empty(size, dtype=np.uint64))
-
-
-def _check_slice(tables: ClauseTables, part: np.ndarray,
-                 scratch: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """The words of one slice that satisfy every block, in input order."""
-    index, falsified, gathered = scratch
+    values = np.arange(1 << _CHUNK_BITS)
+    blocks = []
     for used, table in tables:
-        n = len(part)
-        if not n:
-            break
-        # little-endian bytes, so column b holds bits 8b..8b+7
-        view = part.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-        idx, acc, entry = index[:n], falsified[:n], gathered[:n]
-        # indices are bytes, so "clip" never clips; unlike the default
-        # "raise" it lets np.take write straight into ``out``
-        np.copyto(idx, view[:, used[0]])
-        np.take(table[0], idx, out=acc, mode="clip")
-        for i in range(1, len(used)):
-            np.copyto(idx, view[:, used[i]])
-            np.take(table[i], idx, out=entry, mode="clip")
-            acc &= entry
-        part = part[acc == 0]
-    return part
+        chunks = []
+        for lo in range(0, 8 * used[-1] + 8, _CHUNK_BITS):
+            entry = np.full(1 << _CHUNK_BITS, ~np.uint64(0))
+            for i, b in enumerate(used):
+                # bits a..z-1 of the word lie in byte b and in the chunk
+                a, z = max(8 * b, lo), min(8 * b + 8, lo + _CHUNK_BITS)
+                if a < z:
+                    folded = np.bitwise_or.reduce(np.bitwise_or.reduce(
+                        table[i].reshape(1 << (8 * b + 8 - z), 1 << (z - a),
+                                         1 << (a - 8 * b)), axis=2), axis=0)
+                    entry &= folded[(values >> (a - lo)) & ((1 << (z - a)) - 1)]
+            chunks.append((lo, entry))
+        # a constant table has every clause's bit set: no literal lies in
+        # its chunk.  A block of empty clauses keeps the first, byte 0's,
+        # which rejects every word.
+        chunks = [c for c in chunks if (c[1] != c[1][0]).any()] or chunks[:1]
+        blocks.append((tuple(lo for lo, _ in chunks),
+                       np.array([entry for _, entry in chunks])))
+    return tuple(blocks)
 
 
-def satisfied_rows(tables: ClauseTables, words: np.ndarray) -> np.ndarray:
+def _scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's buffers for ``satisfied_rows``: chunk indices, the AND
+    of the gathered entries, and one gathered entry, ``_SLICE_WORDS`` each.
+
+    They outlive the call.  The allocator hands freed 256 KB buffers back
+    to the system, so buffers made per call page-faulted about 130 times
+    a 2^15-word call, which cost as much as the gathers.
+    """
+    try:
+        return _buffers.scratch
+    except AttributeError:
+        _buffers.scratch = tuple(np.empty(_SLICE_WORDS, dtype=np.uint64)
+                                 for _ in range(3))
+        return _buffers.scratch
+
+
+def satisfied_rows(tables: WordTables, words: np.ndarray) -> np.ndarray:
     """The assignment words that satisfy every clause, in input order.
 
-    ``tables`` comes from ``clause_tables``.  Words are checked in slices
-    of ``_SLICE_WORDS``; within a slice each block gathers one table
-    entry per touched byte with ``np.take``, ANDs them and keeps the words
-    whose AND is 0.  The all-false word 0 survives when it is a model.
+    ``tables`` comes from ``word_tables``.  Words are checked in slices of
+    ``_SLICE_WORDS``; within a slice each block gathers one table entry
+    per chunk with ``np.take``, ANDs them and keeps the words whose AND is
+    0, so later blocks see only the survivors of earlier ones.  The
+    all-false word 0 survives when it is a model.
     """
     words = np.ascontiguousarray(words, dtype=np.uint64)
-    scratch = _scratch(min(len(words), _SLICE_WORDS))
-    kept = [_check_slice(tables, words[start:start + _SLICE_WORDS], scratch)
-            for start in range(0, len(words), _SLICE_WORDS)]
+    index, falsified, gathered = _scratch()
+    mask = np.uint64((1 << _CHUNK_BITS) - 1)
+    kept = []
+    for start in range(0, len(words), _SLICE_WORDS):
+        part = words[start:start + _SLICE_WORDS]
+        for shifts, table in tables:
+            n = len(part)
+            if not n:
+                break
+            idx, acc, entry = index[:n], falsified[:n], gathered[:n]
+            # chunk indices are below 2^_CHUNK_BITS, so their int64 view is
+            # exact and "clip" never clips; unlike the default "raise" it
+            # lets np.take write straight into ``out``
+            for i, shift in enumerate(shifts):
+                if shift:
+                    np.right_shift(part, np.uint64(shift), out=idx)
+                    np.bitwise_and(idx, mask, out=idx)
+                else:
+                    np.bitwise_and(part, mask, out=idx)
+                np.take(table[i], idx.view(np.int64), out=entry if i else acc,
+                        mode="clip")
+                if i:
+                    acc &= entry
+            part = part[acc == 0]
+        kept.append(part)
     return np.concatenate(kept) if kept else words
 
 

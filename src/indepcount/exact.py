@@ -226,7 +226,29 @@ class ClauseIndex:
         of each branch and counts what is left.  Counts multiply across
         components, and each unfixed variable in no alive clause doubles
         the total.
+
+        The count is iterative: the stack holds one ``_count_steps``
+        generator per residual being counted, which yields each branch
+        residual it needs and is sent back that residual's count.
         """
+        stack = [self._count_steps(alive, planes, unfixed, memo)]
+        got = None
+        while stack:
+            try:
+                branch = stack[-1].send(got)
+            except StopIteration as done:
+                stack.pop()
+                got = done.value
+            else:
+                stack.append(self._count_steps(*branch, memo))
+                got = None
+        return got
+
+    def _count_steps(self, alive: int, planes: tuple[int, ...],
+                     unfixed: int, memo: dict[tuple[int, int], int]):
+        """``count``'s work on one residual, as a generator: it yields the
+        residual of each branch it counts and is sent that count, and it
+        returns the residual's count."""
         occurs, spans = self.occurs, self.spans
         total, covered = 1, 0
         while alive:
@@ -255,7 +277,7 @@ class ClauseIndex:
                 for code in (-v, v):
                     residual = self.fix(part, planes, here, code, [])
                     if residual is not None:
-                        got += self.count(*residual, memo)
+                        got += yield residual
                 memo[part, here] = got
             total *= got
             if not total:

@@ -36,3 +36,24 @@ def test_tracer_wraps_the_reduction_path(monkeypatch):
     assert metrics["structs.group_set_frac"] == 1.0
     assert metrics["cut.nodes"] > 0
     assert metrics["mc.samples"] == sum(e.samples for e in estimates) > 0
+
+
+def test_tracer_sees_the_sampler_draw_and_check(monkeypatch):
+    # a kernel that bypassed the wrapped names would read 0 s here, not fail
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+    from indepcount import GeneratorSpec, Strategy, generate, ras
+
+    phi = generate(GeneratorSpec(n=23, m=46, k=3, seed=1))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        estimates = [tracer.root(ras.approx_count)(phi, 0.2, 0.1, strategy=s,
+                                                   seed=7)
+                     for s in (Strategy.THURLEY, Strategy.INDEP_STRUCTS)]
+    finally:
+        tracer.remove()
+    assert all(not e.exact and e.samples for e in estimates)
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["mc.draw_s"] > 0
+    assert metrics["mc.check_s"] > 0

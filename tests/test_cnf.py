@@ -9,7 +9,7 @@ from indepcount import (CnfFormula, DimacsError, approx_count,
                         serialize_dimacs)
 from indepcount.cnf import (_SLICE_WORDS, DimacsWarning, ParseStats,
                             bit_positions, clause_tables, satisfied_rows,
-                            satisfying_indices)
+                            satisfying_indices, word_tables)
 from indepcount.gen import GeneratorSpec, generate
 
 from conftest import CHAIN3_TEXT
@@ -221,7 +221,8 @@ def test_parsed_formula_equals_the_checked_constructor():
 
 def _kernel(phi, words):
     tables = clause_tables(phi.clauses, bit_positions(phi.variables))
-    return satisfied_rows(tables, np.asarray(words, dtype=np.uint64))
+    return satisfied_rows(word_tables(tables),
+                          np.asarray(words, dtype=np.uint64))
 
 
 def _decode(phi, word):
@@ -271,7 +272,7 @@ def test_kernel_over_64_clauses_uses_two_table_blocks():
     expected = _models(phi, words)
     assert expected and _kernel(phi, words).tolist() == expected
     # the second block drops words the first one keeps
-    first = satisfied_rows(tables[:1], words)
+    first = satisfied_rows(word_tables(tables[:1]), words)
     assert len(first) > len(expected)
 
 
@@ -314,6 +315,37 @@ def test_kernel_lone_empty_clause_and_no_clauses():
     assert _kernel(free, words).tolist() == _models(free, words) == list(range(8))
 
 
+def test_chunk_tables_agree_with_evaluate_across_widths():
+    # every word carries random bits above the formula's positions, which
+    # the check must ignore
+    rng = np.random.default_rng(12)
+    words = rng.integers(0, 2 ** 64, size=4096, dtype=np.uint64)
+    gap = CnfFormula([(1, -3), (-8, 2), (-41, 44), (2, 45, -48)], 48)
+    cases = [(gap, (0, 36)), (CnfFormula([()], 5), (0,)),
+             (CnfFormula([], 7), None)]
+    for n in (1, 11, 12, 13, 24, 25, 36, 64):
+        k = min(3, n)
+        cases.append((generate(GeneratorSpec(n=n, m=min(n, 20), k=k,
+                                             seed=70 + n)), None))
+        if n >= 4:
+            # 70 clauses make two blocks
+            cases.append((generate(GeneratorSpec(n=n, m=70, k=4,
+                                                 seed=90 + n)), None))
+    for phi, shifts in cases:
+        tables = word_tables(_tables(phi))
+        assert len(tables) == -(-phi.num_clauses // 64)
+        for block_shifts, table in tables:
+            assert table.shape == (len(block_shifts), 4096)
+            assert table.dtype == np.uint64
+            assert all(s % 12 == 0 and s < phi.num_vars for s in block_shifts)
+        if shifts is not None:
+            assert tables[0][0] == shifts
+        expected = _models(phi, words)
+        if phi.num_clauses > 1:
+            assert 0 < len(expected) < len(words), phi
+        assert satisfied_rows(tables, words).tolist() == expected, phi
+
+
 def test_brute_force_count_across_slices_matches_evaluate():
     phi = generate(GeneratorSpec(n=16, m=30, k=3, seed=21))
     assert 1 << phi.num_vars > _SLICE_WORDS
@@ -346,7 +378,8 @@ def test_satisfying_indices_equals_the_kernel_on_every_index():
     for phi in cases:
         tables, t = _tables(phi), phi.num_vars
         got = _joined(tables, t)
-        want = satisfied_rows(tables, np.arange(1 << t, dtype=np.uint64))
+        want = satisfied_rows(word_tables(tables),
+                              np.arange(1 << t, dtype=np.uint64))
         assert np.array_equal(got, want), phi
         assert (np.diff(got.astype(np.int64)) > 0).all()
 
@@ -365,6 +398,7 @@ def test_satisfying_indices_walks_high_slices_at_34_bits():
     rest = CnfFormula(low.clauses + tuple(
         tuple(code for code in c if abs(code) <= 16) for c in spans
         if not any(code in pins for code in c)), 16)
-    low_models = satisfied_rows(_tables(rest), np.arange(1 << 16, dtype=np.uint64))
+    low_models = satisfied_rows(word_tables(_tables(rest)),
+                                np.arange(1 << 16, dtype=np.uint64))
     assert 0 < len(low_models) < 1 << 16
     assert got.tolist() == (low_models + np.uint64(head)).tolist()

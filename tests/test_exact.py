@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from indepcount import (CnfFormula, GuardError, brute_force_count,
-                        count_2sat_exact, parse_dimacs)
+from indepcount import (CnfFormula, GuardError, approx_count,
+                        brute_force_count, count_2sat_exact, parse_dimacs,
+                        ras)
 from indepcount.cnf import vars_of
 from indepcount.exact import ClauseIndex, _count, find_model
 from indepcount.gen import GeneratorSpec, generate
@@ -143,6 +144,30 @@ def test_2sat_counts_and_nodes_replay_pinned_values():
     for n, m, seed, value, nodes in TWOSAT_PINS:
         got = count_2sat_exact(generate(GeneratorSpec(n=n, m=m, k=2, seed=seed)))
         assert (got.value, got.nodes_visited) == (value, nodes), seed
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_2sat_counts_long_chains_without_recursing(monkeypatch):
+    # (x_i or x_{i+1}) over n variables has F(n+2) models.  The counter
+    # branches about n/3 levels deep, which at n = 3,000 passes Python's
+    # recursion limit unless the count keeps its own stack.  approx_count
+    # routes width 2 to count_2sat_exact; one count checks both.
+    direct = []
+
+    def spy(phi):
+        direct.append(count_2sat_exact(phi))
+        return direct[-1]
+    monkeypatch.setattr(ras, "count_2sat_exact", spy)
+    chain = CnfFormula([(i, i + 1) for i in range(1, 3000)], 3000)
+    est = approx_count(chain, 0.2, 0.1, seed=1)
+    assert [got.value for got in direct] == [_fibonacci(3002)]
+    assert est.exact and est.value == _fibonacci(3002)
 
 
 def test_2sat_handles_unit_clauses():
