@@ -415,14 +415,14 @@ def _scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     They outlive the call.  The allocator hands freed 256 KB buffers back
     to the system, so buffers made per call page-faulted about 130 times
-    a 2^15-word call, which cost as much as the gathers.
+    a 2^15-word call, which cost as much as the gathers.  Each call writes
+    a buffer before it reads it, so no state passes between calls.
     """
-    try:
-        return _buffers.scratch
-    except AttributeError:
-        _buffers.scratch = tuple(np.empty(_SLICE_WORDS, dtype=np.uint64)
-                                 for _ in range(3))
-        return _buffers.scratch
+    scratch = getattr(_buffers, "scratch", None)
+    if scratch is None:
+        scratch = _buffers.scratch = tuple(
+            np.empty(_SLICE_WORDS, dtype=np.uint64) for _ in range(3))
+    return scratch
 
 
 def satisfied_rows(tables: WordTables, words: np.ndarray) -> np.ndarray:

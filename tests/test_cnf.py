@@ -1,5 +1,6 @@
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -344,6 +345,24 @@ def test_chunk_tables_agree_with_evaluate_across_widths():
         if phi.num_clauses > 1:
             assert 0 < len(expected) < len(words), phi
         assert satisfied_rows(tables, words).tolist() == expected, phi
+
+
+def test_kernel_buffers_are_not_shared_between_threads():
+    # the kernel keeps its buffers across calls, one set per thread; two
+    # threads checking different formulas at once must not mix them
+    rng = np.random.default_rng(13)
+    words = rng.integers(0, 1 << 20, size=4 * _SLICE_WORDS, dtype=np.uint64)
+    tables = [word_tables(_tables(generate(GeneratorSpec(n=20, m=m, k=3,
+                                                         seed=m))))
+              for m in (30, 90)]
+    want = [satisfied_rows(t, words) for t in tables]
+    assert len(want[0]) != len(want[1])
+
+    def agree(i):
+        return all(np.array_equal(satisfied_rows(tables[i], words), want[i])
+                   for _ in range(20))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(agree, (0, 1), timeout=60)) == [True, True]
 
 
 def test_brute_force_count_across_slices_matches_evaluate():
