@@ -274,8 +274,9 @@ def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
     stop = _stop_hits(eps, (delta / 2) ** 3) if rule else t + 1
 
     # every draw satisfies the groups' own clauses; only the rest are checked
-    tables = word_tables(clause_tables([c for c in phi.clauses if c not in drawn],
-                                       {v: v - 1 for v in phi.variables}))
+    tables = word_tables(clause_tables(
+        [c for c in phi.clauses if c not in drawn],
+        {v: v - 1 for v in phi.variables}))
     hits = 0
     done = 0
     # one kernel slice a draw, so a run stops within a slice of its stop
