@@ -313,8 +313,8 @@ def restrict(phi: CnfFormula, assignment: Mapping[int, bool]) -> CnfFormula:
 #
 # Listing every satisfying index of [0, 2^n) needs no gather per index:
 # ``satisfying_indices`` joins the low _HALF_BITS bits of the index with
-# the bits above them, ANDing each half's own byte-table entries by
-# broadcast and testing a pair only on the clauses that span both halves.
+# the bits above them, which it lists by calling itself on their bytes,
+# and tests a pair only on the clauses that span both halves.
 
 _TABLE_CLAUSES = 64
 _SLICE_WORDS = 1 << 15
@@ -463,39 +463,18 @@ def satisfied_rows(tables: WordTables, words: np.ndarray) -> np.ndarray:
     return np.concatenate(kept) if kept else words
 
 
-def _half_masks(used: tuple[int, ...], table: np.ndarray, high: bool,
-                base: int, digits: tuple[np.ndarray, np.ndarray],
-                start) -> np.ndarray:
-    """``start`` ANDed with one block's masks over one half of the index:
-    the AND of its table entries for bytes 0-1 (the low half) or for bytes
-    2 and up (the high half, the index shifted right by ``_HALF_BITS``).
-    ``digits`` holds bytes 0 and 1 of offsets from ``base``, a multiple of
-    2^16; the bytes above are those of ``base``.  The two arrays broadcast
+def _half_masks(used: tuple[int, ...], table: np.ndarray, first: int,
+                digits: tuple[np.ndarray, ...], start) -> np.ndarray:
+    """``start`` ANDed with one block's table entries for a run of bytes:
+    byte ``first + j`` of each index is ``digits[j]``, and the block's
+    bytes outside the run are left out.  The digit arrays broadcast
     together, so a column of byte-1 values against a row of byte-0 values
     covers a whole 2^16 range with one AND per value."""
     acc = start
     for i, b in enumerate(used):
-        if (b >= 2) != high:
-            continue
-        b -= 2 if high else 0
-        acc = acc & table[i, digits[b] if b < 2 else (base >> (8 * b)) & 0xFF]
+        if first <= b < first + len(digits):
+            acc = acc & table[i, digits[b - first]]
     return np.broadcast_to(acc, np.broadcast(*digits).shape)
-
-
-def _sieve(tables: ClauseTables, missing: list, high: bool, base: int,
-           bits: int) -> np.ndarray:
-    """The offsets in ``[0, 2^bits)`` from ``base`` of one half's values
-    that falsify no clause this half decides alone."""
-    keep = None
-    digits = (np.arange(min(1 << bits, 256)),
-              np.arange(1 << max(bits - 8, 0))[:, None])
-    for (used, table), miss in zip(tables, missing):
-        # the clauses with no literal in the other half
-        clear = (_half_masks(used, table, high, base, digits,
-                             miss[not high]) == 0).ravel()
-        keep = np.flatnonzero(clear) if keep is None else keep[clear]
-        digits = (keep & 0xFF, keep >> 8)
-    return np.arange(1 << bits) if keep is None else keep
 
 
 def satisfying_indices(tables: ClauseTables, nbits: int) -> Iterator[np.ndarray]:
@@ -508,15 +487,16 @@ def satisfying_indices(tables: ClauseTables, nbits: int) -> Iterator[np.ndarray]
     of bytes 2 and up, and ``h * 2^16 + l`` satisfies the block exactly
     when ``L[l] & H[h] == 0``.  A clause with no literal in one half has
     its bit set in every mask of that half, so the other half decides it
-    alone, and each side first drops the values that falsify such a
-    clause.  The surviving pairs are tested on the blocks left with a
-    clause that spans both halves, in slabs of whole ``h`` rows by every
-    low survivor, read row-major so the output stays ascending.  ``h`` is
-    walked in slices of at most 2^16 values, which bounds the memory at
-    every ``nbits`` up to 64.
+    alone: a broadcast sieve drops the ``l`` that falsify one, and the
+    ``h`` that falsify none come from this function called on the tables
+    of bytes 2 and up, with every clause that has a low literal cleared.
+    The surviving pairs are tested on the blocks left with a clause that
+    spans both halves, in slabs of whole ``h`` rows by every low
+    survivor, read row-major so the output stays ascending.  No chunk
+    holds more than 2^16 values, which bounds the memory at every
+    ``nbits`` up to 64.
     """
     low_bits = min(nbits, _HALF_BITS)
-    high_bits = nbits - low_bits
     # per block: the clauses with no literal in the low half, then in the
     # high half (all ones when the block touches no byte of that half)
     missing = []
@@ -525,27 +505,40 @@ def satisfying_indices(tables: ClauseTables, nbits: int) -> Iterator[np.ndarray]
         for i, b in enumerate(used):
             miss[b >= 2] &= np.bitwise_and.reduce(table[i])
         missing.append(miss)
-    low = _sieve(tables, missing, False, 0, low_bits)
-    if not high_bits:
+    # the low values that falsify no clause without a high literal
+    low = None
+    digits = (np.arange(min(1 << low_bits, 256)),
+              np.arange(1 << max(low_bits - 8, 0))[:, None])
+    for (used, table), miss in zip(tables, missing):
+        clear = (_half_masks(used, table, 0, digits, miss[1]) == 0).ravel()
+        low = np.flatnonzero(clear) if low is None else low[clear]
+        digits = (low & 0xFF, low >> 8)
+    low = np.arange(1 << low_bits) if low is None else low
+    if nbits == low_bits:
         # no high half: every clause misses it, so the sieve decided all
         yield low.astype(np.uint64)
         return
     if not len(low):
         return
+    # blocks with a high-only clause, every clause with a low literal cleared
+    high_tables = tuple(
+        (tuple(b - 2 for b in used if b >= 2),
+         table[np.array(used) >= 2] & miss[0])
+        for (used, table), miss in zip(tables, missing) if miss[0] & ~miss[1])
     # the join reads only blocks with a clause that spans both halves
     mixed = [(used, table) for (used, table), miss in zip(tables, missing)
              if np.bitwise_or.reduce(table[0]) & ~(miss[0] | miss[1])]
-    low_masks = [_half_masks(used, table, False, 0, (low & 0xFF, low >> 8),
+    low_masks = [_half_masks(used, table, 0, (low & 0xFF, low >> 8),
                              ~np.uint64(0)) for used, table in mixed]
     low = low.astype(np.uint64)
     rows = max(1, _SLICE_WORDS // len(low))
-    slice_bits = min(high_bits, _HALF_BITS)
-    for base in range(0, 1 << high_bits, 1 << slice_bits):
-        high = _sieve(tables, missing, True, base, slice_bits)
-        high_masks = [_half_masks(used, table, True, base,
-                                  (high & 0xFF, high >> 8), ~np.uint64(0))
+    high_bytes = range(max((used[-1] - 1 for used, _ in mixed), default=0))
+    for high in satisfying_indices(high_tables, nbits - _HALF_BITS):
+        digits = tuple((high >> np.uint64(8 * j)) & np.uint64(0xFF)
+                       for j in high_bytes)
+        high_masks = [_half_masks(used, table, 2, digits, ~np.uint64(0))
                       for used, table in mixed]
-        heads = (high + base).astype(np.uint64) << np.uint64(_HALF_BITS)
+        heads = high << np.uint64(_HALF_BITS)
         for start in range(0, len(high), rows):
             part = slice(start, start + rows)
             pairs = heads[part, None] | low

@@ -126,8 +126,11 @@ class ParamSet:
 
     @property
     def ell(self) -> int:
-        """Cut threshold, at least 1."""
-        return max(1, math.ceil(2.0 ** (self.ell_log2 * self.n)))
+        """Cut threshold ceil(2^x), x = ell_log2 * n, at least 1.  Past the
+        float range, x >= 1024, it is the int ceil(2^(x - s)) * 2^s."""
+        x = self.ell_log2 * self.n
+        shift = max(int(x) - 1023, 0)
+        return max(1, math.ceil(2.0 ** (x - shift)) << shift)
 
     @property
     def m_hat(self) -> int | None:

@@ -24,11 +24,10 @@ import numpy as np
 
 from .cnf import (CnfFormula, check_clause, clause_tables, restrict,
                   satisfying_indices, vars_of)
-from .exact import GuardError
+from .exact import BRUTE_FORCE_MAX_VARS, GuardError
 from .mc import Estimate
 
 STRUCT_CAP = 16
-_SCAN_GUARD = 28
 _INDEX_LIMIT = 1 << 21
 
 
@@ -44,7 +43,7 @@ def _scan_models(clauses: Sequence[tuple[int, ...]], over_vars: Sequence[int]):
     ``_INDEX_LIMIT`` are found).
     """
     t = len(over_vars)
-    if t > _SCAN_GUARD:
+    if t > BRUTE_FORCE_MAX_VARS:
         raise GuardError(f"refusing to enumerate 2^{t} assignments")
     varset = set(over_vars)
     inside = [c for c in clauses if all(abs(code) in varset for code in c)]

@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import signal
 
 import pytest
 
@@ -18,6 +20,24 @@ def chain3():
 def chain4():
     """Four-clause chain with 2 models."""
     return parse_dimacs(CHAIN4_TEXT)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the enclosed block once ``seconds`` of wall
+    time have passed, so a test that must finish fails instead of hanging
+    the run.  SIGALRM-based, so main thread only; the previous handler is
+    restored on exit."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds:g} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def slow_count(phi: CnfFormula) -> int:

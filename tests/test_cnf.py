@@ -11,9 +11,10 @@ from indepcount import (CnfFormula, DimacsError, approx_count,
 from indepcount.cnf import (_SLICE_WORDS, DimacsWarning, ParseStats,
                             bit_positions, clause_tables, satisfied_rows,
                             satisfying_indices, word_tables)
+from indepcount.exact import ExactCount
 from indepcount.gen import GeneratorSpec, generate
 
-from conftest import CHAIN3_TEXT
+from conftest import CHAIN3_TEXT, deadline
 
 
 def test_clause_rejects_duplicate_variable():
@@ -404,8 +405,8 @@ def test_satisfying_indices_equals_the_kernel_on_every_index():
 
 
 def test_satisfying_indices_walks_high_slices_at_34_bits():
-    # 18 high variables pinned by units leave one value of h; the join
-    # walks its four 2^16 slices of h (a 2^34 index scan would not finish)
+    # 18 high variables pinned by units leave one value of h, which the
+    # join's call on the high half lists (a 2^34 index scan would not finish)
     rng = np.random.default_rng(35)
     pins = [int(v) if rng.integers(2) else -int(v) for v in range(17, 35)]
     low = generate(GeneratorSpec(n=16, m=40, k=3, seed=9))
@@ -421,3 +422,77 @@ def test_satisfying_indices_walks_high_slices_at_34_bits():
                                 np.arange(1 << 16, dtype=np.uint64))
     assert 0 < len(low_models) < 1 << 16
     assert got.tolist() == (low_models + np.uint64(head)).tolist()
+
+
+def _pinned_join_case(nbits, rng):
+    """A formula over ``nbits`` variables, and the words that cover every
+    index its units allow, ascending.  Units pin every variable above 16
+    but at most three.  Block 0 holds 60 4-clauses on the low 16
+    variables and 4 that span both halves; block 1 holds the units, a
+    clause between the lowest and highest free variables (from 24 bits)
+    and one more spanning clause, so only block 1 has clauses wholly in
+    the high half."""
+    free = sorted({17, 17 + (nbits - 17) // 2, nbits})
+    pins = [v if rng.integers(2) else -v
+            for v in range(17, nbits + 1) if v not in free]
+    high = [v if rng.integers(2) else -v for v in free + pins]
+    low = generate(GeneratorSpec(n=16, m=60, k=4, seed=nbits))
+    spans = [(int(rng.integers(1, 17)) * (-1) ** int(rng.integers(2)),
+              int(h)) for h in rng.choice(high, size=5)]
+    inner = [(free[0], -free[-1])] if len(free) > 1 else []
+    clauses = (low.clauses + tuple(spans[:4]) + tuple((p,) for p in pins)
+               + tuple(inner) + tuple(spans[4:]))
+    head = sum(1 << (p - 1) for p in pins if p > 0)
+    offsets = sorted(sum(1 << (v - 1) for j, v in enumerate(free) if r >> j & 1)
+                     for r in range(1 << len(free)))
+    words = ((np.array(offsets, dtype=np.uint64) + np.uint64(head))[:, None]
+             | np.arange(1 << 16, dtype=np.uint64)).ravel()
+    return CnfFormula(clauses, nbits), words
+
+
+def test_satisfying_indices_joins_pinned_high_halves_at_every_width():
+    rng = np.random.default_rng(36)
+    for nbits in (17, 24, 33, 40, 44, 48, 64):
+        phi, words = _pinned_join_case(nbits, rng)
+        tables = _tables(phi)
+        assert len(tables) == 2
+        with deadline(1.0):
+            got = _joined(tables, nbits)
+        want = satisfied_rows(word_tables(tables), words)
+        assert 0 < len(want), nbits
+        assert np.array_equal(got, want), nbits
+
+
+def test_satisfying_indices_with_no_clause_wholly_in_the_high_half():
+    phi = generate(GeneratorSpec(n=20, m=90, k=3, seed=37))
+    spans = CnfFormula([c for c in phi.clauses
+                        if any(abs(code) <= 16 for code in c)], 20)
+    assert any(abs(code) > 16 for c in spans.clauses for code in c)
+    tables = _tables(spans)
+    want = satisfied_rows(word_tables(tables),
+                          np.arange(1 << 20, dtype=np.uint64))
+    assert 0 < len(want) < 1 << 20
+    assert np.array_equal(_joined(tables, 20), want)
+
+
+def test_satisfying_indices_sees_an_empty_clause_among_high_bytes():
+    # block 1 touches only bytes 2 and up, and its empty clause leaves no
+    # index; without it the same formula has models
+    low = generate(GeneratorSpec(n=16, m=64, k=3, seed=38))
+    high = tuple((v,) for v in range(17, 41))
+    with deadline(1.0):
+        assert len(_joined(_tables(CnfFormula(low.clauses + high, 40)), 40))
+        empty = CnfFormula(low.clauses + high + ((),), 40)
+        tables = _tables(empty)
+        assert len(tables) == 2 and min(tables[1][0]) >= 2
+        assert len(_joined(tables, 40)) == 0
+
+
+def test_64_unit_clauses_leave_one_model():
+    units = [v if v % 3 else -v for v in range(1, 65)]
+    phi = CnfFormula([(u,) for u in units], 64)
+    with deadline(1.0):
+        got = _joined(_tables(phi), 64)
+        count = brute_force_count(phi, max_vars=64)
+    assert got.tolist() == [sum(1 << (u - 1) for u in units if u > 0)]
+    assert count == ExactCount(value=1, nodes_visited=1 << 64)

@@ -1,4 +1,3 @@
-import signal
 import time
 from fractions import Fraction
 
@@ -8,6 +7,8 @@ from indepcount import (CnfFormula, CounterConfig, GuardError, Strategy,
                         approx_count, brute_force_count, params_for)
 from indepcount import structs
 from indepcount.gen import GeneratorSpec, generate
+
+from conftest import deadline
 
 ALL = [Strategy.BRUTE_FORCE, Strategy.THURLEY, Strategy.PRUNED_TREE,
        Strategy.INDEP_CLAUSES, Strategy.INDEP_STRUCTS]
@@ -271,15 +272,20 @@ def test_group_with_too_many_models_to_branch_on_is_refused():
     # red_structs keeps a group with more than 2^21 models here; branching
     # over it is refused at once, and the alarm turns a hang into a failure
     phi = generate(GeneratorSpec(n=60, m=360, k=4, seed=3))
+    with deadline(20.0), pytest.raises(GuardError):
+        approx_count(phi, 0.2, 0.1, Strategy.INDEP_STRUCTS, seed=0)
 
-    def expire(signum, frame):
-        raise TimeoutError("count ran past 20 s")
 
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 20.0)
-    try:
-        with pytest.raises(GuardError):
-            approx_count(phi, 0.2, 0.1, Strategy.INDEP_STRUCTS, seed=0)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+def test_cut_threshold_past_the_float_range_counts_exactly():
+    # ell = 2^(ell_log2 n) is past 2^1024 here on every two-phase strategy
+    # (structs is left out: its group growth alone takes over a second);
+    # the units force x5, then x7, then falsify (-7 -5)
+    base = generate(GeneratorSpec(n=3000, m=3000, k=3, seed=1))
+    phi = CnfFormula(base.clauses + ((5,), (-5, 7), (-7, -5)), 3000)
+    for strategy in (Strategy.THURLEY, Strategy.PRUNED_TREE,
+                     Strategy.INDEP_CLAUSES):
+        params = params_for(3, 3000, strategy)
+        assert params.ell_log2 * 3000 >= 1024
+        assert abs(params.ell.bit_length() - params.ell_log2 * 3000) <= 1
+        est = approx_count(phi, 0.2, 0.1, strategy, seed=0)
+        assert est.exact and est.value == 0
