@@ -5,20 +5,25 @@ branch per model of the group), then clause-guided or single-variable
 branching.  A node is a bit-sliced residual over the formula's clauses
 (``exact.ClauseIndex``) plus the bitmask of variables still free; a child
 fixes its model in the parent's residual.  Every node is vetted so that
-falsified branches never expand: a child whose model empties a clause is
-pruned, a child whose model agrees with the parent's witness keeps that
-witness (every surviving clause keeps the literal it made true), and any
-other node runs the exact DPLL search on its residual.  A global counter
-accumulates, at each clause-free node, the number of models below it;
-the run either finishes (the counter is then the exact model count) or
-aborts once the counter reaches the threshold, certifying "at least that
-many models".
+falsified branches never expand.  A child whose model empties a clause is
+pruned by one mask test, before it is built: each model carries the mask
+of the clauses it satisfies, and the node marks once the alive clauses
+whose unfixed literals all lie on the block it branches over.  A child
+whose model agrees with the parent's witness keeps that witness (every
+surviving clause keeps the literal it made true), and any other node
+runs the exact DPLL search on its residual.  The models of a group or
+of a residual clause are listed with their masks once per cut.  A global
+counter accumulates, at each clause-free node, the number of models
+below it; the run either finishes (the counter is then the exact model
+count) or aborts once the counter reaches the threshold, certifying "at
+least that many models".
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator
 
 from .cnf import CnfFormula
 from .exact import ClauseIndex
@@ -108,6 +113,68 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
     check_reduction = bool(structs)
     width_bound = phi.k - 1
     index = ClauseIndex(phi.clauses, phi.variables[-1] if phi.variables else 0)
+    pos, neg, occurs, spans = index.pos, index.neg, index.occurs, index.spans
+
+    # Each branch node marks ``closed``: the alive clauses whose unfixed
+    # literals all lie on its block, the variables that every one of its
+    # models fixes.  A model empties a clause exactly when it leaves a
+    # closed clause unsatisfied, so no child is built only to be pruned.
+    # At group i's depth the fixed variables are those of the groups
+    # before it, so the closed clauses are the alive ones among those
+    # that touch group i and have every variable in groups 0..i.
+    group_closed = []
+    seen = 0
+    for sigma in structs:
+        touched = 0
+        for v in sigma.vars:
+            seen |= 1 << v
+            touched |= occurs[v]
+        inside = 0
+        while touched:
+            low = touched & -touched
+            if not spans[low.bit_length() - 1] & ~seen:
+                inside |= low
+            touched ^= low
+        group_closed.append(inside)
+
+    def spanning(alive: int, planes: tuple[int, ...],
+                 block: tuple[int, ...]) -> int:
+        """The alive clauses whose unfixed variables are exactly ``block``.
+
+        These are the closed clauses when no alive clause is narrower
+        than the block: a single variable, or a shortest clause's."""
+        for v in block:
+            alive &= occurs[v]
+        width = len(block)
+        for p, plane in enumerate(planes):
+            alive &= plane if width >> p & 1 else ~plane
+        return alive
+
+    def with_masks(model: dict[int, bool]) -> tuple[dict[int, bool], int]:
+        """The model and the mask of the clauses it satisfies."""
+        sat = 0
+        for v, value in model.items():
+            sat |= pos[v] if value else neg[v]
+        return model, sat
+
+    # each group's models with their masks, decoded as the walk first
+    # needs them (a cut that stops mid-group decodes no further) and kept
+    # for the later nodes of the group's depth
+    decoded: list[tuple[list, Iterator] | None] = [None] * len(structs)
+
+    def group_models(i: int) -> Iterator[tuple[dict[int, bool], int]]:
+        if decoded[i] is None:
+            decoded[i] = [], structs[i].iter_satisfying_assignments()
+        # one node per depth is open at a time, so only this walk extends
+        # the kept list
+        kept, source = decoded[i]
+        yield from kept
+        for model in source:
+            kept.append(with_masks(model))
+            yield kept[-1]
+
+    # each residual clause's variables and models, kept likewise
+    clause_models: dict[tuple[int, ...], tuple[tuple[int, ...], list]] = {}
 
     state = {"count": 0, "branch_nodes": 0, "decider_calls": 0,
              "leaves": 0, "pruned": 0}
@@ -128,14 +195,19 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
                 raise _Abort
             return
 
+        # every model fixes all of ``block`` and nothing else
         if branching is BranchKind.BINARY:
             var = next(v for v in order if free >> v & 1)
             label, factor = f"x{var}", 2
-            models = ({var: False}, {var: True})
+            block = (var,)
+            closed = spanning(alive, planes, block)
+            models = (({var: False}, neg[var]), ({var: True}, pos[var]))
         elif branching is BranchKind.STRUCT_GUIDED and next_struct < len(structs):
             sigma = structs[next_struct]
             label, factor = f"group{next_struct}", sigma.l_sigma
-            models = sigma.iter_satisfying_assignments()
+            block = sigma.vars
+            closed = alive & group_closed[next_struct]
+            models = group_models(next_struct)
             next_struct += 1
         else:
             clause = tuple([code for code in phi.clauses[index.shortest(alive, planes)]
@@ -144,24 +216,33 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
                 assert len(clause) <= width_bound, \
                     "residual clause wider than expected after the groups"
             label, factor = " ".join(map(str, clause)), (1 << len(clause)) - 1
-            models = _clause_models(clause)
+            if clause not in clause_models:
+                clause_models[clause] = (
+                    tuple([abs(code) for code in clause]),
+                    [with_masks(model) for model in _clause_models(clause)])
+            block, models = clause_models[clause]
+            closed = spanning(alive, planes, block)
         state["branch_nodes"] += 1
         if trace is not None:
             trace.append(f"{depth}\t{label}\t{factor}")
-        for model in models:
-            child = index.assign(alive, planes, model)
-            if child is None:
-                # a clause emptied: vetted and pruned without a search
+        rest = free
+        for v in block:
+            rest &= ~(1 << v)
+        for model, sat in models:
+            if closed & ~sat:
+                # a clause emptied: vetted and pruned without building it
                 state["decider_calls"] += 1
                 state["pruned"] += 1
                 continue
             # the witness still satisfies the child if the model agrees with it
-            keep, rest = witness, free
+            keep = witness
             for v, value in model.items():
-                rest &= ~(1 << v)
                 if witness.get(v, value) != value:
                     keep = None
-            explore(*child, rest, keep, depth + 1, next_struct)
+                    break
+            child = alive & ~sat
+            explore(child, index.lower(child, planes, model), rest, keep,
+                    depth + 1, next_struct)
 
     try:
         explore(*index.root, sum(1 << v for v in phi.variables), None, 0, 0)

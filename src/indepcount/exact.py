@@ -129,6 +129,26 @@ class ClauseIndex:
             nonempty |= plane
         return None if alive & ~nonempty else (alive, tuple(counts))
 
+    def lower(self, alive: int, planes: tuple[int, ...],
+              model: dict[int, bool]) -> tuple[int, ...]:
+        """The planes after fixing ``model``'s free variables, where
+        ``alive`` already omits the clauses the model satisfies: each
+        alive clause loses the literals the model falsifies.  This is
+        ``assign`` without its emptiness test, for a caller that has
+        ruled empty clauses out; ``assign`` keeps its own copy of the
+        loop, since the search calls it once per literal set."""
+        pos, neg = self.pos, self.neg
+        counts = list(planes)
+        for v, value in model.items():
+            borrow = (neg[v] if value else pos[v]) & alive
+            p = 0
+            while borrow:
+                plane = counts[p]
+                counts[p] = plane ^ borrow
+                borrow &= ~plane
+                p += 1
+        return tuple(counts)
+
     def shortest(self, alive: int, planes: tuple[int, ...]) -> int:
         """The first alive clause with the fewest unfixed literals; no
         alive clause may be empty."""

@@ -15,6 +15,7 @@ recursion below sound.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -371,6 +372,65 @@ def _recurse_branches(phi: CnfFormula, structs: Sequence[Struct], eps: float,
                     branch_nodes=branch_nodes).with_lower_bound(lower)
 
 
+def _grow_groups(clauses: Sequence[tuple[int, ...]]
+                 ) -> list[tuple[list[tuple[int, ...]], tuple[int, ...]]]:
+    """The reduction's group pool, as (clauses, closed variables) pairs in
+    pool order; a later pick absorbs most groups, so only the final pool
+    is scanned into Structs.
+
+    Each step picks the first clause that touches no closed variable,
+    merges it with every group it shares a variable with (their clauses in
+    pool order, then the pick) and moves the merged group to the end of
+    the pool, closed as ``match_library`` says.  A group's own clauses all
+    touch its closed variables.  So a clause before the scan pointer can
+    only become a candidate again when a closed variable it touches stops
+    being closed; such clauses go on a heap and are re-checked before the
+    pointer moves on.
+    """
+    occurrences: dict[int, list[int]] = {}
+    for j, c in enumerate(clauses):
+        for code in c:
+            occurrences.setdefault(abs(code), []).append(j)
+    # dicts keep insertion order, and a merged group is inserted last
+    groups: dict[int, tuple[list[tuple[int, ...]], tuple[int, ...]]] = {}
+    var_owner: dict[int, int] = {}
+    all_closed: set[int] = set()
+    recheck: list[int] = []
+    scan = 0
+    for new_id in itertools.count():
+        pick = None
+        while recheck:
+            j = heapq.heappop(recheck)
+            if not _touches(clauses[j], all_closed):
+                pick = j
+                break
+        if pick is None:
+            while scan < len(clauses) and _touches(clauses[scan], all_closed):
+                scan += 1
+            if scan == len(clauses):
+                return list(groups.values())
+            pick = scan
+        absorbed = sorted({var_owner[abs(code)] for code in clauses[pick]
+                           if abs(code) in var_owner})
+        merged: list[tuple[int, ...]] = []
+        was_closed: set[int] = set()
+        for i in absorbed:
+            cls, closed = groups.pop(i)
+            merged.extend(cls)
+            was_closed.update(closed)
+        merged.append(clauses[pick])
+        closed = match_library(merged)
+        groups[new_id] = merged, closed
+        for v in vars_of(merged):
+            var_owner[v] = new_id
+        all_closed -= was_closed
+        all_closed.update(closed)
+        for v in was_closed - all_closed:
+            for j in occurrences[v]:
+                if j < scan:
+                    heapq.heappush(recheck, j)
+
+
 def red_structs(phi: CnfFormula, params, eps: float, delta: float,
                 recursive_counter: RecursiveCounter) -> RedOutcome:
     """Grow groups until every clause touches a closed variable, then either
@@ -389,31 +449,7 @@ def red_structs(phi: CnfFormula, params, eps: float, delta: float,
             value=0, exact=True, epsilon=eps, delta=delta))
     n = phi.num_vars
 
-    # groups grow as (clauses, closed variables) pairs; a later pick absorbs
-    # most of them, so only the final pool is scanned into Structs
-    groups: list[tuple[list[tuple[int, ...]], tuple[int, ...]]] = []
-    var_owner: dict[int, int] = {}
-    all_closed: set[int] = set()
-    while True:
-        pick = None
-        for c in phi.clauses:
-            if not _touches(c, all_closed):
-                pick = c
-                break
-        if pick is None:
-            break
-        absorbed = sorted({var_owner[abs(code)] for code in pick
-                           if abs(code) in var_owner})
-        merged: list[tuple[int, ...]] = []
-        for i in absorbed:
-            merged.extend(groups[i][0])
-        merged.append(pick)
-        groups = [g for i, g in enumerate(groups) if i not in absorbed]
-        groups.append((merged, match_library(merged)))
-        var_owner = {v: i for i, (cls, _) in enumerate(groups)
-                     for v in vars_of(cls)}
-        all_closed = {v for _, closed in groups for v in closed}
-    pool = [Struct(cls, closed) for cls, closed in groups]
+    pool = [Struct(cls, closed) for cls, closed in _grow_groups(phi.clauses)]
 
     if pool and all(s.w_sigma > 0 for s in pool):
         alpha_lo = params.alpha(k - 1)

@@ -8,7 +8,10 @@ from indepcount import (BranchKind, CnfFormula, CutKind, Estimate, Strategy,
                         Struct, StructSet, brute_force_count, cut,
                         params_for, red_clauses, red_structs)
 from indepcount.cnf import assign, vars_of
+from indepcount.exact import ClauseIndex
 from indepcount.gen import GeneratorSpec, generate
+
+from conftest import deadline
 
 BIG = 10 ** 9
 
@@ -267,6 +270,35 @@ def test_cut_matches_reference_walk():
     assert kinds == set(CutKind) and seen == set(BranchKind)
 
 
+def test_no_child_that_empties_a_clause_reaches_the_search(monkeypatch):
+    # the mask test must prune every child whose model empties a clause;
+    # one it missed would be built and handed to the search
+    search = ClauseIndex.search
+    searched = []
+
+    def checked(self, alive, planes, unfixed):
+        nonempty = 0
+        for plane in planes:
+            nonempty |= plane
+        assert not alive & ~nonempty, "a child with an empty clause was built"
+        searched.append(alive)
+        return search(self, alive, planes, unfixed)
+
+    monkeypatch.setattr(ClauseIndex, "search", checked)
+    wide = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        k = 3 + seed % 2
+        n = rng.randint(8, 14)
+        m = rng.randint(n, {3: 5, 4: 9}[k] * n)
+        phi = generate(GeneratorSpec(n=n, m=m, k=k, seed=300 + seed))
+        psi = _struct_psi(phi) or _clause_psi(phi)
+        wide += any(sigma.n_sigma > k for sigma in psi)
+        for branching in BranchKind:
+            cut(phi, psi, BIG, branching)
+    assert searched and wide  # groups wider than one clause were branched on
+
+
 # Benchmark-scale cuts, recorded before the walk moved to bit-sliced
 # residuals.  k=3, n=28, m=84, generator seed 1 (802 models), completed:
 BENCH_PHI = GeneratorSpec(n=28, m=84, k=3, seed=1)
@@ -274,6 +306,8 @@ BENCH_PINS = [
     # (strategy, kind, count, branch_nodes, decider_calls, leaves, pruned)
     (Strategy.THURLEY, CutKind.EXACT, 802, 4497, 8995, 627, 3871),
     (Strategy.PRUNED_TREE, CutKind.EXACT, 802, 1050, 1549, 383, 116),
+    (Strategy.INDEP_CLAUSES, CutKind.EXACT, 802, 3484, 7375, 506, 3385),
+    (Strategy.INDEP_STRUCTS, CutKind.EXACT, 802, 1572, 92539, 748, 90219),
 ]
 
 
@@ -302,6 +336,17 @@ def test_benchmark_scale_cuts_are_pinned(pin):
     res = _strategy_cut(generate(BENCH_PHI), strategy)
     assert [res.kind, res.count, res.branch_nodes, res.decider_calls,
             res.leaves, res.pruned] == want
+
+
+def test_structs_cut_prunes_group_children_in_time():
+    # k=4, n=30, m=180, generator seed 1: 567,622 of its 569,606 vetted
+    # nodes are pruned, so a pruned child must cost far less than a build
+    phi = generate(GeneratorSpec(n=30, m=180, k=4, seed=1))
+    with deadline(2.0):
+        res = _strategy_cut(phi, Strategy.INDEP_STRUCTS)
+    assert [res.kind, res.count, res.branch_nodes, res.decider_calls,
+            res.leaves, res.pruned] == [CutKind.AT_LEAST_ELL, 610, 1590,
+                                        569606, 394, 567622]
 
 
 def test_sparse_sample_cell_cuts_are_pinned():

@@ -277,13 +277,12 @@ def test_group_with_too_many_models_to_branch_on_is_refused():
 
 
 def test_cut_threshold_past_the_float_range_counts_exactly():
-    # ell = 2^(ell_log2 n) is past 2^1024 here on every two-phase strategy
-    # (structs is left out: its group growth alone takes over a second);
+    # ell = 2^(ell_log2 n) is past 2^1024 here on every two-phase strategy;
     # the units force x5, then x7, then falsify (-7 -5)
     base = generate(GeneratorSpec(n=3000, m=3000, k=3, seed=1))
     phi = CnfFormula(base.clauses + ((5,), (-5, 7), (-7, -5)), 3000)
     for strategy in (Strategy.THURLEY, Strategy.PRUNED_TREE,
-                     Strategy.INDEP_CLAUSES):
+                     Strategy.INDEP_CLAUSES, Strategy.INDEP_STRUCTS):
         params = params_for(3, 3000, strategy)
         assert params.ell_log2 * 3000 >= 1024
         assert abs(params.ell.bit_length() - params.ell_log2 * 3000) <= 1

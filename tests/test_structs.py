@@ -320,6 +320,43 @@ def test_red_structs_builds_structs_only_for_the_final_pool(monkeypatch):
     assert merged > 0  # groups were absorbed on the way
 
 
+def _rescanning_growth(clauses):
+    """Group growth as it ran before the scan pointer: every pick rescans
+    the clause list from the start and rebuilds the owner map.  Also
+    returns how many picks came before the previous pick in the list,
+    which only a merge that reopens a closed variable allows."""
+    groups, var_owner, all_closed, earlier, last = [], {}, set(), 0, -1
+    while True:
+        j = next((j for j, c in enumerate(clauses)
+                  if not any(abs(code) in all_closed for code in c)), None)
+        if j is None:
+            return groups, earlier
+        earlier += j < last
+        last, pick = j, clauses[j]
+        absorbed = sorted({var_owner[abs(code)] for code in pick
+                           if abs(code) in var_owner})
+        merged = [c for i in absorbed for c in groups[i][0]] + [pick]
+        groups = [g for i, g in enumerate(groups) if i not in absorbed]
+        groups.append((merged, match_library(merged)))
+        var_owner = {v: i for i, (cls, _) in enumerate(groups)
+                     for v in cnf.vars_of(cls)}
+        all_closed = {v for _, closed in groups for v in closed}
+
+
+def test_group_growth_matches_the_rescanning_loop():
+    rng = random.Random(7)
+    earlier = 0
+    for seed in range(300):
+        k = 3 + seed % 2
+        n = rng.randint(k + 1, 40)
+        m = rng.randint(1, 5 * n if k == 3 else 10 * n)
+        phi = generate(GeneratorSpec(n=n, m=m, k=k, seed=9000 + seed))
+        want, picks_before_the_last = _rescanning_growth(phi.clauses)
+        assert structs._grow_groups(phi.clauses) == want, seed
+        earlier += picks_before_the_last
+    assert earlier > 0  # the re-check heap supplied some picks
+
+
 def test_red_structs_empty_clause_short_circuits():
     phi = CnfFormula([(), (1, 2, 3)], 3)
     out = red_structs(phi, _structs_params(3, 3), 0.2, 0.1, _exact_counter)
