@@ -11,9 +11,10 @@ of the clauses it satisfies, and the node marks once the alive clauses
 whose unfixed literals all lie on the block it branches over.  A child
 whose model agrees with the parent's witness keeps that witness (every
 surviving clause keeps the literal it made true), and any other node
-runs the exact DPLL search on its residual.  The models of a group or
-of a residual clause are listed with their masks once per cut.  A global
-counter accumulates, at each clause-free node, the number of models
+runs the exact DPLL search on its residual.  A residual clause's models
+are listed with their masks once per cut; a group keeps only its models'
+masks, computed once per cut, and decodes a model only for a child that
+passes the test.  A global counter accumulates, at each clause-free node, the number of models
 below it; the run either finishes (the counter is then the exact model
 count) or aborts once the counter reaches the threshold, certifying "at
 least that many models".
@@ -27,7 +28,7 @@ from typing import Iterator
 
 from .cnf import CnfFormula
 from .exact import ClauseIndex
-from .structs import StructSet
+from .structs import Struct, StructSet
 
 
 class CutKind(enum.Enum):
@@ -157,23 +158,37 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
             sat |= pos[v] if value else neg[v]
         return model, sat
 
-    # each group's models with their masks, decoded as the walk first
-    # needs them (a cut that stops mid-group decodes no further) and kept
-    # for the later nodes of the group's depth
-    decoded: list[tuple[list, Iterator] | None] = [None] * len(structs)
+    # each group's model masks, computed as the walk first needs them (a
+    # cut that stops mid-group computes no further) and kept for the later
+    # nodes of the group's depth; a model is decoded, from its place in
+    # the group's scan, only if its child survives the mask test
+    group_sats: list[list[int]] = [[] for _ in structs]
 
-    def group_models(i: int) -> Iterator[tuple[dict[int, bool], int]]:
-        if decoded[i] is None:
-            decoded[i] = [], structs[i].iter_satisfying_assignments()
+    def group_models(i: int) -> Iterator[tuple[int, int]]:
+        """Group i's models as (place, mask), in scan order."""
+        sats = group_sats[i]
         # one node per depth is open at a time, so only this walk extends
         # the kept list
-        kept, source = decoded[i]
-        yield from kept
-        for model in source:
-            kept.append(with_masks(model))
-            yield kept[-1]
+        yield from enumerate(sats)
+        variables = structs[i].vars
+        for index in map(int, structs[i].model_indices()[len(sats):]):
+            sat = 0
+            for b, v in enumerate(variables):
+                sat |= pos[v] if index >> b & 1 else neg[v]
+            sats.append(sat)
+            yield len(sats) - 1, sat
 
-    # each residual clause's variables and models, kept likewise
+    def group_decoder(sigma: Struct):
+        """Decodes one of the group's models from its place in the scan."""
+        indices, variables = sigma.model_indices(), sigma.vars
+
+        def decode(place: int) -> dict[int, bool]:
+            index = indices.item(place)
+            return {v: bool(index >> b & 1) for b, v in enumerate(variables)}
+        return decode
+
+    # each residual clause's variables and its models with their masks,
+    # kept for the cut (a clause has at most 2^k - 1 models)
     clause_models: dict[tuple[int, ...], tuple[tuple[int, ...], list]] = {}
 
     state = {"count": 0, "branch_nodes": 0, "decider_calls": 0,
@@ -202,12 +217,14 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
             block = (var,)
             closed = spanning(alive, planes, block)
             models = (({var: False}, neg[var]), ({var: True}, pos[var]))
+            decode = None
         elif branching is BranchKind.STRUCT_GUIDED and next_struct < len(structs):
             sigma = structs[next_struct]
             label, factor = f"group{next_struct}", sigma.l_sigma
             block = sigma.vars
             closed = alive & group_closed[next_struct]
             models = group_models(next_struct)
+            decode = group_decoder(sigma)
             next_struct += 1
         else:
             clause = tuple([code for code in phi.clauses[index.shortest(alive, planes)]
@@ -222,18 +239,20 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
                     [with_masks(model) for model in _clause_models(clause)])
             block, models = clause_models[clause]
             closed = spanning(alive, planes, block)
+            decode = None
         state["branch_nodes"] += 1
         if trace is not None:
             trace.append(f"{depth}\t{label}\t{factor}")
         rest = free
         for v in block:
             rest &= ~(1 << v)
-        for model, sat in models:
+        for key, sat in models:
             if closed & ~sat:
                 # a clause emptied: vetted and pruned without building it
                 state["decider_calls"] += 1
                 state["pruned"] += 1
                 continue
+            model = key if decode is None else decode(key)
             # the witness still satisfies the child if the model agrees with it
             keep = witness
             for v, value in model.items():

@@ -115,28 +115,18 @@ class ClauseIndex:
         pos, neg = self.pos, self.neg
         for v, value in model.items():
             alive &= ~(pos[v] if value else neg[v])
-        counts = list(planes)
-        for v, value in model.items():
-            borrow = (neg[v] if value else pos[v]) & alive
-            p = 0
-            while borrow:
-                plane = counts[p]
-                counts[p] = plane ^ borrow
-                borrow &= ~plane
-                p += 1
+        counts = self.lower(alive, planes, model)
         nonempty = 0
         for plane in counts:
             nonempty |= plane
-        return None if alive & ~nonempty else (alive, tuple(counts))
+        return None if alive & ~nonempty else (alive, counts)
 
     def lower(self, alive: int, planes: tuple[int, ...],
               model: dict[int, bool]) -> tuple[int, ...]:
         """The planes after fixing ``model``'s free variables, where
         ``alive`` already omits the clauses the model satisfies: each
-        alive clause loses the literals the model falsifies.  This is
-        ``assign`` without its emptiness test, for a caller that has
-        ruled empty clauses out; ``assign`` keeps its own copy of the
-        loop, since the search calls it once per literal set."""
+        alive clause loses the literals the model falsifies.  No clause
+        may empty; ``assign`` is this with that test."""
         pos, neg = self.pos, self.neg
         counts = list(planes)
         for v, value in model.items():

@@ -145,6 +145,11 @@ class Struct:
         """Models as assignment words (bit v-1 per variable)."""
         return _expand_words(self._model_idx, self.vars)
 
+    def model_indices(self) -> np.ndarray:
+        """Models as the scan's compact indices (bit i = ``vars[i]``), in
+        scan order."""
+        return _kept(self._model_idx)
+
     def iter_satisfying_assignments(self) -> Iterator[dict[int, bool]]:
         """Models over the group's variables, in scan order."""
         return _decoded(self._model_idx, self.vars)
