@@ -4,31 +4,31 @@ The tree fixes variables in blocks: whole subformula groups first (one
 branch per model of the group), then clause-guided or single-variable
 branching.  A node is a bit-sliced residual over the formula's clauses
 (``exact.ClauseIndex``) plus the bitmask of variables still free; a child
-fixes its model in the parent's residual.  Every node is vetted so that
+fixes its model in the parent's residual.  A model is one compact int
+over its block, bit b the value of ``block[b]``: 0 and 1 over a single
+variable, the satisfying patterns of a residual clause, or a group's
+scan indices (``Struct.model_indices``).  Every node is vetted so that
 falsified branches never expand.  A child whose model empties a clause is
-pruned by one mask test, before it is built: each model carries the mask
-of the clauses it satisfies, and the node marks once the alive clauses
-whose unfixed literals all lie on the block it branches over.  A child
-whose model agrees with the parent's witness keeps that witness (every
-surviving clause keeps the literal it made true), and any other node
-runs the exact DPLL search on its residual.  A residual clause's models
-are listed with their masks once per cut; a group keeps only its models'
-masks, computed once per cut, and decodes a model only for a child that
-passes the test.  A global counter accumulates, at each clause-free node, the number of models
-below it; the run either finishes (the counter is then the exact model
-count) or aborts once the counter reaches the threshold, certifying "at
-least that many models".
+pruned by one mask test, before it is built: each model has the mask of
+the clauses it satisfies, listed once per cut for each block, and the
+node marks once the alive clauses whose unfixed literals all lie on its
+block.  A child whose model agrees with the parent's witness keeps that
+witness (every surviving clause keeps the literal it made true), and any
+other node runs the exact DPLL search on its residual.  A global counter
+accumulates, at each clause-free node, the number of models below it;
+the run either finishes (the counter is then the exact model count) or
+aborts once the counter reaches the threshold, certifying "at least that
+many models".
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
 
 from .cnf import CnfFormula
 from .exact import ClauseIndex
-from .structs import Struct, StructSet
+from .structs import StructSet
 
 
 class CutKind(enum.Enum):
@@ -77,18 +77,6 @@ def _default_order(phi: CnfFormula) -> tuple[int, ...]:
     return tuple(sorted(occur, key=lambda v: (-occur[v], v)))
 
 
-def _clause_models(clause: tuple[int, ...]) -> list[dict[int, bool]]:
-    """All assignments of the clause's variables that satisfy it."""
-    out = []
-    for pattern in range(1 << len(clause)):
-        # bit i set = literal i true; skip the all-false pattern
-        if pattern == 0:
-            continue
-        out.append({abs(code): (code > 0) == bool((pattern >> i) & 1)
-                    for i, code in enumerate(clause)})
-    return out
-
-
 def cut(phi: CnfFormula, psi: StructSet, ell: int,
         branching: BranchKind, *,
         trace: list[str] | None = None) -> CutResult:
@@ -121,22 +109,16 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
     # models fixes.  A model empties a clause exactly when it leaves a
     # closed clause unsatisfied, so no child is built only to be pruned.
     # At group i's depth the fixed variables are those of the groups
-    # before it, so the closed clauses are the alive ones among those
-    # that touch group i and have every variable in groups 0..i.
+    # before it, so the closed clauses are the alive ones with every
+    # variable in groups 0..i (an alive clause inside groups 0..i-1 would
+    # be empty, and no explored node has one).
     group_closed = []
     seen = 0
     for sigma in structs:
-        touched = 0
         for v in sigma.vars:
             seen |= 1 << v
-            touched |= occurs[v]
-        inside = 0
-        while touched:
-            low = touched & -touched
-            if not spans[low.bit_length() - 1] & ~seen:
-                inside |= low
-            touched ^= low
-        group_closed.append(inside)
+        group_closed.append(sum(1 << j for j, span in enumerate(spans)
+                                if not span & ~seen))
 
     def spanning(alive: int, planes: tuple[int, ...],
                  block: tuple[int, ...]) -> int:
@@ -151,45 +133,25 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
             alive &= plane if width >> p & 1 else ~plane
         return alive
 
-    def with_masks(model: dict[int, bool]) -> tuple[dict[int, bool], int]:
-        """The model and the mask of the clauses it satisfies."""
-        sat = 0
-        for v, value in model.items():
-            sat |= pos[v] if value else neg[v]
-        return model, sat
+    # each group's (under its place) or residual clause's (under its
+    # literals) variables, its models' indices and the masks of the
+    # clauses those models satisfy, kept for the cut
+    blocks: dict = {}
 
-    # each group's model masks, computed as the walk first needs them (a
-    # cut that stops mid-group computes no further) and kept for the later
-    # nodes of the group's depth; a model is decoded, from its place in
-    # the group's scan, only if its child survives the mask test
-    group_sats: list[list[int]] = [[] for _ in structs]
-
-    def group_models(i: int) -> Iterator[tuple[int, int]]:
-        """Group i's models as (place, mask), in scan order."""
-        sats = group_sats[i]
-        # one node per depth is open at a time, so only this walk extends
-        # the kept list
-        yield from enumerate(sats)
-        variables = structs[i].vars
-        for index in map(int, structs[i].model_indices()[len(sats):]):
+    def grow(block: tuple[int, ...], indices, sats: list[int]):
+        """The masks of the clauses that the models ``indices`` over
+        ``block`` satisfy, in order: ``sats``, then the ones it lacks,
+        computed and appended as the walk first needs them (a cut that
+        stops mid-block computes no further).  One node per depth is open
+        at a time and no block repeats along a path, so only this walk
+        extends ``sats``."""
+        yield from sats
+        for bits in indices[len(sats):]:
             sat = 0
-            for b, v in enumerate(variables):
-                sat |= pos[v] if index >> b & 1 else neg[v]
+            for b, v in enumerate(block):
+                sat |= pos[v] if bits >> b & 1 else neg[v]
             sats.append(sat)
-            yield len(sats) - 1, sat
-
-    def group_decoder(sigma: Struct):
-        """Decodes one of the group's models from its place in the scan."""
-        indices, variables = sigma.model_indices(), sigma.vars
-
-        def decode(place: int) -> dict[int, bool]:
-            index = indices.item(place)
-            return {v: bool(index >> b & 1) for b, v in enumerate(variables)}
-        return decode
-
-    # each residual clause's variables and its models with their masks,
-    # kept for the cut (a clause has at most 2^k - 1 models)
-    clause_models: dict[tuple[int, ...], tuple[tuple[int, ...], list]] = {}
+            yield sat
 
     state = {"count": 0, "branch_nodes": 0, "decider_calls": 0,
              "leaves": 0, "pruned": 0}
@@ -210,57 +172,62 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
                 raise _Abort
             return
 
-        # every model fixes all of ``block`` and nothing else
+        # every model fixes all of ``block`` and nothing else; bit b of a
+        # model's index is the value of block[b]
         if branching is BranchKind.BINARY:
             var = next(v for v in order if free >> v & 1)
-            label, factor = f"x{var}", 2
-            block = (var,)
+            block, indices, sats = (var,), (0, 1), [neg[var], pos[var]]
             closed = spanning(alive, planes, block)
-            models = (({var: False}, neg[var]), ({var: True}, pos[var]))
-            decode = None
         elif branching is BranchKind.STRUCT_GUIDED and next_struct < len(structs):
-            sigma = structs[next_struct]
-            label, factor = f"group{next_struct}", sigma.l_sigma
-            block = sigma.vars
+            key = next_struct
+            if key not in blocks:
+                # read through a memoryview, an index is a plain int
+                sigma = structs[key]
+                blocks[key] = sigma.vars, memoryview(sigma.model_indices()), []
+            block, indices, sats = blocks[key]
             closed = alive & group_closed[next_struct]
-            models = group_models(next_struct)
-            decode = group_decoder(sigma)
             next_struct += 1
         else:
-            clause = tuple([code for code in phi.clauses[index.shortest(alive, planes)]
-                            if free >> abs(code) & 1])
+            key = tuple([code for code in phi.clauses[index.shortest(alive, planes)]
+                         if free >> abs(code) & 1])
             if check_reduction and next_struct >= len(structs):
-                assert len(clause) <= width_bound, \
+                assert len(key) <= width_bound, \
                     "residual clause wider than expected after the groups"
-            label, factor = " ".join(map(str, clause)), (1 << len(clause)) - 1
-            if clause not in clause_models:
-                clause_models[clause] = (
-                    tuple([abs(code) for code in clause]),
-                    [with_masks(model) for model in _clause_models(clause)])
-            block, models = clause_models[clause]
+            if key not in blocks:
+                # literal b is true in model p (p = 1 .. 2^len - 1), so
+                # the flip of the negative literals gives its index
+                flip = sum(1 << b for b, code in enumerate(key) if code < 0)
+                blocks[key] = (tuple([abs(code) for code in key]),
+                               [p ^ flip for p in range(1, 1 << len(key))], [])
+            block, indices, sats = blocks[key]
             closed = spanning(alive, planes, block)
-            decode = None
         state["branch_nodes"] += 1
         if trace is not None:
-            trace.append(f"{depth}\t{label}\t{factor}")
+            label = (f"x{var}" if branching is BranchKind.BINARY
+                     else f"group{key}" if isinstance(key, int)
+                     else " ".join(map(str, key)))
+            trace.append(f"{depth}\t{label}\t{len(indices)}")
         rest = free
         for v in block:
             rest &= ~(1 << v)
-        for key, sat in models:
+        if len(sats) < len(indices):
+            sats = grow(block, indices, sats)
+        for place, sat in enumerate(sats):
             if closed & ~sat:
                 # a clause emptied: vetted and pruned without building it
                 state["decider_calls"] += 1
                 state["pruned"] += 1
                 continue
-            model = key if decode is None else decode(key)
+            bits = indices[place]
             # the witness still satisfies the child if the model agrees with it
             keep = witness
-            for v, value in model.items():
+            for b, v in enumerate(block):
+                value = bits >> b & 1
                 if witness.get(v, value) != value:
                     keep = None
                     break
             child = alive & ~sat
-            explore(child, index.lower(child, planes, model), rest, keep,
+            explore(child, index.lower(child, planes, block, bits), rest, keep,
                     depth + 1, next_struct)
 
     try:

@@ -109,28 +109,29 @@ class ClauseIndex:
                            for p in range(depth)))
 
     def assign(self, alive: int, planes: tuple[int, ...],
-               model: dict[int, bool]):
-        """The residual after fixing ``model``'s free variables, or None
-        if that empties a clause."""
+               block: tuple[int, ...], bits: int):
+        """The residual after fixing the free variables ``block`` to
+        ``bits`` (bit b is the value of ``block[b]``), or None if that
+        empties a clause."""
         pos, neg = self.pos, self.neg
-        for v, value in model.items():
-            alive &= ~(pos[v] if value else neg[v])
-        counts = self.lower(alive, planes, model)
+        for b, v in enumerate(block):
+            alive &= ~(pos[v] if bits >> b & 1 else neg[v])
+        counts = self.lower(alive, planes, block, bits)
         nonempty = 0
         for plane in counts:
             nonempty |= plane
         return None if alive & ~nonempty else (alive, counts)
 
     def lower(self, alive: int, planes: tuple[int, ...],
-              model: dict[int, bool]) -> tuple[int, ...]:
-        """The planes after fixing ``model``'s free variables, where
-        ``alive`` already omits the clauses the model satisfies: each
-        alive clause loses the literals the model falsifies.  No clause
-        may empty; ``assign`` is this with that test."""
+              block: tuple[int, ...], bits: int) -> tuple[int, ...]:
+        """The planes after fixing ``block`` to ``bits``, where ``alive``
+        already omits the clauses those values satisfy: each alive clause
+        loses the literals they falsify.  No clause may empty; ``assign``
+        is this with that test."""
         pos, neg = self.pos, self.neg
         counts = list(planes)
-        for v, value in model.items():
-            borrow = (neg[v] if value else pos[v]) & alive
+        for b, v in enumerate(block):
+            borrow = (neg[v] if bits >> b & 1 else pos[v]) & alive
             p = 0
             while borrow:
                 plane = counts[p]
@@ -174,7 +175,7 @@ class ClauseIndex:
             v = abs(code)
             trail.append(code)
             unfixed &= ~(1 << v)
-            residual = self.assign(alive, planes, {v: code > 0})
+            residual = self.assign(alive, planes, (v,), code > 0)
             if residual is None:
                 return None
             alive, planes = residual
@@ -218,6 +219,9 @@ class ClauseIndex:
             if not alive:
                 return {abs(code): code > 0 for code in trail}
             best = self.busiest(alive, unfixed)
+            if not best:
+                # an alive clause with no unfixed literal is empty
+                continue
             stack.append((alive, planes, unfixed, len(trail), -best))
             stack.append((alive, planes, unfixed, len(trail), best))
         return None
@@ -323,7 +327,9 @@ def find_model(clauses, fixed: dict[int, bool] | None = None
     clause has a literal it makes true), or None if none exists."""
     fixed = fixed or {}
     index = ClauseIndex(clauses, max(fixed, default=0))
-    residual = index.assign(*index.root, fixed)
+    block = tuple(fixed)
+    residual = index.assign(*index.root, block,
+                            sum(fixed[v] << b for b, v in enumerate(block)))
     if residual is None:
         return None
     unfixed = sum(1 << v for v in vars_of(index.clauses) - fixed.keys())

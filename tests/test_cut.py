@@ -121,6 +121,19 @@ def test_cut_validates_arguments(chain3):
         cut(chain3, EMPTY, 0, BranchKind.BINARY)
 
 
+def test_an_empty_clause_ends_every_search():
+    # an alive clause with no unfixed literal leaves the search no variable
+    # to branch on: the residual is unsatisfiable, and the search must end
+    phi = CnfFormula([()], 1)
+    with deadline(1.0):
+        for branching in BranchKind:
+            res = cut(phi, EMPTY, 100, branching)
+            assert [res.kind, res.count, res.leaves, res.pruned] == \
+                [CutKind.EXACT, 0, 0, 1]
+        index = ClauseIndex(phi.clauses, 1)
+        assert index.search(*index.root, 0b10) is None
+
+
 def test_work_counters_are_consistent(chain3):
     res = cut(chain3, EMPTY, BIG, BranchKind.BINARY)
     # every node got one decider call: branches + leaves + pruned

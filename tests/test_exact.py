@@ -8,7 +8,7 @@ import pytest
 from indepcount import (CnfFormula, GuardError, approx_count,
                         brute_force_count, count_2sat_exact, parse_dimacs,
                         ras)
-from indepcount.cnf import vars_of
+from indepcount.cnf import assign, vars_of
 from indepcount.exact import ClauseIndex, _count, find_model
 from indepcount.gen import GeneratorSpec, generate
 
@@ -288,7 +288,9 @@ def propagate(clauses, fixed):
     """(residual clause set, all fixed vars) after ``fixed`` and the units
     it leads to, or None if a clause empties."""
     index = ClauseIndex(clauses, max(fixed, default=0))
-    residual = index.assign(*index.root, fixed)
+    block = tuple(fixed)
+    residual = index.assign(*index.root, block,
+                            sum(fixed[v] << b for b, v in enumerate(block)))
     if residual is None:
         return None
     unfixed = sum(1 << v for v in vars_of(index.clauses) - fixed.keys())
@@ -353,6 +355,50 @@ def test_propagate_collapses_duplicate_residual_clauses():
     assert residual == frozenset({(1, 2)})
     assert implied == {3: False, 4: True}
     _check_propagate([(1, 2, 3), (1, 2, -4), (4,)], {3: False}, 4)
+
+
+# ---------------------------------------------------------------------------
+# ClauseIndex.assign of a block's compact model against the tuple-level
+# reference ``cnf.assign``
+
+def _residual_clauses(index, alive, planes, unfixed):
+    """The alive clauses with their unfixed literals, in clause order; each
+    clause's count in ``planes`` must match its literals."""
+    out = []
+    for j, c in enumerate(index.clauses):
+        if alive >> j & 1:
+            left = tuple(code for code in c if unfixed >> abs(code) & 1)
+            count = sum((plane >> j & 1) << p for p, plane in enumerate(planes))
+            assert count == len(left)
+            out.append(left)
+    return tuple(out)
+
+
+def test_assign_of_a_block_matches_the_tuple_reference():
+    outcomes = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        clauses = _random_clauses(rng, n, rng.randint(0, 12), (0, 1, 1, 1, 1, 1))
+        index = ClauseIndex(clauses, n)
+        residual, unfixed, want = index.root, (1 << n + 1) - 2, tuple(clauses)
+        free = rng.sample(range(1, n + 1), n)
+        # fix disjoint blocks of 1-5 variables, each to random values, one
+        # after another until a clause empties or every variable is fixed
+        while free and residual is not None:
+            block = tuple(free[:rng.randint(1, 5)])
+            del free[:len(block)]
+            bits = rng.getrandbits(len(block))
+            want = assign(want, {v: bool(bits >> b & 1)
+                                 for b, v in enumerate(block)})
+            residual = index.assign(*residual, block, bits)
+            for v in block:
+                unfixed &= ~(1 << v)
+            assert (residual is None) == (() in want), (seed, block, bits)
+            if residual is not None:
+                assert _residual_clauses(index, *residual, unfixed) == want
+        outcomes.add(residual is None)
+    assert outcomes == {False, True}
 
 
 def test_2sat_matches_exactref_above_brute_force_size(monkeypatch):
