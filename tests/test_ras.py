@@ -1,3 +1,4 @@
+import hashlib
 import time
 from fractions import Fraction
 
@@ -122,6 +123,37 @@ def test_recursion_route_replays_pinned_values(monkeypatch):
                est.branch_nodes, len(branches))
         assert got == (value, True, value, 0, 0, n_branches), (k, n, m, seed)
         assert value == brute_force_count(phi).value
+
+
+# sha256 prefix over each branch formula's (clauses, variables), in the
+# order structs.restrict returns them, per recursion row: the three
+# RECURSION_PINS rows and k=3, n=40, m=12, generator seed 2 on both
+# reductions.  Entries are (k, n, m, generator seed, strategy, digest).
+BRANCH_DIGESTS = [
+    (3, 24, 9, 8, Strategy.INDEP_STRUCTS, "562cd1dc63774df0"),
+    (3, 24, 9, 2, Strategy.INDEP_CLAUSES, "5e909fb08f320690"),
+    (4, 22, 5, 7, Strategy.INDEP_STRUCTS, "9bd10c8004dbbfee"),
+    (3, 40, 12, 2, Strategy.INDEP_STRUCTS, "977e42dd692d6116"),
+    (3, 40, 12, 2, Strategy.INDEP_CLAUSES, "80a13fe9b3c79d7e"),
+]
+
+
+def test_recursion_branch_formulas_are_pinned(monkeypatch):
+    digest = None
+    restrict = structs.restrict
+
+    def hashed(*args):
+        sub = restrict(*args)
+        digest.update(repr((sub.clauses, sub.variables)).encode())
+        return sub
+    monkeypatch.setattr(structs, "restrict", hashed)
+    got = []
+    for k, n, m, seed, strategy, _ in BRANCH_DIGESTS:
+        digest = hashlib.sha256()
+        approx_count(generate(GeneratorSpec(n=n, m=m, k=k, seed=seed)),
+                     0.2, 0.1, strategy, seed=7)
+        got.append(digest.hexdigest()[:16])
+    assert got == [row[-1] for row in BRANCH_DIGESTS]
 
 
 def test_dense_unsat_formula_counts_zero_on_every_two_phase_strategy():
