@@ -5,9 +5,9 @@ are a few ints.  One unit step (``ClauseIndex.fix``) and one branching
 rule (``ClauseIndex.busiest``) serve both engines that run on them:
 
 * ``ClauseIndex.search``, a complete DPLL search.  The explore phase
-  walks residuals and searches at its nodes; ``find_model`` indexes int
-  clauses and searches once; ``decide`` wraps it for a formula and
-  returns a checked model.
+  walks residuals and searches at its nodes; ``decide`` indexes a
+  formula's clauses, searches once from the root and returns a checked
+  model.
 * ``ClauseIndex.count``, a component-caching DPLL counter.  Its public
   entry is ``count_2sat_exact``, for width-two formulas.
 
@@ -321,22 +321,6 @@ def count_2sat_exact(phi: CnfFormula) -> ExactCount:
     return _count(phi.clauses, phi.variables)
 
 
-def find_model(clauses, fixed: dict[int, bool] | None = None
-               ) -> dict[int, bool] | None:
-    """A partial model of int ``clauses`` extending ``fixed`` (every
-    clause has a literal it makes true), or None if none exists."""
-    fixed = fixed or {}
-    index = ClauseIndex(clauses, max(fixed, default=0))
-    block = tuple(fixed)
-    residual = index.assign(*index.root, block,
-                            sum(fixed[v] << b for b, v in enumerate(block)))
-    if residual is None:
-        return None
-    unfixed = sum(1 << v for v in vars_of(index.clauses) - fixed.keys())
-    found = index.search(*residual, unfixed)
-    return None if found is None else {**fixed, **found}
-
-
 @dataclass(frozen=True)
 class DecisionOutcome:
     satisfiable: bool
@@ -346,7 +330,12 @@ class DecisionOutcome:
 def decide(phi: CnfFormula) -> DecisionOutcome:
     """Decide satisfiability exactly; "satisfiable" comes with a checked
     model over the whole universe, "unsatisfiable" is never a missed one."""
-    found = find_model(phi.clauses)
+    index = ClauseIndex(phi.clauses)
+    # fixing no variable only tests for an empty clause, which the search
+    # would meet again at every leaf
+    residual = index.assign(*index.root, (), 0)
+    found = None if residual is None else index.search(
+        *residual, sum(1 << v for v in vars_of(index.clauses)))
     if found is None:
         return DecisionOutcome(False, None)
     witness = {v: found.get(v, False) for v in phi.variables}

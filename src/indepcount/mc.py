@@ -40,14 +40,14 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cnf import CnfFormula, clause_tables, satisfied_rows, word_tables
+from .cnf import (_SLICE_WORDS, CnfFormula, clause_tables, satisfied_rows,
+                  word_tables)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .structs import StructSet
+    from .structs import Struct, StructSet
 
 CHERNOFF_FACTOR = 3
 _TABLE_ROWS = 1 << 16
-_SLICE = 1 << 15
 _CELL_LIMIT = 200_000
 
 
@@ -137,18 +137,18 @@ class Universe:
             return words
         if self._tables is None:
             self._tables = _product_tables(
-                [sigma.satisfying_words() for sigma in self.structs],
+                [_model_words(sigma) for sigma in self.structs],
                 _TABLE_ROWS)
-            self._digit = np.empty(_SLICE, dtype=np.uint64)
-            self._row = np.empty(_SLICE, dtype=np.uint64)
+            self._digit = np.empty(_SLICE_WORDS, dtype=np.uint64)
+            self._row = np.empty(_SLICE_WORDS, dtype=np.uint64)
         *head, last = self._tables
         # one uniform index per sample into the product of the tables (at
         # most 2^64 rows: fewer than 2^|vars| models per group, every index
         # <= 64), split by mixed radix into one uniform row per table.  Every
         # digit is below its table's length, so its int64 view is exact.
         # Slices keep the index and both buffers in L2 cache.
-        for start in range(0, count, _SLICE):
-            part = words[start:start + _SLICE]
+        for start in range(0, count, _SLICE_WORDS):
+            part = words[start:start + _SLICE_WORDS]
             digit, row = self._digit[:len(part)], self._row[:len(part)]
             index = rng.integers(0, self._models, size=len(part),
                                  dtype=np.uint64)
@@ -174,10 +174,20 @@ class Universe:
         # the leading one-row table makes the single product a fresh array
         [cells] = _product_tables(
             [np.zeros(1, dtype=np.uint64), *coins,
-             *(sigma.satisfying_words() for sigma in self.structs)],
+             *map(_model_words, self.structs)],
             _CELL_LIMIT)
         cells.sort()
         return cells
+
+
+def _model_words(sigma: "Struct") -> np.ndarray:
+    """A group's models as assignment words, bit (v-1) = value of x_v.
+    Callers run ``Universe._check_words`` first, so every v <= 64."""
+    indices = sigma.model_indices()
+    words = np.zeros(indices.shape, dtype=np.uint64)
+    for i, v in enumerate(sigma.vars):
+        words |= ((indices >> np.uint64(i)) & np.uint64(1)) << np.uint64(v - 1)
+    return words
 
 
 def _product_tables(parts: Sequence[np.ndarray], cap: int) -> list[np.ndarray]:
@@ -281,7 +291,7 @@ def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
     done = 0
     # one kernel slice a draw, so a run stops within a slice of its stop
     while done < t:
-        words = universe.sample_words(min(_SLICE, t - done), rng)
+        words = universe.sample_words(min(_SLICE_WORDS, t - done), rng)
         # survivors, not nonzero words: the all-false word 0 can be a model
         kept = satisfied_rows(tables, words)
         if hits + len(kept) >= stop:

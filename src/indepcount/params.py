@@ -106,7 +106,6 @@ class ParamSet:
 
     k: int
     n: int
-    strategy: Strategy
     beta_k: float | None
     mu_k: float | None
     theta_k: float | None = None
@@ -146,7 +145,7 @@ def params_for(k: int, n: int, strategy: Strategy) -> ParamSet:
     if n < 0:
         raise ValueError("n must be non-negative")
     if k == 2 or strategy is Strategy.BRUTE_FORCE:
-        return ParamSet(k=k, n=n, strategy=strategy, beta_k=None, mu_k=None)
+        return ParamSet(k=k, n=n, beta_k=None, mu_k=None)
 
     beta = beta_k(k)
     mu = mu_k(k) if k >= 5 else None
@@ -173,6 +172,5 @@ def params_for(k: int, n: int, strategy: Strategy) -> ParamSet:
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    return ParamSet(k=k, n=n, strategy=strategy, beta_k=beta, mu_k=mu,
-                    theta_k=theta, p_k=p, ell_log2=coeff,
-                    m_hat_fraction=frac)
+    return ParamSet(k=k, n=n, beta_k=beta, mu_k=mu, theta_k=theta, p_k=p,
+                    ell_log2=coeff, m_hat_fraction=frac)

@@ -19,7 +19,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,25 +72,6 @@ def _kept(indices: np.ndarray | None) -> np.ndarray:
     return indices
 
 
-def _expand_words(indices: np.ndarray | None,
-                  over_vars: Sequence[int]) -> np.ndarray:
-    """Compact scan indices -> assignment words with bit (v-1) per variable."""
-    indices = _kept(indices)
-    out = np.zeros(indices.shape, dtype=np.uint64)
-    for i, v in enumerate(over_vars):
-        if v > 64:
-            raise GuardError("word packing limited to variable indices <= 64")
-        out |= ((indices >> np.uint64(i)) & np.uint64(1)) << np.uint64(v - 1)
-    return out
-
-
-def _decoded(indices: np.ndarray | None,
-             over_vars: Sequence[int]) -> Iterator[dict[int, bool]]:
-    """Compact scan indices -> assignments of ``over_vars``, decoded lazily."""
-    return ({v: bool((index >> i) & 1) for i, v in enumerate(over_vars)}
-            for index in map(int, _kept(indices)))
-
-
 def _touches(clause: tuple[int, ...], variables) -> bool:
     """Does the clause mention any of ``variables``?"""
     return any(abs(code) in variables for code in clause)
@@ -104,9 +85,9 @@ class Struct:
     ``l_sigma`` counts models over the group's own variables; ``w_sigma``
     counts assignments of the closed variables alone that falsify no
     clause, and ``f_sigma`` is the number of closed variables.  A fully
-    closed group has w = l and f = n.  The models are kept only as the
-    scan's compact indices, which every view decodes; a group with more
-    than ``_INDEX_LIMIT`` of them raises GuardError from every view.
+    closed group has w = l and f = n.  Both listings are kept only as the
+    scans' compact indices, which each caller decodes; a listing of more
+    than ``_INDEX_LIMIT`` entries raises GuardError.
     """
 
     __slots__ = ("clauses", "vars", "closed_vars", "n_sigma", "l_sigma",
@@ -141,22 +122,15 @@ class Struct:
     def is_closed(self) -> bool:
         return self.f_sigma == self.n_sigma
 
-    def satisfying_words(self) -> np.ndarray:
-        """Models as assignment words (bit v-1 per variable)."""
-        return _expand_words(self._model_idx, self.vars)
-
     def model_indices(self) -> np.ndarray:
         """Models as the scan's compact indices (bit i = ``vars[i]``), in
         scan order."""
         return _kept(self._model_idx)
 
-    def iter_satisfying_assignments(self) -> Iterator[dict[int, bool]]:
-        """Models over the group's variables, in scan order."""
-        return _decoded(self._model_idx, self.vars)
-
-    def closed_ok_assignments(self) -> Iterator[dict[int, bool]]:
-        """Assignments of the closed variables that falsify nothing."""
-        return _decoded(self._closed_idx, self.closed_vars)
+    def closed_indices(self) -> np.ndarray:
+        """Assignments of the closed variables that falsify nothing, as
+        compact indices (bit i = ``closed_vars[i]``), in scan order."""
+        return _kept(self._closed_idx)
 
     def __eq__(self, other):
         if not isinstance(other, Struct):
@@ -355,7 +329,11 @@ def _recurse_branches(phi: CnfFormula, structs: Sequence[Struct], eps: float,
     exact = True
     under = False
     samples = hits = wanted = decider_calls = branch_nodes = 0
-    for combo in itertools.product(*[s.closed_ok_assignments() for s in structs]):
+    # each group's closed assignments, decoded once; a branch merges one
+    # of each, in group order
+    parts = [[{v: bool(index >> i & 1) for i, v in enumerate(s.closed_vars)}
+              for index in memoryview(s.closed_indices())] for s in structs]
+    for combo in itertools.product(*parts):
         binding: dict[int, bool] = {}
         for part in combo:
             binding.update(part)

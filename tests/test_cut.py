@@ -233,7 +233,10 @@ def _reference_cut(phi, psi, ell, branching, memo):
             models = [{var: False}, {var: True}]
         elif nxt < len(structs):
             label, factor = f"group{nxt}", structs[nxt].l_sigma
-            models = list(structs[nxt].iter_satisfying_assignments())
+            sigma = structs[nxt]
+            models = [{v: bool(index >> i & 1)
+                       for i, v in enumerate(sigma.vars)}
+                      for index in map(int, sigma.model_indices())]
             nxt += 1
         else:
             clause = min(clauses, key=len)

@@ -9,7 +9,7 @@ from indepcount import (CnfFormula, GuardError, approx_count,
                         brute_force_count, count_2sat_exact, parse_dimacs,
                         ras)
 from indepcount.cnf import assign, vars_of
-from indepcount.exact import ClauseIndex, _count, find_model
+from indepcount.exact import ClauseIndex, _count
 from indepcount.gen import GeneratorSpec, generate
 
 from conftest import slow_count
@@ -411,11 +411,26 @@ def test_2sat_matches_exactref_above_brute_force_size(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# find_model's contract, checked against every assignment of a small universe
+# the search's contract, checked against every assignment of a small
+# universe: fix a block with ``ClauseIndex.assign``, search the rest
 
-def _check_find_model(clauses, fixed, n):
+def _search(clauses, fixed):
+    """A partial model of int ``clauses`` extending ``fixed`` (every
+    clause has a literal it makes true), or None if none exists."""
+    index = ClauseIndex(clauses, max(fixed, default=0))
+    block = tuple(fixed)
+    residual = index.assign(*index.root, block,
+                            sum(fixed[v] << b for b, v in enumerate(block)))
+    if residual is None:
+        return None
+    unfixed = sum(1 << v for v in vars_of(index.clauses) - fixed.keys())
+    found = index.search(*residual, unfixed)
+    return None if found is None else {**fixed, **found}
+
+
+def _check_search(clauses, fixed, n):
     before = dict(fixed)
-    got = find_model(clauses, fixed)
+    got = _search(clauses, fixed)
     assert fixed == before, "the caller's dict is left alone"
     extendable = any(
         _satisfies(clauses, a) for a in (
@@ -432,7 +447,7 @@ def _check_find_model(clauses, fixed, n):
                for c in clauses)
 
 
-def test_find_model_answers_exactly_when_a_model_extends_fixed():
+def test_search_answers_exactly_when_a_model_extends_fixed():
     outcomes = set()
     for seed in range(400):
         rng = random.Random(seed)
@@ -440,18 +455,18 @@ def test_find_model_answers_exactly_when_a_model_extends_fixed():
         clauses = _random_clauses(rng, n, rng.randint(0, 14), (1, 5, 10, 10, 6))
         fixed = {v: rng.random() < 0.5
                  for v in rng.sample(range(1, n + 1), rng.randint(0, n // 2))}
-        _check_find_model(clauses, fixed, n)
-        outcomes.add(find_model(clauses, fixed) is None)
+        _check_search(clauses, fixed, n)
+        outcomes.add(_search(clauses, fixed) is None)
     assert outcomes == {False, True}
 
 
-def test_find_model_named_cases():
-    _check_find_model([], {}, 1)
-    _check_find_model([()], {}, 1)
-    _check_find_model([(1,), (-1,)], {}, 2)
-    _check_find_model([(1, 2), (1, 2), (-1, 2)], {}, 2)
-    _check_find_model([(-1,), (2, 3)], {1: True}, 3)
-    _check_find_model([(1, 2, 3, 4), (-1,), (-2,), (-3,)], {4: False}, 4)
-    assert find_model([(1,), (-1,)]) is None
-    assert find_model([(-1,), (2, 3)], {1: True}) is None
-    assert find_model([(1, 2)], {3: True}).items() >= {3: True}.items()
+def test_search_named_cases():
+    _check_search([], {}, 1)
+    _check_search([()], {}, 1)
+    _check_search([(1,), (-1,)], {}, 2)
+    _check_search([(1, 2), (1, 2), (-1, 2)], {}, 2)
+    _check_search([(-1,), (2, 3)], {1: True}, 3)
+    _check_search([(1, 2, 3, 4), (-1,), (-2,), (-3,)], {4: False}, 4)
+    assert _search([(1,), (-1,)], {}) is None
+    assert _search([(-1,), (2, 3)], {1: True}) is None
+    assert _search([(1, 2)], {3: True}).items() >= {3: True}.items()

@@ -2,7 +2,8 @@
 every module-level private name of the package is referenced elsewhere
 in it, every public function or class the package does not export is
 referenced from the package or the benchmark (tests do not count), and
-every name the package exports resolves.
+every name the package exports resolves, and every code reference in the
+README names something that exists.
 
 Built on the standard library's ``ast`` so that it runs wherever the
 tests do.  A name counts as used when the module loads it anywhere, lists
@@ -12,6 +13,8 @@ function and loaded in another counts as used.
 """
 
 import ast
+import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -21,6 +24,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "indepcount").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 CHECKED = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+# call-shaped README spans that are math notation, not code
+MATH_CALLS = {"ln"}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -250,3 +255,60 @@ def test_every_export_resolves():
     namespace: dict = {}
     exec("from indepcount import *", namespace)
     assert set(indepcount.__all__) <= set(namespace)
+
+
+def _package_namespaces() -> tuple[dict, dict]:
+    """The package and its modules by name, and every class the package
+    defines by name."""
+    modules = {"indepcount": indepcount}
+    for path in PACKAGE:
+        if path.stem != "__init__":
+            modules[path.stem] = importlib.import_module(
+                f"indepcount.{path.stem}")
+    classes = {name: obj for module in modules.values()
+               for name, obj in vars(module).items()
+               if isinstance(obj, type)
+               and obj.__module__ == module.__name__}
+    return modules, classes
+
+
+def stale_code_references(text: str, modules: dict, classes: dict) -> list[str]:
+    """Backticked spans of markdown ``text``, outside fenced blocks, that
+    name nothing: ``head.name`` whose head is in ``modules`` or
+    ``classes`` but has no such attribute (or dataclass field), and calls
+    ``name(...)`` that no module defines, ``MATH_CALLS`` aside."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    stale = []
+    for span in re.findall(r"`([^`]+)`", text):
+        dotted = re.match(r"(\w+)\.(\w+)", span)
+        call = re.match(r"(\w+)\(", span)
+        if dotted and dotted[1] in modules:
+            found = hasattr(modules[dotted[1]], dotted[2])
+        elif dotted and dotted[1] in classes:
+            owner = classes[dotted[1]]
+            found = (hasattr(owner, dotted[2])
+                     or dotted[2] in getattr(owner, "__dataclass_fields__", {}))
+        elif call and call[1] not in MATH_CALLS:
+            found = any(hasattr(m, call[1]) for m in modules.values())
+        else:
+            continue
+        if not found:
+            stale.append(span)
+    return stale
+
+
+def test_lint_flags_a_stale_readme_reference():
+    modules, classes = _package_namespaces()
+    probe = ("`cnf.assign`, `cnf.gone`, `Struct.model_indices()`, "
+             "`Estimate.value`, `Struct.gone()`, `decide(phi).witness`, "
+             "`gone(clauses, fixed)`, `ln(2/delta)`, `numpy.gone`, "
+             "`tests/test_cnf.py`, `3 ln(2)`\n"
+             "```python\ngone(1)\n```\n")
+    assert stale_code_references(probe, modules, classes) == [
+        "cnf.gone", "Struct.gone()", "gone(clauses, fixed)"]
+
+
+def test_every_readme_code_reference_resolves():
+    stale = stale_code_references((ROOT / "README.md").read_text(
+        encoding="utf-8"), *_package_namespaces())
+    assert not stale, "README names nothing for:\n" + "\n".join(stale)

@@ -299,14 +299,14 @@ def _word_hits(words, clauses):
 
 def _recount_stop(phi, psi, stop, seed):
     """Index of the ``stop``-th hit in the stream a rule run draws: one
-    ``mc._SLICE``-word draw after another from a fresh generator."""
+    ``mc._SLICE_WORDS``-word draw after another from a fresh generator."""
     from indepcount import mc
 
     uni = Universe(psi, variables=phi.variables)
     rng = generator(seed)
     seen = done = 0
     while True:
-        words = uni.sample_words(mc._SLICE, rng)
+        words = uni.sample_words(mc._SLICE_WORDS, rng)
         at = np.flatnonzero(_word_hits(words, phi.clauses))
         if seen + len(at) >= stop:
             return done + int(at[stop - seen - 1]) + 1
@@ -343,7 +343,7 @@ def test_stop_index_is_exact_past_a_slice_boundary(monkeypatch):
     # kernel checks only the rest while the recount checks them all.
     from indepcount import mc
 
-    monkeypatch.setattr(mc, "_SLICE", 16)
+    monkeypatch.setattr(mc, "_SLICE_WORDS", 16)
     phi = generate(GeneratorSpec(n=10, m=12, k=3, seed=3))
     psi = StructSet((_struct(phi.clauses[0]),))
     offsets = set()
@@ -365,7 +365,7 @@ def test_stop_index_is_exact_across_a_full_slice():
     for seed in range(4):
         est = mc_estimate(phi, EMPTY_STRUCT_SET, 1, 0.2, 0.1, generator(seed))
         assert est.samples == _recount_stop(phi, EMPTY_STRUCT_SET, 836, seed)
-        crossed += est.samples > mc._SLICE
+        crossed += est.samples > mc._SLICE_WORDS
     assert crossed >= 1
 
 

@@ -118,32 +118,37 @@ def test_model_scan_with_no_models_keeps_empty_indices():
     assert count == 4 and indices.tolist() == [2, 5, 6, 7]
 
 
+def _decode(indices, over_vars):
+    """Compact indices (bit i = ``over_vars[i]``) -> assignment dicts."""
+    return [{v: bool(index >> i & 1) for i, v in enumerate(over_vars)}
+            for index in map(int, indices)]
+
+
 def test_models_listing_matches_count():
     cls = _clauses((1, 2, 3), (1, 4, 5))
     sigma = Struct(cls, match_library(cls))
-    models = list(sigma.iter_satisfying_assignments())
+    models = _decode(sigma.model_indices(), sigma.vars)
     assert len(models) == sigma.l_sigma == 25
-    assert len(sigma.satisfying_words()) == 25
+    assert len(set(map(int, sigma.model_indices()))) == 25
     for m in models:
         assert all(any(m[abs(code)] == (code > 0) for code in c) for c in cls)
-    oks = sigma.closed_ok_assignments()
+    oks = _decode(sigma.closed_indices(), sigma.closed_vars)
     assert sorted(m[1] for m in oks) == [False, True]
 
 
 def test_group_with_too_many_models_to_keep_refuses_every_view():
-    # 2^22 - 1 models exceed the index limit: the counts stand, but no view
-    # of the models can be built
+    # 2^22 - 1 models exceed the index limit: the counts stand, but no
+    # listing of the models can be built
     codes = (-1, -2) + tuple(range(3, 23))
     sigma = Struct(_clauses(codes), (1,))
     assert sigma.l_sigma == (1 << 22) - 1 and sigma.w_sigma == 2
-    for view in (sigma.iter_satisfying_assignments, sigma.satisfying_words):
-        with pytest.raises(GuardError):
-            view()
-    assert sorted(m[1] for m in sigma.closed_ok_assignments()) == [False, True]
+    with pytest.raises(GuardError):
+        sigma.model_indices()
+    assert sigma.closed_indices().tolist() == [0, 1]
     closed = Struct(_clauses(codes), range(1, 23))
     assert closed.w_sigma == (1 << 22) - 1
     with pytest.raises(GuardError):
-        closed.closed_ok_assignments()
+        closed.closed_indices()
 
 
 def test_struct_rejects_malformed_clauses():
