@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -346,6 +347,71 @@ def test_chunk_tables_agree_with_evaluate_across_widths():
         if phi.num_clauses > 1:
             assert 0 < len(expected) < len(words), phi
         assert satisfied_rows(tables, words).tolist() == expected, phi
+
+
+# --- clause-table pins --------------------------------------------------------
+
+# the benchmark's two sparse-sample cells (k, n, m): their formulas reach
+# the sampler's check
+_SAMPLE_CELLS = ((3, 23, 46), (4, 19, 114))
+
+
+def _pinned_table_cases():
+    """(clauses, positions) of the pinned formulas, at the sampler's
+    positions (bit v - 1 for x_v)."""
+    formulas = [generate(GeneratorSpec(n=n, m=m, k=k, seed=seed))
+                for seed in range(64) for k, n, m in [_SAMPLE_CELLS[seed % 2]]]
+    rng = np.random.default_rng(61)
+    top = [tuple(int(v) * int(rng.choice([-1, 1]))
+                 for v in rng.choice(np.arange(57, 65), size=3, replace=False))
+           for _ in range(10)]
+    low = generate(GeneratorSpec(n=30, m=64, k=3, seed=62)).clauses
+    formulas += [
+        # positions 60-63: the 12-bit chunk 5 spans bits 60-71
+        CnfFormula(top + [(61,), (-64,), (1, 64)], 64),
+        CnfFormula([()] * 3, 5),                    # only empty clauses
+        CnfFormula(low + ((), ()), 30),             # block 1 only empty
+        CnfFormula([(1, 2), (), (-3,)], 3),         # an empty clause among others
+        generate(GeneratorSpec(n=40, m=70, k=4, seed=63)),    # two blocks
+        # no literal in chunk 1 (bits 12-23) nor in byte 2 (bits 16-23)
+        CnfFormula([(1, -12), (-2, 5), (25, -36, 30), (-26, 3)], 36),
+    ]
+    return [(phi.clauses, {v: v - 1 for v in phi.variables})
+            for phi in formulas]
+
+
+def _offset_tables(clauses, positions, bits):
+    """Each block's tables at ``bits`` bits a chunk, with the bit offset of
+    each table's chunk."""
+    if bits == 8:
+        return [([8 * b for b in used], tables)
+                for used, tables in clause_tables(clauses, positions)]
+    return word_tables(clause_tables(clauses, positions))
+
+
+def _table_digest(bits):
+    h = hashlib.sha256()
+    for clauses, positions in _pinned_table_cases():
+        for block, (offsets, tables) in enumerate(
+                _offset_tables(clauses, positions, bits)):
+            assert len(offsets) == len(tables) and tables.dtype == np.uint64
+            for offset, table in zip(offsets, tables):
+                h.update(f"{block} {offset} ".encode())
+                h.update(table.astype("<u8").tobytes())
+        h.update(b";")
+    return h.hexdigest()
+
+
+# sha256 of every table of the pinned formulas, by chunk width
+TABLE_PINS = {
+    8: "cb5dbff7ffed0dfb5dfb07d322b3221fe0ed3bc0b9a35864fb74b68079ae7160",
+    12: "9b1a10e1d38b80adf280e0b30cbf4d6983a2ebd7fd6818e46b95b0b6703ccdeb",
+}
+
+
+def test_clause_tables_are_pinned():
+    for bits, digest in TABLE_PINS.items():
+        assert _table_digest(bits) == digest, bits
 
 
 def test_kernel_buffers_are_not_shared_between_threads():
