@@ -295,21 +295,21 @@ def restrict(phi: CnfFormula, assignment: Mapping[int, bool]) -> CnfFormula:
 #
 # An assignment is a uint64 word with one bit per variable position (bit
 # set = true).  A clause set is checked by table lookup: clauses go in
-# blocks of up to _TABLE_CLAUSES, and each block keeps one 256-entry
-# uint64 table per byte its clauses touch.  Bit j of ``T_b[x]`` is set
-# when byte value x agrees, on clause j's literals in byte b, with the one
-# assignment of them that falsifies clause j.  ANDing the entries a word
-# selects leaves exactly the clauses it falsifies, so a word satisfies
-# the block when the AND is 0.  A clause with no literal in byte b (an
-# empty clause in every byte) has its bit set in every entry of T_b.
+# blocks of up to _TABLE_CLAUSES, and each block keeps one uint64 table
+# per chunk of the word its clauses touch.  A chunk is a byte (256
+# entries) on the exact routes and _CHUNK_BITS bits (4,096 entries,
+# 32 KB) in the sampler.  Bit j of ``T_c[x]`` is set when chunk value x
+# agrees, on clause j's literals in chunk c, with the one assignment of
+# them that falsifies clause j.  ANDing the entries a word selects leaves
+# exactly the clauses it falsifies, so a word satisfies the block when
+# the AND is 0.  A clause with no literal in chunk c (an empty clause in
+# every chunk) has its bit set in every entry of T_c.
 #
-# The sampler's check, ``satisfied_rows``, reads chunk tables that
-# ``word_tables`` derives from the byte tables: one 4,096-entry (32 KB)
-# table per _CHUNK_BITS-bit chunk of the word, so a word of up to 24
-# variables takes two gathers per block, each indexed by a shift and a
-# mask.  It runs over slices of _SLICE_WORDS words, small enough that a
-# slice and its buffers stay in L2, and later blocks see only the
-# survivors of earlier ones.
+# The sampler's check, ``satisfied_rows``, reads the _CHUNK_BITS-bit
+# tables, so a word of up to 24 variables takes two gathers per block,
+# each indexed by a shift and a mask.  It runs over slices of
+# _SLICE_WORDS words, small enough that a slice and its buffers stay in
+# L2, and later blocks see only the survivors of earlier ones.
 #
 # Listing every satisfying index of [0, 2^n) needs no gather per index:
 # ``satisfying_indices`` joins the low _HALF_BITS bits of the index with
@@ -322,7 +322,6 @@ _HALF_BITS = 16
 _CHUNK_BITS = 12
 
 ClauseTables = tuple[tuple[tuple[int, ...], np.ndarray], ...]
-WordTables = ClauseTables
 _buffers = threading.local()
 
 
@@ -332,13 +331,15 @@ def bit_positions(variables: Iterable[int]) -> dict[int, int]:
 
 
 def clause_tables(clauses: Iterable[tuple[int, ...]],
-                  positions: Mapping[int, int]) -> ClauseTables:
-    """Byte-lookup tables that check ``clauses`` on assignment words.
+                  positions: Mapping[int, int], bits: int = 8) -> ClauseTables:
+    """Lookup tables that check ``clauses`` on assignment words, one per
+    ``bits``-bit chunk of the word (8, or _CHUNK_BITS for the sampler).
 
-    One ``(bytes, tables)`` pair per block of up to ``_TABLE_CLAUSES``
-    clauses: ``tables[i]`` is the 256-entry table of byte ``bytes[i]``
-    (bits 8b..8b+7 of the word).  A block touching no byte (only empty
-    clauses) still gets the table of byte 0.  No clauses, no blocks.
+    One ``(chunks, tables)`` pair per block of up to ``_TABLE_CLAUSES``
+    clauses: ``tables[i]`` is the 2^bits-entry table of chunk
+    ``chunks[i]`` (bits ``bits * chunks[i]`` and up).  A chunk that holds
+    no literal of the block is skipped, and a block touching no chunk
+    (only empty clauses) keeps chunk 0.  No clauses, no blocks.
     """
     touched, falsify = [], []   # per clause: literal bits, falsifying values
     for c in clauses:
@@ -352,65 +353,52 @@ def clause_tables(clauses: Iterable[tuple[int, ...]],
                 f |= 1 << where
         touched.append(t)
         falsify.append(f)
-    values = np.arange(256, dtype=np.uint8)[:, None]
+    # a chunk's entry ANDs the entries of its units, bytes when 8 divides
+    # ``bits`` and nibbles otherwise: a value agrees with a clause's
+    # falsifying assignment on a chunk exactly when it does on each unit
+    unit = 8 if bits % 8 == 0 else 4
+    per = bits // unit
+    values = np.arange(1 << unit, dtype=np.uint8)[:, None]
     blocks = []
     for start in range(0, len(touched), _TABLE_CLAUSES):
         stop = start + _TABLE_CLAUSES
         union = 0
         for t in touched[start:stop]:
             union |= t
-        used = tuple(b for b in range(8) if (union >> (8 * b)) & 0xFF) or (0,)
-        # byte b of every clause's masks, one row per used byte
-        t_bytes, f_bytes = (
-            np.array(masks[start:stop], dtype="<u8").view(np.uint8)
-            .reshape(-1, 8)[:, list(used)].T[:, None, :]
-            for masks in (touched, falsify))
-        agree = np.zeros((len(used), 256, _TABLE_CLAUSES), dtype=bool)
-        agree[:, :, :t_bytes.shape[2]] = (values & t_bytes) == f_bytes
+        used = tuple(c for c in range(-(-64 // bits))
+                     if (union >> (bits * c)) & ((1 << bits) - 1)) or (0,)
+        # a chunk's units past bit 63 lie outside the word
+        units = [u for c in used for u in range(per * c, per * c + per)
+                 if unit * u < 64]
+        # unit u of both masks of every clause, one row per used unit
+        digits = (np.array([touched[start:stop], falsify[start:stop]],
+                           dtype="<u8").view(np.uint8).reshape(2, -1, 8))
+        if unit == 4:
+            digits = np.stack((digits & 15, digits >> 4),
+                              axis=3).reshape(2, -1, 16)
+        t_units, f_units = digits[:, :, units].transpose(0, 2, 1)[:, :, None]
+        agree = np.zeros((len(units), 1 << unit, _TABLE_CLAUSES), dtype=bool)
+        agree[:, :, :t_units.shape[2]] = (values & t_units) == f_units
         tables = np.packbits(agree, axis=2, bitorder="little").view("<u8")
-        blocks.append((used, tables[:, :, 0].astype(np.uint64, copy=False)))
-    return tuple(blocks)
-
-
-def word_tables(tables: ClauseTables) -> WordTables:
-    """The chunk tables of ``clause_tables``' byte tables, for
-    ``satisfied_rows``.
-
-    One ``(shifts, tables)`` pair per block: ``tables[i]`` is the
-    2^_CHUNK_BITS-entry table of the chunk of the word that starts at bit
-    ``shifts[i]``.  Chunks start at multiples of _CHUNK_BITS, and one
-    that holds no literal of the block is skipped.  A chunk's entry ANDs
-    the entries of the used bytes it overlaps, each first ORed over the
-    bits of its byte outside the chunk: one completion of those bits
-    agrees with each clause's falsifying assignment, so the OR keeps
-    exactly the agreement on the bits inside.
-    """
-    values = np.arange(1 << _CHUNK_BITS)
-    blocks = []
-    for used, table in tables:
-        chunks = []
-        for lo in range(0, 8 * used[-1] + 8, _CHUNK_BITS):
-            entry = np.full(1 << _CHUNK_BITS, ~np.uint64(0))
-            for i, b in enumerate(used):
-                # bits a..z-1 of the word lie in byte b and in the chunk
-                a, z = max(8 * b, lo), min(8 * b + 8, lo + _CHUNK_BITS)
-                if a < z:
-                    folded = np.bitwise_or.reduce(np.bitwise_or.reduce(
-                        table[i].reshape(1 << (8 * b + 8 - z), 1 << (z - a),
-                                         1 << (a - 8 * b)), axis=2), axis=0)
-                    entry &= folded[(values >> (a - lo)) & ((1 << (z - a)) - 1)]
-            chunks.append((lo, entry))
-        # a constant table has every clause's bit set: no literal lies in
-        # its chunk.  A block of empty clauses keeps the first, byte 0's,
-        # which rejects every word.
-        chunks = [c for c in chunks if (c[1] != c[1][0]).any()] or chunks[:1]
-        blocks.append((tuple(lo for lo, _ in chunks),
-                       np.array([entry for _, entry in chunks])))
+        tables = tables[:, :, 0].astype(np.uint64, copy=False)
+        if per > 1:
+            # the chunk's index reads its highest unit first; a unit
+            # outside the word matches every value
+            ones = np.full(1 << unit, ~np.uint64(0))
+            of_unit = dict(zip(units, tables))
+            chunks = []
+            for c in used:
+                entry = ones[:1]
+                for u in reversed(range(per * c, per * c + per)):
+                    entry = (entry[:, None] & of_unit.get(u, ones)).ravel()
+                chunks.append(entry)
+            tables = np.array(chunks)
+        blocks.append((used, tables))
     return tuple(blocks)
 
 
 def _scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This thread's buffers for ``satisfied_rows``: chunk indices, the AND
+    """This thread's buffers for ``satisfied_rows``: chunk values, the AND
     of the gathered entries, and one gathered entry, ``_SLICE_WORDS`` each.
 
     They outlive the call.  The allocator hands freed 256 KB buffers back
@@ -425,13 +413,14 @@ def _scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return scratch
 
 
-def satisfied_rows(tables: WordTables, words: np.ndarray) -> np.ndarray:
+def satisfied_rows(tables: ClauseTables, words: np.ndarray) -> np.ndarray:
     """The assignment words that satisfy every clause, in input order.
 
-    ``tables`` comes from ``word_tables``.  Words are checked in slices of
-    ``_SLICE_WORDS``; within a slice each block gathers one table entry
-    per chunk with ``np.take``, ANDs them and keeps the words whose AND is
-    0, so later blocks see only the survivors of earlier ones.  The
+    ``tables`` comes from ``clause_tables`` at _CHUNK_BITS bits.  Words
+    are checked in slices of ``_SLICE_WORDS``; within a slice each block
+    gathers one table entry per chunk with ``np.take``, ANDs them and
+    keeps the words whose AND is 0, so later blocks see only the
+    survivors of earlier ones.  The
     all-false word 0 survives when it is a model.
     """
     words = np.ascontiguousarray(words, dtype=np.uint64)
@@ -440,17 +429,18 @@ def satisfied_rows(tables: WordTables, words: np.ndarray) -> np.ndarray:
     kept = []
     for start in range(0, len(words), _SLICE_WORDS):
         part = words[start:start + _SLICE_WORDS]
-        for shifts, table in tables:
+        for chunks, table in tables:
             n = len(part)
             if not n:
                 break
             idx, acc, entry = index[:n], falsified[:n], gathered[:n]
-            # chunk indices are below 2^_CHUNK_BITS, so their int64 view is
+            # chunk values are below 2^_CHUNK_BITS, so their int64 view is
             # exact and "clip" never clips; unlike the default "raise" it
             # lets np.take write straight into ``out``
-            for i, shift in enumerate(shifts):
-                if shift:
-                    np.right_shift(part, np.uint64(shift), out=idx)
+            for i, chunk in enumerate(chunks):
+                if chunk:
+                    np.right_shift(part, np.uint64(chunk * _CHUNK_BITS),
+                                   out=idx)
                     np.bitwise_and(idx, mask, out=idx)
                 else:
                     np.bitwise_and(part, mask, out=idx)

@@ -40,8 +40,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cnf import (_SLICE_WORDS, CnfFormula, clause_tables, satisfied_rows,
-                  word_tables)
+from .cnf import (_CHUNK_BITS, _SLICE_WORDS, CnfFormula, clause_tables,
+                  satisfied_rows)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .structs import Struct, StructSet
@@ -284,9 +284,8 @@ def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
     stop = _stop_hits(eps, (delta / 2) ** 3) if rule else t + 1
 
     # every draw satisfies the groups' own clauses; only the rest are checked
-    tables = word_tables(clause_tables(
-        [c for c in phi.clauses if c not in drawn],
-        {v: v - 1 for v in phi.variables}))
+    tables = clause_tables([c for c in phi.clauses if c not in drawn],
+                           {v: v - 1 for v in phi.variables}, _CHUNK_BITS)
     hits = 0
     done = 0
     # one kernel slice a draw, so a run stops within a slice of its stop

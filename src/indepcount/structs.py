@@ -209,21 +209,22 @@ EMPTY_STRUCT_SET = StructSet(())
 class StructPattern:
     """A clause-group shape over letter variables with closed designations.
 
-    Matching is up to renaming letters to variables and flipping each
-    variable's polarity globally, so a shared variable matches only when
-    its literals agree in sign across the group's clauses.
+    Each pattern clause is a string of one-letter names.  Matching is up
+    to renaming letters to variables and flipping each variable's polarity
+    globally, so a shared variable matches only when its literals agree in
+    sign across the group's clauses.
     """
 
-    clauses: tuple[tuple[tuple[str, bool], ...], ...]
+    clauses: tuple[str, ...]
     closed_letters: tuple[str, ...]
 
     def __post_init__(self):
-        letters = {l for cl in self.clauses for l, _ in cl}
+        letters = {l for cl in self.clauses for l in cl}
         missing = set(self.closed_letters) - letters
         if missing:
             raise ValueError(f"closed letters {sorted(missing)} not in pattern")
         for cl in self.clauses:
-            if not any(l in self.closed_letters for l, _ in cl):
+            if not any(l in self.closed_letters for l in cl):
                 raise ValueError("every pattern clause needs a closed letter")
 
     def match(self, clauses: Sequence[tuple[int, ...]]) -> dict[str, int] | None:
@@ -237,9 +238,9 @@ class StructPattern:
             if not pat:
                 yield letter_to, var_to
                 return
-            (letter, pat_neg), rest = pat[0], pat[1:]
+            letter, rest = pat[0], pat[1:]
             for i, code in enumerate(actual):
-                var, flip = abs(code), (code < 0) != pat_neg
+                var, flip = abs(code), code < 0
                 if letter in letter_to:
                     if letter_to[letter] != (var, flip):
                         continue
@@ -270,22 +271,17 @@ class StructPattern:
         return {letter: var for letter, (var, _) in bound.items()}
 
 
-def _unnegated(*clauses: str) -> tuple[tuple[tuple[str, bool], ...], ...]:
-    """Pattern clauses from strings of one-letter names, no literal negated."""
-    return tuple(tuple((l, False) for l in clause) for clause in clauses)
-
-
 # groups that keep growing candidates open, smallest first; a match binds
 # every variable of the group to its own letter, so no shape (at most 10
 # letters) matches a group of more variables than it has letters
 SHAPES = (
-    StructPattern(_unnegated("abc"), ("c",)),
-    StructPattern(_unnegated("abc", "ade"), ("a",)),
-    StructPattern(_unnegated("abc", "abd"), ("a",)),
-    StructPattern(_unnegated("abc", "ade", "bfg"), ("a", "b")),
-    StructPattern(_unnegated("abcd"), ("d",)),
-    StructPattern(_unnegated("abcd", "aefg"), ("a",)),
-    StructPattern(_unnegated("abcd", "aefg", "bhij"), ("a", "b")),
+    StructPattern(("abc",), ("c",)),
+    StructPattern(("abc", "ade"), ("a",)),
+    StructPattern(("abc", "abd"), ("a",)),
+    StructPattern(("abc", "ade", "bfg"), ("a", "b")),
+    StructPattern(("abcd",), ("d",)),
+    StructPattern(("abcd", "aefg"), ("a",)),
+    StructPattern(("abcd", "aefg", "bhij"), ("a", "b")),
 )
 
 

@@ -9,9 +9,9 @@ import pytest
 from indepcount import (CnfFormula, DimacsError, approx_count,
                         brute_force_count, evaluate, parse_dimacs, restrict,
                         serialize_dimacs)
-from indepcount.cnf import (_SLICE_WORDS, DimacsWarning, ParseStats,
-                            bit_positions, clause_tables, satisfied_rows,
-                            satisfying_indices, word_tables)
+from indepcount.cnf import (_CHUNK_BITS, _SLICE_WORDS, DimacsWarning,
+                            ParseStats, bit_positions, clause_tables,
+                            satisfied_rows, satisfying_indices)
 from indepcount.exact import ExactCount
 from indepcount.gen import GeneratorSpec, generate
 
@@ -223,8 +223,7 @@ def test_parsed_formula_equals_the_checked_constructor():
 # --- clause-scan kernel ------------------------------------------------------
 
 def _kernel(phi, words):
-    tables = clause_tables(phi.clauses, bit_positions(phi.variables))
-    return satisfied_rows(word_tables(tables),
+    return satisfied_rows(_tables(phi, _CHUNK_BITS),
                           np.asarray(words, dtype=np.uint64))
 
 
@@ -275,7 +274,7 @@ def test_kernel_over_64_clauses_uses_two_table_blocks():
     expected = _models(phi, words)
     assert expected and _kernel(phi, words).tolist() == expected
     # the second block drops words the first one keeps
-    first = satisfied_rows(word_tables(tables[:1]), words)
+    first = satisfied_rows(_tables(phi, _CHUNK_BITS)[:1], words)
     assert len(first) > len(expected)
 
 
@@ -324,7 +323,7 @@ def test_chunk_tables_agree_with_evaluate_across_widths():
     rng = np.random.default_rng(12)
     words = rng.integers(0, 2 ** 64, size=4096, dtype=np.uint64)
     gap = CnfFormula([(1, -3), (-8, 2), (-41, 44), (2, 45, -48)], 48)
-    cases = [(gap, (0, 36)), (CnfFormula([()], 5), (0,)),
+    cases = [(gap, (0, 3)), (CnfFormula([()], 5), (0,)),
              (CnfFormula([], 7), None)]
     for n in (1, 11, 12, 13, 24, 25, 36, 64):
         k = min(3, n)
@@ -334,19 +333,85 @@ def test_chunk_tables_agree_with_evaluate_across_widths():
             # 70 clauses make two blocks
             cases.append((generate(GeneratorSpec(n=n, m=70, k=4,
                                                  seed=90 + n)), None))
-    for phi, shifts in cases:
-        tables = word_tables(_tables(phi))
+    for phi, chunks in cases:
+        tables = _tables(phi, _CHUNK_BITS)
         assert len(tables) == -(-phi.num_clauses // 64)
-        for block_shifts, table in tables:
-            assert table.shape == (len(block_shifts), 4096)
+        for block_chunks, table in tables:
+            assert table.shape == (len(block_chunks), 4096)
             assert table.dtype == np.uint64
-            assert all(s % 12 == 0 and s < phi.num_vars for s in block_shifts)
-        if shifts is not None:
-            assert tables[0][0] == shifts
+            assert all(12 * c < phi.num_vars for c in block_chunks)
+        if chunks is not None:
+            assert tables[0][0] == chunks
         expected = _models(phi, words)
         if phi.num_clauses > 1:
             assert 0 < len(expected) < len(words), phi
         assert satisfied_rows(tables, words).tolist() == expected, phi
+
+
+# --- clause-table builder -----------------------------------------------------
+
+def _reference_tables(clauses, positions, bits):
+    """The clause tables by their definition: bit j of entry x of chunk c
+    is set when x agrees with clause j's falsifying values on clause j's
+    literals in chunk c; chunks are those with a literal, else chunk 0."""
+    values = np.arange(1 << bits)
+    blocks = []
+    for start in range(0, len(clauses), 64):
+        block = clauses[start:start + 64]
+        chunks = sorted({positions[abs(code)] // bits
+                         for c in block for code in c}) or [0]
+        tables = []
+        for chunk in chunks:
+            entry = np.zeros(1 << bits, dtype=np.uint64)
+            for j, clause in enumerate(block):
+                agree = np.ones(1 << bits, dtype=bool)
+                for code in clause:
+                    at = positions[abs(code)] - bits * chunk
+                    if 0 <= at < bits:
+                        agree &= ((values >> at) & 1) == (code < 0)
+                entry[agree] |= np.uint64(1 << j)
+            tables.append(entry)
+        blocks.append((tuple(chunks), tables))
+    return blocks
+
+
+def _random_clause_sets(rng):
+    """Clause sets over variables 1-64 at random distinct positions 0-63,
+    widths 0-4, 0-12 clauses (every fifth set 65-70, two blocks)."""
+    for i in range(40):
+        positions = dict(zip(range(1, 65), rng.permutation(64).tolist()))
+        m = int(rng.integers(65, 71)) if i % 5 == 4 else int(rng.integers(13))
+        clauses = [tuple(int(v) * int(rng.choice([-1, 1]))
+                         for v in rng.choice(np.arange(1, 65), replace=False,
+                                             size=int(rng.integers(5))))
+                   for _ in range(m)]
+        yield clauses, positions
+
+
+def test_clause_tables_match_their_definition_at_both_widths():
+    named = [(clauses, {v: v - 1 for v in range(1, 65)}) for clauses in (
+        [(61, -64), (-60,), (1, -62, 63)],                 # positions 59-63
+        [(), ()],                                          # only empty
+        [(1, -12), (-2, 5), (25, -36, 30), (-26, 3)],      # chunk 1 empty
+        [(3, 4)] * 64 + [()],                              # block 1 empty
+    )]
+    cases = named + list(_random_clause_sets(np.random.default_rng(41)))
+    for bits in (8, _CHUNK_BITS):
+        for clauses, positions in cases:
+            got = clause_tables(clauses, positions, bits)
+            want = _reference_tables(clauses, positions, bits)
+            assert [chunks for chunks, _ in got] == [c for c, _ in want]
+            for (_, tables), (_, expected) in zip(got, want):
+                assert tables.dtype == np.uint64
+                assert tables.shape == (len(expected), 1 << bits)
+                assert all(map(np.array_equal, tables, expected)), clauses
+        # chunks without a literal are skipped, an all-empty block keeps
+        # chunk 0, and no clauses give no blocks
+        assert clause_tables(*named[2], bits)[0][0] == (
+            (0, 1, 3, 4) if bits == 8 else (0, 2))
+        assert clause_tables(*named[1], bits)[0][0] == (0,)
+        assert clause_tables(*named[3], bits)[1][0] == (0,)
+        assert clause_tables([], named[0][1], bits) == ()
 
 
 # --- clause-table pins --------------------------------------------------------
@@ -383,10 +448,8 @@ def _pinned_table_cases():
 def _offset_tables(clauses, positions, bits):
     """Each block's tables at ``bits`` bits a chunk, with the bit offset of
     each table's chunk."""
-    if bits == 8:
-        return [([8 * b for b in used], tables)
-                for used, tables in clause_tables(clauses, positions)]
-    return word_tables(clause_tables(clauses, positions))
+    return [([bits * c for c in chunks], tables)
+            for chunks, tables in clause_tables(clauses, positions, bits)]
 
 
 def _table_digest(bits):
@@ -419,9 +482,8 @@ def test_kernel_buffers_are_not_shared_between_threads():
     # threads checking different formulas at once must not mix them
     rng = np.random.default_rng(13)
     words = rng.integers(0, 1 << 20, size=4 * _SLICE_WORDS, dtype=np.uint64)
-    tables = [word_tables(_tables(generate(GeneratorSpec(n=20, m=m, k=3,
-                                                         seed=m))))
-              for m in (30, 90)]
+    tables = [_tables(generate(GeneratorSpec(n=20, m=m, k=3, seed=m)),
+                      _CHUNK_BITS) for m in (30, 90)]
     want = [satisfied_rows(t, words) for t in tables]
     assert len(want[0]) != len(want[1])
 
@@ -440,8 +502,8 @@ def test_brute_force_count_across_slices_matches_evaluate():
     assert brute_force_count(phi).value == expected
 
 
-def _tables(phi):
-    return clause_tables(phi.clauses, bit_positions(phi.variables))
+def _tables(phi, bits=8):
+    return clause_tables(phi.clauses, bit_positions(phi.variables), bits)
 
 
 def _joined(tables, nbits):
@@ -464,7 +526,7 @@ def test_satisfying_indices_equals_the_kernel_on_every_index():
     for phi in cases:
         tables, t = _tables(phi), phi.num_vars
         got = _joined(tables, t)
-        want = satisfied_rows(word_tables(tables),
+        want = satisfied_rows(_tables(phi, _CHUNK_BITS),
                               np.arange(1 << t, dtype=np.uint64))
         assert np.array_equal(got, want), phi
         assert (np.diff(got.astype(np.int64)) > 0).all()
@@ -484,7 +546,7 @@ def test_satisfying_indices_walks_high_slices_at_34_bits():
     rest = CnfFormula(low.clauses + tuple(
         tuple(code for code in c if abs(code) <= 16) for c in spans
         if not any(code in pins for code in c)), 16)
-    low_models = satisfied_rows(word_tables(_tables(rest)),
+    low_models = satisfied_rows(_tables(rest, _CHUNK_BITS),
                                 np.arange(1 << 16, dtype=np.uint64))
     assert 0 < len(low_models) < 1 << 16
     assert got.tolist() == (low_models + np.uint64(head)).tolist()
@@ -524,7 +586,7 @@ def test_satisfying_indices_joins_pinned_high_halves_at_every_width():
         assert len(tables) == 2
         with deadline(1.0):
             got = _joined(tables, nbits)
-        want = satisfied_rows(word_tables(tables), words)
+        want = satisfied_rows(_tables(phi, _CHUNK_BITS), words)
         assert 0 < len(want), nbits
         assert np.array_equal(got, want), nbits
 
@@ -535,7 +597,7 @@ def test_satisfying_indices_with_no_clause_wholly_in_the_high_half():
                         if any(abs(code) <= 16 for code in c)], 20)
     assert any(abs(code) > 16 for c in spans.clauses for code in c)
     tables = _tables(spans)
-    want = satisfied_rows(word_tables(tables),
+    want = satisfied_rows(_tables(spans, _CHUNK_BITS),
                           np.arange(1 << 20, dtype=np.uint64))
     assert 0 < len(want) < 1 << 20
     assert np.array_equal(_joined(tables, 20), want)

@@ -1,7 +1,8 @@
 """Import lint: every name imported in the package or the tests is used,
-every module-level private name of the package is referenced elsewhere
-in it, every public function or class the package does not export is
-referenced from the package or the benchmark (tests do not count), and
+every private name the package defines at module level or in the body of
+a module-level class is referenced elsewhere in it, every public function
+or class the package does not export is referenced from the package or
+the benchmark (tests do not count), and
 every name the package exports resolves, and every code reference in the
 README names something that exists.
 
@@ -14,6 +15,7 @@ function and loaded in another counts as used.
 
 import ast
 import importlib
+import itertools
 import re
 from collections import Counter
 from pathlib import Path
@@ -82,9 +84,12 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
 
 
 def _private_definitions(tree: ast.Module):
-    """(name, node) of each module-level ``_``-prefixed function, class or
-    constant; dunder names are not private."""
-    for node in tree.body:
+    """(name, node) of each ``_``-prefixed function, class or constant at
+    module level or in a module-level class body; dunder names are not
+    private."""
+    classes = [node.body for node in tree.body
+               if isinstance(node, ast.ClassDef)]
+    for node in itertools.chain(tree.body, *classes):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             names = [node.name]
@@ -194,6 +199,24 @@ def test_lint_flags_a_dead_private_helper(tmp_path):
         encoding="utf-8")
     assert unreferenced_private_names(sorted(tmp_path.glob("*.py"))) == [
         "a.py: _Gone", "a.py: _SPARE", "a.py: _dead"]
+
+
+def test_lint_flags_a_dead_private_member(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Shape:\n"
+        "    _CAP = 3\n"
+        "    _spare: int = 4\n"
+        "    def __init__(self):\n"
+        "        self.n = self._CAP\n"
+        "    def _used(self):\n"
+        "        return self.n\n"
+        "    def _dead(self):\n"
+        "        return self._dead()\n"
+        "def public():\n"
+        "    return Shape()._used()\n",
+        encoding="utf-8")
+    assert unreferenced_private_names([tmp_path / "a.py"]) == [
+        "a.py: _dead", "a.py: _spare"]
 
 
 def test_every_private_name_is_referenced():

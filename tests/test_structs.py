@@ -190,8 +190,7 @@ def test_hub_found_when_no_clause_lists_it_first():
 
 def test_pattern_match_binding():
     pattern = StructPattern(
-        clauses=((("a", False), ("b", False), ("c", False)),
-                 (("a", False), ("d", False), ("e", False))),
+        clauses=("abc", "ade"),
         closed_letters=("a",))
     bound = pattern.match(_clauses((3, 1, 2), (5, 4, 3)))
     assert bound is not None and bound["a"] == 3
@@ -199,8 +198,7 @@ def test_pattern_match_binding():
 
 def test_pattern_requires_closed_letter_per_clause():
     with pytest.raises(ValueError):
-        StructPattern(clauses=((("a", False),), (("b", False),)),
-                      closed_letters=("a",))
+        StructPattern(clauses=("a", "b"), closed_letters=("a",))
 
 
 def test_unmatched_group_closes_all_vars():
@@ -216,11 +214,11 @@ _TWINS = {0: "abc", 2: "ab", 4: "abcd"}
 def test_designation_survives_renaming():
     rng = random.Random(7)
     for index, shape in enumerate(SHAPES):
-        letters = sorted({l for clause in shape.clauses for l, _ in clause})
+        letters = sorted({l for clause in shape.clauses for l in clause})
         for _ in range(25):
             rename = dict(zip(letters, rng.sample(range(1, 41), len(letters))))
             sign = {l: rng.choice((1, -1)) for l in letters}
-            group = [rng.sample([sign[l] * rename[l] for l, _ in clause],
+            group = [rng.sample([sign[l] * rename[l] for l in clause],
                                 len(clause)) for clause in shape.clauses]
             rng.shuffle(group)
             got = match_library([tuple(c) for c in group])
