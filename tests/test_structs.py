@@ -1,11 +1,13 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
 from indepcount import (CnfFormula, Estimate, GuardError, Strategy,
-                        Struct, StructSet, brute_force_count, match_library,
-                        params_for, red_clauses, red_structs, struct_stats)
+                        Struct, StructSet, approx_count, brute_force_count,
+                        match_library, params_for, red_clauses, red_structs,
+                        struct_stats)
 from indepcount import cnf, structs
 from indepcount.gen import GeneratorSpec, generate
 from indepcount.structs import EMPTY_STRUCT_SET, SHAPES, StructPattern
@@ -236,6 +238,94 @@ def test_group_of_seventeen_variables_closes_completely():
     chain = _clauses(*[(v, v + 1, v + 2) for v in range(1, 17, 2)])
     for cls in (wide, chain):
         assert match_library(cls) == tuple(range(1, 18))
+
+
+def test_tie_break_between_interchangeable_variables():
+    # a single clause closes its last literal's variable; two width-3
+    # clauses sharing two variables close the first of them in the first
+    # clause's order
+    assert match_library([(5, -2, 7)]) == (7,)
+    assert match_library([(-4, 9, 1, 6)]) == (6,)
+    assert match_library([(3, 1, 2), (2, 3, 9)]) == (3,)
+    assert match_library([(2, 3, 9), (3, 1, 2)]) == (2,)
+    assert match_library([(1, 2, 3), (-1, 2, 4)]) == (1, 2, 3, 4)
+
+
+# the seven designated shapes as (letter clauses, closed letters)
+_SHAPES = (
+    (("abc",), "c"),
+    (("abc", "ade"), "a"),
+    (("abc", "abd"), "a"),
+    (("abc", "ade", "bfg"), "ab"),
+    (("abcd",), "d"),
+    (("abcd", "aefg"), "a"),
+    (("abcd", "aefg", "bhij"), "ab"),
+)
+
+# the benchmark's two sparse-sample cells (k, n, m), and the structs rows of
+# RECURSION_PINS and BRANCH_DIGESTS in test_ras (k, n, m, generator seed)
+_SAMPLE_CELLS = ((3, 23, 46), (4, 19, 114))
+_RECURSION_ROWS = ((3, 24, 9, 8), (4, 22, 5, 7), (3, 40, 12, 2))
+
+# sha256 over (group, match_library(group)) for every group of the corpus
+# below, recorded with the backtracking shape matcher; any change to a
+# designation, or to the groups the reduction grows, moves it
+DESIGNATION_DIGEST = (
+    "4077c69ffc858bffe2d1e5be7f32b90a9f2e0627bf6027ea06710fa1e0fca5f6")
+
+
+def _designation_corpus(monkeypatch):
+    """Every group the reduction designates on the 64 sparse-sample
+    instances (generator seeds 0-63) and in the recursion-pin counts, then
+    2,000 random groups and renamed, sign-flipped copies of the shapes,
+    some with one literal's sign flipped."""
+    groups = []
+    designate = structs.match_library
+
+    def recorded(clauses):
+        groups.append(tuple(clauses))
+        return designate(clauses)
+    monkeypatch.setattr(structs, "match_library", recorded)
+    for seed in range(64):
+        k, n, m = _SAMPLE_CELLS[seed % 2]
+        structs._grow_groups(
+            generate(GeneratorSpec(n=n, m=m, k=k, seed=seed)).clauses)
+    for k, n, m, seed in _RECURSION_ROWS:
+        phi = generate(GeneratorSpec(n=n, m=m, k=k, seed=seed))
+        if k == 3:  # its branches are 2-CNF: only the top pool is grown
+            structs._grow_groups(phi.clauses)
+        else:
+            approx_count(phi, 0.2, 0.1, Strategy.INDEP_STRUCTS, seed=7)
+    monkeypatch.undo()
+    rng = random.Random(25)
+    for _ in range(2000):
+        top = rng.randint(3, 12)
+        groups.append(tuple(
+            tuple(v * rng.choice((1, -1))
+                  for v in rng.sample(range(1, top + 1),
+                                      min(rng.randint(2, 5), top)))
+            for _ in range(rng.randint(1, 4))))
+    for shape, _ in _SHAPES:
+        letters = sorted(set("".join(shape)))
+        for _ in range(30):
+            rename = dict(zip(letters, rng.sample(range(1, 41), len(letters))))
+            sign = {l: rng.choice((1, -1)) for l in letters}
+            group = [[sign[l] * rename[l] for l in rng.sample(clause, len(clause))]
+                     for clause in shape]
+            if rng.random() < 0.3:
+                clause = rng.choice(group)
+                i = rng.randrange(len(clause))
+                clause[i] = -clause[i]
+            rng.shuffle(group)
+            groups.append(tuple(map(tuple, group)))
+    return groups
+
+
+def test_designations_match_the_recorded_digest(monkeypatch):
+    digest = hashlib.sha256()
+    for group in _designation_corpus(monkeypatch):
+        digest.update(repr((group, match_library(group))).encode())
+    assert digest.hexdigest() == DESIGNATION_DIGEST
 
 
 # --- struct sets -------------------------------------------------------------
