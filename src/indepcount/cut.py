@@ -68,15 +68,6 @@ class _Abort(Exception):
     pass
 
 
-def _default_order(phi: CnfFormula) -> tuple[int, ...]:
-    """Most frequent variable first; ties by index."""
-    occur = {v: 0 for v in phi.variables}
-    for c in phi.clauses:
-        for code in c:
-            occur[abs(code)] += 1
-    return tuple(sorted(occur, key=lambda v: (-occur[v], v)))
-
-
 def cut(phi: CnfFormula, psi: StructSet, ell: int,
         branching: BranchKind, *,
         trace: list[str] | None = None) -> CutResult:
@@ -97,12 +88,14 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
             for c in sigma.clauses:
                 if c not in own:
                     raise ValueError("group clause missing from the formula")
-    order = _default_order(phi)
     structs = tuple(psi.structs) if branching is BranchKind.STRUCT_GUIDED else ()
     check_reduction = bool(structs)
     width_bound = phi.k - 1
     index = ClauseIndex(phi.clauses, phi.variables[-1] if phi.variables else 0)
     pos, neg, occurs, spans = index.pos, index.neg, index.occurs, index.spans
+    # BINARY's order: most frequent variable first, ties by index (a clause
+    # holds each variable once, so its clause count is its occurrence count)
+    order = sorted(phi.variables, key=lambda v: (-occurs[v].bit_count(), v))
 
     # Each branch node marks ``closed``: the alive clauses whose unfixed
     # literals all lie on its block, the variables that every one of its

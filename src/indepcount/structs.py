@@ -3,9 +3,9 @@
 The reduction grows a pool of pairwise variable-disjoint clause groups.
 Each group designates some of its variables as *closed*: growth only
 continues through clauses that avoid every closed variable, so a group
-whose clauses each contain a closed variable never grows again.  A small
-library of shapes assigns closed variables to the groups it recognises;
-anything else closes completely.
+whose clauses each contain a closed variable never grows again.  Four
+rules (``match_library``) close one or two variables of a group of one to
+three clauses joined in a chain; anything else closes completely.
 
 The invariant bought by the loop: on exit every clause of the input
 contains a closed variable.  Fixing all closed variables therefore
@@ -203,96 +203,48 @@ EMPTY_STRUCT_SET = StructSet(())
 
 
 # ---------------------------------------------------------------------------
-# shape library
+# closed-variable rules
 
-@dataclass(frozen=True)
-class StructPattern:
-    """A clause-group shape over letter variables with closed designations.
-
-    Each pattern clause is a string of one-letter names.  Matching is up
-    to renaming letters to variables and flipping each variable's polarity
-    globally, so a shared variable matches only when its literals agree in
-    sign across the group's clauses.
-    """
-
-    clauses: tuple[str, ...]
-    closed_letters: tuple[str, ...]
-
-    def __post_init__(self):
-        letters = {l for cl in self.clauses for l in cl}
-        missing = set(self.closed_letters) - letters
-        if missing:
-            raise ValueError(f"closed letters {sorted(missing)} not in pattern")
-        for cl in self.clauses:
-            if not any(l in self.closed_letters for l in cl):
-                raise ValueError("every pattern clause needs a closed letter")
-
-    def match(self, clauses: Sequence[tuple[int, ...]]) -> dict[str, int] | None:
-        """First letter->variable binding that realises the shape, if any."""
-        if len(clauses) != len(self.clauses):
-            return None
-
-        def bind_clause(pat, actual, letter_to, var_to):
-            """Every extension of the binding that maps ``pat`` onto
-            ``actual``, one literal each."""
-            if not pat:
-                yield letter_to, var_to
-                return
-            letter, rest = pat[0], pat[1:]
-            for i, code in enumerate(actual):
-                var, flip = abs(code), code < 0
-                if letter in letter_to:
-                    if letter_to[letter] != (var, flip):
-                        continue
-                elif var in var_to:
-                    continue
-                lt = dict(letter_to)
-                vt = dict(var_to)
-                lt[letter] = (var, flip)
-                vt[var] = letter
-                yield from bind_clause(rest, actual[:i] + actual[i + 1:], lt, vt)
-
-        def walk(order, letter_to, var_to):
-            if len(order) == len(self.clauses):
-                return letter_to
-            pat = self.clauses[len(order)]
-            for j, actual in enumerate(clauses):
-                if j in order or len(actual) != len(pat):
-                    continue
-                for bound in bind_clause(pat, actual, letter_to, var_to):
-                    got = walk(order + (j,), *bound)
-                    if got is not None:
-                        return got
-            return None
-
-        bound = walk((), {}, {})
-        if bound is None:
-            return None
-        return {letter: var for letter, (var, _) in bound.items()}
-
-
-# groups that keep growing candidates open, smallest first; a match binds
-# every variable of the group to its own letter, so no shape (at most 10
-# letters) matches a group of more variables than it has letters
-SHAPES = (
-    StructPattern(("abc",), ("c",)),
-    StructPattern(("abc", "ade"), ("a",)),
-    StructPattern(("abc", "abd"), ("a",)),
-    StructPattern(("abc", "ade", "bfg"), ("a", "b")),
-    StructPattern(("abcd",), ("d",)),
-    StructPattern(("abcd", "aefg"), ("a",)),
-    StructPattern(("abcd", "aefg", "bhij"), ("a", "b")),
-)
+def _shared(c: tuple[int, ...], d: tuple[int, ...]) -> list[int] | None:
+    """The variables clauses ``c`` and ``d`` share, in ``c``'s literal
+    order; None if one of them has opposite signs in the two."""
+    if any(-code in d for code in c):
+        return None
+    return [abs(code) for code in c if code in d]
 
 
 def match_library(clauses: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """Closed variables for a clause group: those of the first shape that
-    matches it, or all of its variables when none does."""
-    for pattern in SHAPES:
-        bound = pattern.match(clauses)
-        if bound is not None:
-            return tuple(sorted(bound[l] for l in pattern.closed_letters))
-    return tuple(sorted(vars_of(clauses)))
+    """Closed variables for a clause group, ascending.
+
+    A group of one to three clauses, all of width 3 or all of width 4,
+    closes by the first rule that fits it; any other group closes all of
+    its variables.
+
+    - One clause: the variable of its last literal.
+    - Two clauses that share exactly one variable, with the same sign in
+      both: that variable.
+    - Two width-3 clauses that share exactly two variables, each with the
+      same sign in both: the first of the two in the first clause's order.
+    - Three clauses, one of which is joined as above to each of the other
+      two, where those two share no variable: the two joining variables.
+    """
+    everything = tuple(sorted(vars_of(clauses)))
+    widths = {len(c) for c in clauses}
+    if len(clauses) > 3 or widths not in ({3}, {4}):
+        return everything
+    if len(clauses) == 1:
+        return (abs(clauses[0][-1]),)
+    if len(clauses) == 2:
+        shared = _shared(*clauses)
+        if shared and (len(shared) == 1 or len(shared) == 2 and widths == {3}):
+            return (shared[0],)
+        return everything
+    for i, hub in enumerate(clauses):
+        one, other = clauses[i - 1], clauses[i - 2]
+        joins = _shared(hub, one), _shared(hub, other)
+        if _shared(one, other) == [] and all(j and len(j) == 1 for j in joins):
+            return tuple(sorted(joins[0] + joins[1]))
+    return everything
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from indepcount import (CnfFormula, Estimate, GuardError, Strategy,
                         struct_stats)
 from indepcount import cnf, structs
 from indepcount.gen import GeneratorSpec, generate
-from indepcount.structs import EMPTY_STRUCT_SET, SHAPES, StructPattern
+from indepcount.structs import EMPTY_STRUCT_SET
 
 
 def _clauses(*ints):
@@ -185,22 +185,9 @@ def test_match_is_deterministic():
 
 
 def test_hub_found_when_no_clause_lists_it_first():
-    # in each clause, the first literal a hub letter can bind is not the hub
+    # neither clause lists the shared variable first
     assert match_library(_clauses((2, 3, -1), (4, 5, -1))) == (1,)
     assert match_library(_clauses((2, 3, 4, 1), (5, 6, 7, 1))) == (1,)
-
-
-def test_pattern_match_binding():
-    pattern = StructPattern(
-        clauses=("abc", "ade"),
-        closed_letters=("a",))
-    bound = pattern.match(_clauses((3, 1, 2), (5, 4, 3)))
-    assert bound is not None and bound["a"] == 3
-
-
-def test_pattern_requires_closed_letter_per_clause():
-    with pytest.raises(ValueError):
-        StructPattern(clauses=("a", "b"), closed_letters=("a",))
 
 
 def test_unmatched_group_closes_all_vars():
@@ -209,19 +196,30 @@ def test_unmatched_group_closes_all_vars():
     assert match_library(cls) == (1, 2, 3, 4, 5, 6, 7)
 
 
+# the seven designated shapes as (letter clauses, closed letters)
+_SHAPES = (
+    (("abc",), "c"),
+    (("abc", "ade"), "a"),
+    (("abc", "abd"), "a"),
+    (("abc", "ade", "bfg"), "ab"),
+    (("abcd",), "d"),
+    (("abcd", "aefg"), "a"),
+    (("abcd", "aefg", "bhij"), "ab"),
+)
+
 # letters a shape cannot tell apart: a match may close any one of them
 _TWINS = {0: "abc", 2: "ab", 4: "abcd"}
 
 
 def test_designation_survives_renaming():
     rng = random.Random(7)
-    for index, shape in enumerate(SHAPES):
-        letters = sorted({l for clause in shape.clauses for l in clause})
+    for index, (shape, closed_letters) in enumerate(_SHAPES):
+        letters = sorted({l for clause in shape for l in clause})
         for _ in range(25):
             rename = dict(zip(letters, rng.sample(range(1, 41), len(letters))))
             sign = {l: rng.choice((1, -1)) for l in letters}
             group = [rng.sample([sign[l] * rename[l] for l in clause],
-                                len(clause)) for clause in shape.clauses]
+                                len(clause)) for clause in shape]
             rng.shuffle(group)
             got = match_library([tuple(c) for c in group])
             if index in _TWINS:
@@ -229,11 +227,11 @@ def test_designation_survives_renaming():
                 assert got[0] in {rename[l] for l in _TWINS[index]}
             else:
                 assert got == tuple(sorted(rename[l]
-                                           for l in shape.closed_letters))
+                                           for l in closed_letters))
 
 
 def test_group_of_seventeen_variables_closes_completely():
-    # a match binds each variable to its own letter, and no shape has 17
+    # no rule fits a clause of width 17 or a group of more than three clauses
     wide = _clauses(tuple(range(1, 18)))
     chain = _clauses(*[(v, v + 1, v + 2) for v in range(1, 17, 2)])
     for cls in (wide, chain):
@@ -250,17 +248,6 @@ def test_tie_break_between_interchangeable_variables():
     assert match_library([(2, 3, 9), (3, 1, 2)]) == (2,)
     assert match_library([(1, 2, 3), (-1, 2, 4)]) == (1, 2, 3, 4)
 
-
-# the seven designated shapes as (letter clauses, closed letters)
-_SHAPES = (
-    (("abc",), "c"),
-    (("abc", "ade"), "a"),
-    (("abc", "abd"), "a"),
-    (("abc", "ade", "bfg"), "ab"),
-    (("abcd",), "d"),
-    (("abcd", "aefg"), "a"),
-    (("abcd", "aefg", "bhij"), "ab"),
-)
 
 # the benchmark's two sparse-sample cells (k, n, m), and the structs rows of
 # RECURSION_PINS and BRANCH_DIGESTS in test_ras (k, n, m, generator seed)
