@@ -297,7 +297,8 @@ def _designation_corpus(monkeypatch):
         for _ in range(30):
             rename = dict(zip(letters, rng.sample(range(1, 41), len(letters))))
             sign = {l: rng.choice((1, -1)) for l in letters}
-            group = [[sign[l] * rename[l] for l in rng.sample(clause, len(clause))]
+            group = [[sign[l] * rename[l]
+                      for l in rng.sample(clause, len(clause))]
                      for clause in shape]
             if rng.random() < 0.3:
                 clause = rng.choice(group)
