@@ -7,18 +7,26 @@ branching.  A node is a bit-sliced residual over the formula's clauses
 fixes its model in the parent's residual.  A model is one compact int
 over its block, bit b the value of ``block[b]``: 0 and 1 over a single
 variable, the satisfying patterns of a residual clause, or a group's
-scan indices (``Struct.model_indices``).  Every node is vetted so that
-falsified branches never expand.  A child whose model empties a clause is
-pruned by one mask test, before it is built: each model has the mask of
-the clauses it satisfies, listed once per cut for each block, and the
-node marks once the alive clauses whose unfixed literals all lie on its
-block.  A child whose model agrees with the parent's witness keeps that
-witness (every surviving clause keeps the literal it made true), and any
-other node runs the exact DPLL search on its residual.  A global counter
-accumulates, at each clause-free node, the number of models below it;
-the run either finishes (the counter is then the exact model count) or
-aborts once the counter reaches the threshold, certifying "at least that
-many models".
+scan indices (``Struct.model_indices``).  Each block's models are listed
+once per cut as ``(sat, word, bits)``: the mask of the clauses the model
+satisfies, its values as a word (bit v for x_v) and its index.
+
+The walk is depth first on an explicit stack of open nodes, each resumed
+at its next model, so no path depth meets the recursion limit.  Every
+node is vetted so that falsified branches never expand.  A child whose
+model empties a clause (it leaves unsatisfied one of the alive clauses
+whose unfixed literals all lie on the block, which the node marks once)
+is pruned by one mask test, and a child with no alive clause is counted
+where it is met; neither is built.  Every other node carries a witness
+``(mask, bits)``, a partial model under which every alive clause holds
+(bit v of ``mask`` marks x_v as set, bit v of ``bits`` is its value).
+A child whose model agrees with it keeps it; one whose model disagrees
+keeps it, the model's values substituted, if the witness's literals off
+the block still satisfy every alive clause.  Only the rest run the exact
+DPLL search on their residuals.  A global counter accumulates, at each
+clause-free node, the number of models below it; the run either
+finishes (the counter is then the exact model count) or aborts once the
+counter reaches the threshold, certifying "at least that many models".
 """
 
 from __future__ import annotations
@@ -64,10 +72,6 @@ class BranchKind(enum.Enum):
     STRUCT_GUIDED = "struct-guided"
 
 
-class _Abort(Exception):
-    pass
-
-
 def cut(phi: CnfFormula, psi: StructSet, ell: int,
         branching: BranchKind, *,
         trace: list[str] | None = None) -> CutResult:
@@ -76,9 +80,9 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
     The decider is exact, so a completed run's count is the exact model
     count and an aborted run's count is a true lower bound.  A clause-free
     node contributes 2^(free variables) models.  ``decider_calls`` counts
-    vetted nodes, not searches: a node pruned for an empty clause or
-    carrying its parent's witness is vetted without one.  ``trace``, if
-    given, receives one line per branch node.
+    vetted nodes, not searches: a node pruned for an empty clause, a leaf
+    or a node that keeps its parent's witness is vetted without one.
+    ``trace``, if given, receives one line per branch node.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
@@ -126,106 +130,136 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
             alive &= plane if width >> p & 1 else ~plane
         return alive
 
-    # each group's (under its place) or residual clause's (under its
-    # literals) variables, its models' indices and the masks of the
-    # clauses those models satisfy, kept for the cut
+    def listing(block: tuple[int, ...], indices) -> list[tuple[int, int, int]]:
+        """The records ``(sat, word, bits)`` of the models ``indices``
+        over ``block``; ``sat`` and ``word`` are ORs of 16-row table
+        entries, one table for each 4 variables of the block."""
+        tables = []
+        for s in range(0, len(block), 4):
+            table = [(0, 0)]
+            for v in block[s:s + 4]:
+                table = ([(sat | neg[v], word) for sat, word in table]
+                         + [(sat | pos[v], word | 1 << v) for sat, word in table])
+            tables.append(table)
+        records = []
+        for bits in indices:
+            sat = word = 0
+            for s, table in enumerate(tables):
+                part_sat, part_word = table[bits >> 4 * s & 15]
+                sat |= part_sat
+                word |= part_word
+            records.append((sat, word, bits))
+        return records
+
+    # a block's trace label, variables, their mask and model records,
+    # under its variable, its group's place or (clause index, free mask)
     blocks: dict = {}
-
-    def grow(block: tuple[int, ...], indices, sats: list[int]):
-        """The masks of the clauses that the models ``indices`` over
-        ``block`` satisfy, in order: ``sats``, then the ones it lacks,
-        computed and appended as the walk first needs them (a cut that
-        stops mid-block computes no further).  One node per depth is open
-        at a time and no block repeats along a path, so only this walk
-        extends ``sats``."""
-        yield from sats
-        for bits in indices[len(sats):]:
-            sat = 0
-            for b, v in enumerate(block):
-                sat |= pos[v] if bits >> b & 1 else neg[v]
-            sats.append(sat)
-            yield sat
-
-    state = {"count": 0, "branch_nodes": 0, "decider_calls": 0,
-             "leaves": 0, "pruned": 0}
-
-    def explore(alive: int, planes: tuple[int, ...], free: int,
-                witness: dict[int, bool] | None, depth: int,
-                next_struct: int) -> None:
-        state["decider_calls"] += 1
-        if alive and witness is None:
-            witness = index.search(alive, planes, free)
-            if witness is None:
-                state["pruned"] += 1
-                return
-        if not alive:
-            state["leaves"] += 1
-            state["count"] += 1 << free.bit_count()
-            if state["count"] >= ell:
-                raise _Abort
-            return
-
-        # every model fixes all of ``block`` and nothing else; bit b of a
-        # model's index is the value of block[b]
+    count = branch_nodes = leaves = pruned = 0
+    decider_calls = 1
+    alive, planes = index.root
+    free = sum(1 << v for v in phi.variables)
+    # the root is vetted too; the search needs a residual with no empty clause
+    found = index.assign(alive, planes, (), 0) and index.search(alive, planes, free)
+    if found is None or not alive:
+        count = 0 if found is None else 1 << free.bit_count()
+        return CutResult(CutKind.AT_LEAST_ELL if count >= ell else CutKind.EXACT,
+                         count, 0, 1, int(found is not None), int(found is None))
+    wmask, wbits = found
+    depth = next_struct = 0
+    # the open nodes above the current one, each with the iterator over
+    # its block's models that the walk resumes
+    stack: list[tuple] = []
+    while True:
+        # the current node is vetted, with an alive clause: every model of
+        # its block fixes all of ``block`` and nothing else
         if branching is BranchKind.BINARY:
-            var = next(v for v in order if free >> v & 1)
-            block, indices, sats = (var,), (0, 1), [neg[var], pos[var]]
+            # each node fixes one variable, so depth d fixes order[d]
+            key = order[depth]
+            if key not in blocks:
+                blocks[key] = f"x{key}", (key,), 1 << key, listing((key,), (0, 1))
+            label, block, bmask, records = blocks[key]
             closed = spanning(alive, planes, block)
         elif branching is BranchKind.STRUCT_GUIDED and next_struct < len(structs):
             key = next_struct
             if key not in blocks:
                 # read through a memoryview, an index is a plain int
                 sigma = structs[key]
-                blocks[key] = sigma.vars, memoryview(sigma.model_indices()), []
-            block, indices, sats = blocks[key]
+                blocks[key] = (f"group{key}", sigma.vars,
+                               sum(1 << v for v in sigma.vars),
+                               listing(sigma.vars,
+                                       memoryview(sigma.model_indices())))
+            label, block, bmask, records = blocks[key]
             closed = alive & group_closed[next_struct]
             next_struct += 1
         else:
-            key = tuple([code for code in phi.clauses[index.shortest(alive, planes)]
-                         if free >> abs(code) & 1])
-            if check_reduction and next_struct >= len(structs):
-                assert len(key) <= width_bound, \
-                    "residual clause wider than expected after the groups"
+            j = index.shortest(alive, planes)
+            key = j, spans[j] & free
             if key not in blocks:
+                literals = [code for code in phi.clauses[j] if free >> abs(code) & 1]
+                block = tuple([abs(code) for code in literals])
                 # literal b is true in model p (p = 1 .. 2^len - 1), so
                 # the flip of the negative literals gives its index
-                flip = sum(1 << b for b, code in enumerate(key) if code < 0)
-                blocks[key] = (tuple([abs(code) for code in key]),
-                               [p ^ flip for p in range(1, 1 << len(key))], [])
-            block, indices, sats = blocks[key]
+                flip = sum(1 << b for b, code in enumerate(literals) if code < 0)
+                indices = [p ^ flip for p in range(1, 1 << len(block))]
+                blocks[key] = (" ".join(map(str, literals)), block, key[1],
+                               listing(block, indices))
+            label, block, bmask, records = blocks[key]
+            if check_reduction and next_struct >= len(structs):
+                assert len(block) <= width_bound, \
+                    "residual clause wider than expected after the groups"
             closed = spanning(alive, planes, block)
-        state["branch_nodes"] += 1
+        branch_nodes += 1
         if trace is not None:
-            label = (f"x{var}" if branching is BranchKind.BINARY
-                     else f"group{key}" if isinstance(key, int)
-                     else " ".join(map(str, key)))
-            trace.append(f"{depth}\t{label}\t{len(indices)}")
-        rest = free
-        for v in block:
-            rest &= ~(1 << v)
-        if len(sats) < len(indices):
-            sats = grow(block, indices, sats)
-        for place, sat in enumerate(sats):
-            if closed & ~sat:
-                # a clause emptied: vetted and pruned without building it
-                state["decider_calls"] += 1
-                state["pruned"] += 1
-                continue
-            bits = indices[place]
-            # the witness still satisfies the child if the model agrees with it
-            keep = witness
-            for b, v in enumerate(block):
-                value = bits >> b & 1
-                if witness.get(v, value) != value:
-                    keep = None
+            trace.append(f"{depth}\t{label}\t{len(records)}")
+        rest = free & ~bmask
+        # the witness's variables on the block, and (once a child needs
+        # it) the clauses its literals off the block satisfy
+        wblock, cover = wmask & bmask, None
+        models = iter(records)
+        while True:
+            for sat, word, bits in models:
+                decider_calls += 1
+                if closed & ~sat:
+                    # a clause emptied: vetted and pruned without building it
+                    pruned += 1
+                    continue
+                child = alive & ~sat
+                if not child:
+                    leaves += 1
+                    count += 1 << rest.bit_count()
+                    if count >= ell:
+                        return CutResult(CutKind.AT_LEAST_ELL, count, branch_nodes,
+                                         decider_calls, leaves, pruned)
+                    continue
+                low = index.lower(child, planes, block, bits)
+                if not (wbits ^ word) & wblock:
+                    # the model agrees with the witness, which still holds
+                    found = wmask, wbits
                     break
-            child = alive & ~sat
-            explore(child, index.lower(child, planes, block, bits), rest, keep,
-                    depth + 1, next_struct)
-
-    try:
-        explore(*index.root, sum(1 << v for v in phi.variables), None, 0, 0)
-        kind = CutKind.EXACT
-    except _Abort:
-        kind = CutKind.AT_LEAST_ELL
-    return CutResult(kind=kind, **state)
+                if cover is None:
+                    cover, left = 0, wmask & rest
+                    while left:
+                        v = (left & -left).bit_length() - 1
+                        cover |= pos[v] if wbits >> v & 1 else neg[v]
+                        left &= left - 1
+                if not child & ~cover:
+                    # the witness with the model's values substituted holds
+                    found = wmask & rest, wbits
+                    break
+                found = index.search(child, low, rest)
+                if found is not None:
+                    break
+                pruned += 1
+            else:
+                if not stack:
+                    return CutResult(CutKind.EXACT, count, branch_nodes,
+                                     decider_calls, leaves, pruned)
+                (alive, planes, rest, wmask, wbits, wblock, cover, depth,
+                 next_struct, block, closed, models) = stack.pop()
+                continue
+            stack.append((alive, planes, rest, wmask, wbits, wblock, cover,
+                          depth, next_struct, block, closed, models))
+            alive, planes, free = child, low, rest
+            wmask, wbits = found
+            depth += 1
+            break

@@ -156,30 +156,42 @@ class ClauseIndex:
             code: int, trail: list[int]):
         """Set literal ``code`` (0 sets none), then run units to a fixpoint.
 
-        A unit step sets the one unfixed literal of the first alive clause
-        that has exactly one.  Every literal set is appended to ``trail``.
+        The residual must hold no empty clause.  A unit step sets the one
+        unfixed literal of the first alive clause that has exactly one.
+        Each literal is set in place on a copy of the planes: the clauses
+        it satisfies leave ``alive`` and the alive clauses it falsifies
+        lose one literal, so a clause empties exactly when the literal
+        falsifies a unit.  Every literal set is appended to ``trail``.
         Returns the residual with its unfixed mask, ``(alive, planes,
         unfixed)``, or None if a clause empties.
         """
-        clauses = self.clauses
+        pos, neg, spans = self.pos, self.neg, self.spans
+        counts = list(planes)
         while True:
+            units = alive & counts[0]
+            for plane in counts[1:]:
+                units &= ~plane
             if not code:
-                units = alive & planes[0]
-                for plane in planes[1:]:
-                    units &= ~plane
                 if not units:
-                    return alive, planes, unfixed
-                for code in clauses[(units & -units).bit_length() - 1]:
-                    if unfixed >> abs(code) & 1:
-                        break
-            v = abs(code)
+                    return alive, tuple(counts), unfixed
+                # the unit's one unfixed variable, with its sign there
+                j = (units & -units).bit_length() - 1
+                v = (spans[j] & unfixed).bit_length() - 1
+                code = v if pos[v] >> j & 1 else -v
             trail.append(code)
-            unfixed &= ~(1 << v)
-            residual = self.assign(alive, planes, (v,), code > 0)
-            if residual is None:
+            v = abs(code)
+            made, broken = (pos[v], neg[v]) if code > 0 else (neg[v], pos[v])
+            alive &= ~made
+            borrow = broken & alive
+            if borrow & units:
                 return None
-            alive, planes = residual
-            code = 0
+            unfixed &= ~(1 << v)
+            p = code = 0
+            while borrow:
+                plane = counts[p]
+                counts[p] = plane ^ borrow
+                borrow &= ~plane
+                p += 1
 
     def busiest(self, alive: int, unfixed: int) -> int:
         """The unfixed variable with the most alive occurrences; ties go
@@ -196,16 +208,18 @@ class ClauseIndex:
         return best
 
     def search(self, alive: int, planes: tuple[int, ...],
-               unfixed: int) -> dict[int, bool] | None:
-        """DPLL from a residual whose unfixed variables are the bits of
-        ``unfixed``.
+               unfixed: int) -> tuple[int, int] | None:
+        """DPLL from a residual with no empty clause, whose unfixed
+        variables are the bits of ``unfixed``.
 
         Units are fixed to a fixpoint (``fix``); then the busiest variable
         is tried True, then False.  The search is iterative: each stack
         entry is a residual, its unfixed mask, the trail length to undo to
         and the decision literal to set in it.  Returns the variables it
-        set, under which every alive clause holds, or None if no
-        assignment of the unfixed variables satisfies them.
+        set as two ints, ``(mask, bits)``: bit v of ``mask`` marks x_v as
+        set and bit v of ``bits`` is its value.  Every alive clause holds
+        under them.  Returns None if no assignment of the unfixed
+        variables satisfies the alive clauses.
         """
         trail: list[int] = []
         stack = [(alive, planes, unfixed, 0, 0)]
@@ -217,7 +231,9 @@ class ClauseIndex:
                 continue
             alive, planes, unfixed = residual
             if not alive:
-                return {abs(code): code > 0 for code in trail}
+                # a trail sets each variable once, so a sum is an OR
+                return (sum(1 << abs(code) for code in trail),
+                        sum(1 << code for code in trail if code > 0))
             best = self.busiest(alive, unfixed)
             if not best:
                 # an alive clause with no unfixed literal is empty
@@ -332,12 +348,13 @@ def decide(phi: CnfFormula) -> DecisionOutcome:
     model over the whole universe, "unsatisfiable" is never a missed one."""
     index = ClauseIndex(phi.clauses)
     # fixing no variable only tests for an empty clause, which the search
-    # would meet again at every leaf
+    # must not be given
     residual = index.assign(*index.root, (), 0)
     found = None if residual is None else index.search(
         *residual, sum(1 << v for v in vars_of(index.clauses)))
     if found is None:
         return DecisionOutcome(False, None)
-    witness = {v: found.get(v, False) for v in phi.variables}
+    _, bits = found
+    witness = {v: bool(bits >> v & 1) for v in phi.variables}
     assert evaluate(phi, witness)
     return DecisionOutcome(True, witness)

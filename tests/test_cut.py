@@ -134,6 +134,18 @@ def test_an_empty_clause_ends_every_search():
         assert index.search(*index.root, 0b10) is None
 
 
+def test_deep_binary_cut_keeps_its_own_stack():
+    # no three consecutive variables all true: BINARY fixes x3..x1198
+    # (three occurrences each) False first, so the first leaf lies 1,196
+    # levels down, past Python's recursion limit
+    n = 1200
+    phi = CnfFormula([(-i, -(i + 1), -(i + 2)) for i in range(1, n - 1)], n)
+    with deadline(5.0):
+        res = cut(phi, EMPTY, 2, BranchKind.BINARY)
+    assert [res.kind, res.count, res.branch_nodes, res.leaves] == \
+        [CutKind.AT_LEAST_ELL, 16, 1196, 1]
+
+
 def test_work_counters_are_consistent(chain3):
     res = cut(chain3, EMPTY, BIG, BranchKind.BINARY)
     # every node got one decider call: branches + leaves + pruned
@@ -365,10 +377,18 @@ def test_structs_cut_prunes_group_children_in_time():
                                         569606, 394, 567622]
 
 
-def test_sparse_sample_cell_cuts_are_pinned():
+def test_sparse_sample_cell_cuts_are_pinned(monkeypatch):
     # 8 instances of the sampling benchmark's two cells, generator seeds
     # 1-4 each, under all four two-phase strategies: one digest over every
-    # CutResult field and trace line of the 32 cuts
+    # CutResult field and trace line of the 32 cuts.  The searches they
+    # run are counted too: a node that keeps a witness runs none.
+    search, searches = ClauseIndex.search, []
+
+    def counted(self, *residual):
+        searches.append(1)
+        return search(self, *residual)
+
+    monkeypatch.setattr(ClauseIndex, "search", counted)
     digest = hashlib.sha256()
     for k, n, m in ((3, 23, 46), (4, 19, 114)):
         for seed in range(1, 5):
@@ -380,3 +400,4 @@ def test_sparse_sample_cell_cuts_are_pinned():
                 digest.update(repr(res).encode())
                 digest.update("\n".join(trace).encode())
     assert digest.hexdigest()[:16] == "6ef1a12ef087d824"
+    assert len(searches) == 3783

@@ -4,6 +4,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from indepcount import (CnfFormula, GuardError, approx_count,
                         brute_force_count, count_2sat_exact, parse_dimacs,
@@ -350,6 +352,63 @@ def test_propagate_unit_against_fixed_is_a_conflict():
     assert propagate([(-1,), (2, 3)], {1: True}) is None
 
 
+def _reference_fix(clauses, fixed, code):
+    """The trail and the stripped clauses (None where satisfied) of unit
+    propagation by ``cnf.assign``: set ``code`` (0 sets none), then the one
+    literal of the first clause with one left, until none has; or None
+    once a clause empties."""
+    fixed, trail = dict(fixed), []
+    while True:
+        left = [next(iter(assign([c], fixed)), None) for c in clauses]
+        if () in left:
+            return None
+        if not code:
+            units = [c for c in left if c is not None and len(set(c)) == 1]
+            if not units:
+                return trail, left
+            code = units[0][0]
+        trail.append(code)
+        fixed[abs(code)] = code > 0
+        code = 0
+
+
+_literal = st.integers(1, 6).flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(_literal, min_size=1, max_size=4).map(tuple),
+                max_size=10),
+       st.dictionaries(st.integers(1, 6), st.booleans(), max_size=3),
+       st.sampled_from((0, 0, 1, -1, 2, -2, 6)))
+def test_fix_matches_unit_propagation_by_assign(clauses, fixed, code):
+    # from a residual with no empty clause: the root, or one with a block
+    # fixed by ``assign``; the literal to set is on an unfixed variable
+    assume(abs(code) not in fixed)
+    index = ClauseIndex(clauses, 6)
+    block = tuple(fixed)
+    residual = index.assign(*index.root, block,
+                            sum(fixed[v] << b for b, v in enumerate(block)))
+    assume(residual is not None)
+    unfixed = sum(1 << v for v in range(1, 7) if v not in fixed)
+    trail: list[int] = []
+    got = index.fix(*residual, unfixed, code, trail)
+    want = _reference_fix(clauses, fixed, code)
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    want_trail, left = want
+    assert trail == want_trail
+    alive, planes, unfixed_after = got
+    assert unfixed_after == unfixed & ~sum(1 << abs(c) for c in trail)
+    assert alive == sum(1 << j for j, c in enumerate(left) if c is not None)
+    assert len(planes) == len(index.root[1])
+    assert [plane & alive for plane in planes] == [
+        sum(1 << j for j, c in enumerate(left)
+            if c is not None and len(set(c)) >> p & 1)
+        for p in range(len(planes))]
+
+
 def test_propagate_collapses_duplicate_residual_clauses():
     residual, implied = propagate([(1, 2, 3), (1, 2, -4), (4,)], {3: False})
     assert residual == frozenset({(1, 2)})
@@ -425,7 +484,11 @@ def _search(clauses, fixed):
         return None
     unfixed = sum(1 << v for v in vars_of(index.clauses) - fixed.keys())
     found = index.search(*residual, unfixed)
-    return None if found is None else {**fixed, **found}
+    if found is None:
+        return None
+    mask, bits = found
+    return {**fixed, **{v: bool(bits >> v & 1)
+                        for v in range(mask.bit_length()) if mask >> v & 1}}
 
 
 def _check_search(clauses, fixed, n):

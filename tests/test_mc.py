@@ -283,6 +283,37 @@ def test_product_index_beyond_int64_stays_exact():
             assert p > 0.01
 
 
+def test_two_table_draw_matches_a_python_int_reference():
+    # six 7-model groups: 7^5 rows fill the first product table and the
+    # sixth group gets its own, so every index is split by one mixed-radix
+    # digit.  The reference redraws the same stream and splits each index
+    # with Python ints, straight into one model per group.
+    from indepcount import mc
+
+    groups = [Struct(((3 * i + 1, -(3 * i + 2), 3 * i + 3),),
+                     (3 * i + 1, 3 * i + 2, 3 * i + 3)) for i in range(6)]
+    uni = Universe(StructSet(tuple(groups)), 21)
+    count = mc._SLICE_WORDS + 1000
+    words = uni.sample_words(count, generator(11))
+    assert [len(t) for t in uni._tables] == [7 ** 5, 7]
+    rng = generator(11)
+    coins = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
+    index = [int(i) for start in range(0, count, mc._SLICE_WORDS)
+             for i in rng.integers(0, 7 ** 6, dtype=np.uint64,
+                                   size=min(mc._SLICE_WORDS, count - start))]
+    models = [[sum((b >> i & 1) << (v - 1) for i, v in enumerate(g.vars))
+               for b in map(int, g.model_indices())] for g in groups]
+    want = []
+    for coin, i in zip(map(int, coins), index):
+        # the first table's row is g0..g4 in base 7, g4 lowest
+        row, word = i % 7 ** 5, coin & uni.free_mask
+        for g in reversed(range(5)):
+            row, digit = divmod(row, 7)
+            word |= models[g][digit]
+        want.append(word | models[5][i // 7 ** 5])
+    assert words.tolist() == want
+
+
 # -- the stopping rule -----------------------------------------------------
 
 def _word_hits(words, clauses):
