@@ -7,26 +7,24 @@ branching.  A node is a bit-sliced residual over the formula's clauses
 fixes its model in the parent's residual.  A model is one compact int
 over its block, bit b the value of ``block[b]``: 0 and 1 over a single
 variable, the satisfying patterns of a residual clause, or a group's
-scan indices (``Struct.model_indices``).  Each block's models are listed
-once per cut as ``(sat, word, bits)``: the mask of the clauses the model
-satisfies, its values as a word (bit v for x_v) and its index.
+scan indices (``Struct.model_indices``), listed once per cut as
+``(sat, word, bits)``: the clauses it satisfies, its values as a word
+(bit v for x_v) and its index.
 
 The walk is depth first on an explicit stack of open nodes, each resumed
-at its next model, so no path depth meets the recursion limit.  Every
-node is vetted so that falsified branches never expand.  A child whose
-model empties a clause (it leaves unsatisfied one of the alive clauses
-whose unfixed literals all lie on the block, which the node marks once)
-is pruned by one mask test, and a child with no alive clause is counted
-where it is met; neither is built.  Every other node carries a witness
-``(mask, bits)``, a partial model under which every alive clause holds
-(bit v of ``mask`` marks x_v as set, bit v of ``bits`` is its value).
-A child whose model agrees with it keeps it; one whose model disagrees
-keeps it, the model's values substituted, if the witness's literals off
-the block still satisfy every alive clause.  Only the rest run the exact
-DPLL search on their residuals.  A global counter accumulates, at each
-clause-free node, the number of models below it; the run either
-finishes (the counter is then the exact model count) or aborts once the
-counter reaches the threshold, certifying "at least that many models".
+at its next model, so path depth meets no recursion limit.  Every node is
+vetted, so falsified branches never expand.  A child that empties a
+clause (one of the alive clauses whose unfixed literals all lie on the
+block, which the node marks once) is pruned by one mask test, and a child
+with no alive clause is counted; neither is built.  Every other node
+carries a witness ``(mask, bits)``: a partial model under which every
+alive clause holds, bit v of ``mask`` marking x_v as set and bit v of
+``bits`` its value.  A child keeps it, with its model's values
+substituted, when the witness's literals off the block and the model
+still satisfy every alive clause; only the rest run the exact DPLL
+search.  A global counter accumulates, at each clause-free node, the
+models below it; the run either finishes (the count is then exact) or
+aborts once it reaches the threshold, certifying "at least that many".
 """
 
 from __future__ import annotations
@@ -93,8 +91,6 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
                 if c not in own:
                     raise ValueError("group clause missing from the formula")
     structs = tuple(psi.structs) if branching is BranchKind.STRUCT_GUIDED else ()
-    check_reduction = bool(structs)
-    width_bound = phi.k - 1
     index = ClauseIndex(phi.clauses, phi.variables[-1] if phi.variables else 0)
     pos, neg, occurs, spans = index.pos, index.neg, index.occurs, index.spans
     # BINARY's order: most frequent variable first, ties by index (a clause
@@ -130,10 +126,11 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
             alive &= plane if width >> p & 1 else ~plane
         return alive
 
-    def listing(block: tuple[int, ...], indices) -> list[tuple[int, int, int]]:
-        """The records ``(sat, word, bits)`` of the models ``indices``
-        over ``block``; ``sat`` and ``word`` are ORs of 16-row table
-        entries, one table for each 4 variables of the block."""
+    def entry(label: str, block: tuple[int, ...], indices) -> tuple:
+        """A block's trace label, variables, their mask and the records
+        ``(sat, word, bits)`` of its models ``indices``; ``sat`` and
+        ``word`` are ORs of 16-row table entries, one table for each 4
+        variables of the block."""
         tables = []
         for s in range(0, len(block), 4):
             table = [(0, 0)]
@@ -149,17 +146,17 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
                 sat |= part_sat
                 word |= part_word
             records.append((sat, word, bits))
-        return records
+        return label, block, sum(1 << v for v in block), records
 
-    # a block's trace label, variables, their mask and model records,
-    # under its variable, its group's place or (clause index, free mask)
+    # each block's entry, under its variable, its group's place or
+    # (clause index, free mask)
     blocks: dict = {}
     count = branch_nodes = leaves = pruned = 0
     decider_calls = 1
     alive, planes = index.root
     free = sum(1 << v for v in phi.variables)
-    # the root is vetted too; the search needs a residual with no empty clause
-    found = index.assign(alive, planes, (), 0) and index.search(alive, planes, free)
+    # the root is vetted too; the search must not be given an empty clause
+    found = index.search(alive, planes, free) if all(phi.clauses) else None
     if found is None or not alive:
         count = 0 if found is None else 1 << free.bit_count()
         return CutResult(CutKind.AT_LEAST_ELL if count >= ell else CutKind.EXACT,
@@ -172,41 +169,37 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
     while True:
         # the current node is vetted, with an alive clause: every model of
         # its block fixes all of ``block`` and nothing else
-        if branching is BranchKind.BINARY:
-            # each node fixes one variable, so depth d fixes order[d]
-            key = order[depth]
-            if key not in blocks:
-                blocks[key] = f"x{key}", (key,), 1 << key, listing((key,), (0, 1))
-            label, block, bmask, records = blocks[key]
-            closed = spanning(alive, planes, block)
-        elif branching is BranchKind.STRUCT_GUIDED and next_struct < len(structs):
+        group = next_struct < len(structs)
+        if group:
             key = next_struct
             if key not in blocks:
                 # read through a memoryview, an index is a plain int
                 sigma = structs[key]
-                blocks[key] = (f"group{key}", sigma.vars,
-                               sum(1 << v for v in sigma.vars),
-                               listing(sigma.vars,
-                                       memoryview(sigma.model_indices())))
-            label, block, bmask, records = blocks[key]
-            closed = alive & group_closed[next_struct]
-            next_struct += 1
+                blocks[key] = entry(f"group{key}", sigma.vars,
+                                    memoryview(sigma.model_indices()))
+        elif branching is BranchKind.BINARY:
+            # each node fixes one variable, so depth d fixes order[d]
+            key = order[depth]
+            if key not in blocks:
+                blocks[key] = entry(f"x{key}", (key,), (0, 1))
         else:
             j = index.shortest(alive, planes)
             key = j, spans[j] & free
             if key not in blocks:
                 literals = [code for code in phi.clauses[j] if free >> abs(code) & 1]
-                block = tuple([abs(code) for code in literals])
                 # literal b is true in model p (p = 1 .. 2^len - 1), so
                 # the flip of the negative literals gives its index
                 flip = sum(1 << b for b, code in enumerate(literals) if code < 0)
-                indices = [p ^ flip for p in range(1, 1 << len(block))]
-                blocks[key] = (" ".join(map(str, literals)), block, key[1],
-                               listing(block, indices))
-            label, block, bmask, records = blocks[key]
-            if check_reduction and next_struct >= len(structs):
-                assert len(block) <= width_bound, \
-                    "residual clause wider than expected after the groups"
+                blocks[key] = entry(" ".join(map(str, literals)),
+                                    tuple([abs(code) for code in literals]),
+                                    [p ^ flip for p in range(1, 1 << len(literals))])
+        label, block, bmask, records = blocks[key]
+        if group:
+            closed = alive & group_closed[next_struct]
+            next_struct += 1
+        else:
+            assert not structs or len(block) < phi.k, \
+                "residual clause wider than expected after the groups"
             closed = spanning(alive, planes, block)
         branch_nodes += 1
         if trace is not None:

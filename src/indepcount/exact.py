@@ -108,26 +108,11 @@ class ClauseIndex:
                      tuple(sum(1 << j for j, w in enumerate(counts) if w >> p & 1)
                            for p in range(depth)))
 
-    def assign(self, alive: int, planes: tuple[int, ...],
-               block: tuple[int, ...], bits: int):
-        """The residual after fixing the free variables ``block`` to
-        ``bits`` (bit b is the value of ``block[b]``), or None if that
-        empties a clause."""
-        pos, neg = self.pos, self.neg
-        for b, v in enumerate(block):
-            alive &= ~(pos[v] if bits >> b & 1 else neg[v])
-        counts = self.lower(alive, planes, block, bits)
-        nonempty = 0
-        for plane in counts:
-            nonempty |= plane
-        return None if alive & ~nonempty else (alive, counts)
-
     def lower(self, alive: int, planes: tuple[int, ...],
               block: tuple[int, ...], bits: int) -> tuple[int, ...]:
         """The planes after fixing ``block`` to ``bits``, where ``alive``
         already omits the clauses those values satisfy: each alive clause
-        loses the literals they falsify.  No clause may empty; ``assign``
-        is this with that test."""
+        loses the literals they falsify.  No clause may empty."""
         pos, neg = self.pos, self.neg
         counts = list(planes)
         for b, v in enumerate(block):
@@ -158,10 +143,9 @@ class ClauseIndex:
 
         The residual must hold no empty clause.  A unit step sets the one
         unfixed literal of the first alive clause that has exactly one.
-        Each literal is set in place on a copy of the planes: the clauses
-        it satisfies leave ``alive`` and the alive clauses it falsifies
-        lose one literal, so a clause empties exactly when the literal
-        falsifies a unit.  Every literal set is appended to ``trail``.
+        Each literal is set in place on a copy of the planes, so a clause
+        empties exactly when a literal falsifies a unit.  Every literal
+        set is appended to ``trail``.
         Returns the residual with its unfixed mask, ``(alive, planes,
         unfixed)``, or None if a clause empties.
         """
@@ -347,14 +331,11 @@ def decide(phi: CnfFormula) -> DecisionOutcome:
     """Decide satisfiability exactly; "satisfiable" comes with a checked
     model over the whole universe, "unsatisfiable" is never a missed one."""
     index = ClauseIndex(phi.clauses)
-    # fixing no variable only tests for an empty clause, which the search
-    # must not be given
-    residual = index.assign(*index.root, (), 0)
-    found = None if residual is None else index.search(
-        *residual, sum(1 << v for v in vars_of(index.clauses)))
-    if found is None:
+    # the search must not be given an empty clause
+    found = all(index.clauses) and index.search(
+        *index.root, sum(1 << v for v in vars_of(index.clauses)))
+    if not found:
         return DecisionOutcome(False, None)
-    _, bits = found
-    witness = {v: bool(bits >> v & 1) for v in phi.variables}
+    witness = {v: bool(found[1] >> v & 1) for v in phi.variables}
     assert evaluate(phi, witness)
     return DecisionOutcome(True, witness)

@@ -283,16 +283,30 @@ def test_counter_counts_every_width_against_enumeration():
 
 
 # ---------------------------------------------------------------------------
-# The unit step's contract: ClauseIndex.assign of ``fixed``, then
+# The unit step's contract: ``_assign`` of ``fixed``, then
 # ClauseIndex.fix to a fixpoint, read back as int clauses
+
+def _assign(index, residual, fixed):
+    """``residual`` with each free variable of ``fixed`` set to its value
+    (``ClauseIndex.lower`` strips the falsified literals), or None if that
+    empties a clause."""
+    alive, planes = residual
+    block = tuple(fixed)
+    for v in block:
+        alive &= ~(index.pos[v] if fixed[v] else index.neg[v])
+    planes = index.lower(alive, planes, block,
+                         sum(fixed[v] << b for b, v in enumerate(block)))
+    nonempty = 0
+    for plane in planes:
+        nonempty |= plane
+    return None if alive & ~nonempty else (alive, planes)
+
 
 def propagate(clauses, fixed):
     """(residual clause set, all fixed vars) after ``fixed`` and the units
     it leads to, or None if a clause empties."""
     index = ClauseIndex(clauses, max(fixed, default=0))
-    block = tuple(fixed)
-    residual = index.assign(*index.root, block,
-                            sum(fixed[v] << b for b, v in enumerate(block)))
+    residual = _assign(index, index.root, fixed)
     if residual is None:
         return None
     unfixed = sum(1 << v for v in vars_of(index.clauses) - fixed.keys())
@@ -382,12 +396,10 @@ _literal = st.integers(1, 6).flatmap(lambda v: st.sampled_from((v, -v)))
        st.sampled_from((0, 0, 1, -1, 2, -2, 6)))
 def test_fix_matches_unit_propagation_by_assign(clauses, fixed, code):
     # from a residual with no empty clause: the root, or one with a block
-    # fixed by ``assign``; the literal to set is on an unfixed variable
+    # fixed by ``_assign``; the literal to set is on an unfixed variable
     assume(abs(code) not in fixed)
     index = ClauseIndex(clauses, 6)
-    block = tuple(fixed)
-    residual = index.assign(*index.root, block,
-                            sum(fixed[v] << b for b, v in enumerate(block)))
+    residual = _assign(index, index.root, fixed)
     assume(residual is not None)
     unfixed = sum(1 << v for v in range(1, 7) if v not in fixed)
     trail: list[int] = []
@@ -417,8 +429,8 @@ def test_propagate_collapses_duplicate_residual_clauses():
 
 
 # ---------------------------------------------------------------------------
-# ClauseIndex.assign of a block's compact model against the tuple-level
-# reference ``cnf.assign``
+# ``_assign`` of a block's values, by ClauseIndex.lower, against the
+# tuple-level reference ``cnf.assign``
 
 def _residual_clauses(index, alive, planes, unfixed):
     """The alive clauses with their unfixed literals, in clause order; each
@@ -448,9 +460,9 @@ def test_assign_of_a_block_matches_the_tuple_reference():
             block = tuple(free[:rng.randint(1, 5)])
             del free[:len(block)]
             bits = rng.getrandbits(len(block))
-            want = assign(want, {v: bool(bits >> b & 1)
-                                 for b, v in enumerate(block)})
-            residual = index.assign(*residual, block, bits)
+            fixed = {v: bool(bits >> b & 1) for b, v in enumerate(block)}
+            want = assign(want, fixed)
+            residual = _assign(index, residual, fixed)
             for v in block:
                 unfixed &= ~(1 << v)
             assert (residual is None) == (() in want), (seed, block, bits)
@@ -471,15 +483,13 @@ def test_2sat_matches_exactref_above_brute_force_size(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the search's contract, checked against every assignment of a small
-# universe: fix a block with ``ClauseIndex.assign``, search the rest
+# universe: fix a block with ``_assign``, search the rest
 
 def _search(clauses, fixed):
     """A partial model of int ``clauses`` extending ``fixed`` (every
     clause has a literal it makes true), or None if none exists."""
     index = ClauseIndex(clauses, max(fixed, default=0))
-    block = tuple(fixed)
-    residual = index.assign(*index.root, block,
-                            sum(fixed[v] << b for b, v in enumerate(block)))
+    residual = _assign(index, index.root, fixed)
     if residual is None:
         return None
     unfixed = sum(1 << v for v in vars_of(index.clauses) - fixed.keys())
