@@ -11,12 +11,13 @@ scan indices (``Struct.model_indices``), listed once per cut as
 ``(sat, word, bits)``: the clauses it satisfies, its values as a word
 (bit v for x_v) and its index.
 
-The walk is depth first on an explicit stack of open nodes, each resumed
-at its next model, so path depth meets no recursion limit.  Every node is
-vetted, so falsified branches never expand.  A child that empties a
-clause (one of the alive clauses whose unfixed literals all lie on the
-block, which the node marks once) is pruned by one mask test, and a child
-with no alive clause is counted; neither is built.  Every other node
+One step, ``children``, takes a node and yields its vetted children in
+model order.  The walk drives it depth first from a stack of these
+generators, one per open node, so path depth meets no recursion limit.
+Every node is vetted, so falsified branches never expand.  A child that
+empties a clause (one of the alive clauses whose unfixed literals all lie
+on the block, which the node marks once) is pruned by one mask test, and
+a child with no alive clause is a leaf; neither is built.  Every other node
 carries a witness ``(mask, bits)``: a partial model under which every
 alive clause holds, bit v of ``mask`` marking x_v as set and bit v of
 ``bits`` its value.  A child keeps it, with its model's values
@@ -77,9 +78,10 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
 
     The decider is exact, so a completed run's count is the exact model
     count and an aborted run's count is a true lower bound.  A clause-free
-    node contributes 2^(free variables) models.  ``decider_calls`` counts
-    vetted nodes, not searches: a node pruned for an empty clause, a leaf
-    or a node that keeps its parent's witness is vetted without one.
+    node contributes 2^(free variables) models.  Every vetted node is a
+    branch node, a leaf or pruned, so ``decider_calls`` is their sum, not
+    a count of searches: a node pruned for an empty clause, a leaf or a
+    node that keeps its parent's witness is vetted without one.
     ``trace``, if given, receives one line per branch node.
     """
     if ell < 1:
@@ -93,6 +95,7 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
     structs = tuple(psi.structs) if branching is BranchKind.STRUCT_GUIDED else ()
     index = ClauseIndex(phi.clauses, phi.variables[-1] if phi.variables else 0)
     pos, neg, occurs, spans = index.pos, index.neg, index.occurs, index.spans
+    lower, search = index.lower, index.search
     # BINARY's order: most frequent variable first, ties by index (a clause
     # holds each variable once, so its clause count is its occurrence count)
     order = sorted(phi.variables, key=lambda v: (-occurs[v].bit_count(), v))
@@ -112,19 +115,6 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
             seen |= 1 << v
         group_closed.append(sum(1 << j for j, span in enumerate(spans)
                                 if not span & ~seen))
-
-    def spanning(alive: int, planes: tuple[int, ...],
-                 block: tuple[int, ...]) -> int:
-        """The alive clauses whose unfixed variables are exactly ``block``.
-
-        These are the closed clauses when no alive clause is narrower
-        than the block: a single variable, or a shortest clause's."""
-        for v in block:
-            alive &= occurs[v]
-        width = len(block)
-        for p, plane in enumerate(planes):
-            alive &= plane if width >> p & 1 else ~plane
-        return alive
 
     def entry(label: str, block: tuple[int, ...], indices) -> tuple:
         """A block's trace label, variables, their mask and the records
@@ -151,24 +141,14 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
     # each block's entry, under its variable, its group's place or
     # (clause index, free mask)
     blocks: dict = {}
-    count = branch_nodes = leaves = pruned = 0
-    decider_calls = 1
-    alive, planes = index.root
-    free = sum(1 << v for v in phi.variables)
-    # the root is vetted too; the search must not be given an empty clause
-    found = index.search(alive, planes, free) if all(phi.clauses) else None
-    if found is None or not alive:
-        count = 0 if found is None else 1 << free.bit_count()
-        return CutResult(CutKind.AT_LEAST_ELL if count >= ell else CutKind.EXACT,
-                         count, 0, 1, int(found is not None), int(found is None))
-    wmask, wbits = found
-    depth = next_struct = 0
-    # the open nodes above the current one, each with the iterator over
-    # its block's models that the walk resumes
-    stack: list[tuple] = []
-    while True:
-        # the current node is vetted, with an alive clause: every model of
-        # its block fixes all of ``block`` and nothing else
+
+    def children(alive: int, planes: tuple[int, ...], free: int, wmask: int,
+                 wbits: int, depth: int, next_struct: int):
+        """The vetted children of a node with an alive clause, in model
+        order, each as the tuple this step takes; a leaf is a child with
+        no alive clause.  Every model of the node's block fixes all of
+        ``block`` and nothing else; a pruned child is counted, not yielded."""
+        nonlocal pruned
         group = next_struct < len(structs)
         if group:
             key = next_struct
@@ -200,59 +180,73 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
         else:
             assert not structs or len(block) < phi.k, \
                 "residual clause wider than expected after the groups"
-            closed = spanning(alive, planes, block)
-        branch_nodes += 1
+            # the alive clauses whose unfixed variables are exactly the
+            # block: the closed ones, as no alive clause is narrower than
+            # a single variable or a shortest clause
+            closed = alive
+            for v in block:
+                closed &= occurs[v]
+            for p, plane in enumerate(planes):
+                closed &= plane if len(block) >> p & 1 else ~plane
         if trace is not None:
             trace.append(f"{depth}\t{label}\t{len(records)}")
         rest = free & ~bmask
+        depth += 1
         # the witness's variables on the block, and (once a child needs
         # it) the clauses its literals off the block satisfy
         wblock, cover = wmask & bmask, None
-        models = iter(records)
-        while True:
-            for sat, word, bits in models:
-                decider_calls += 1
-                if closed & ~sat:
-                    # a clause emptied: vetted and pruned without building it
-                    pruned += 1
-                    continue
-                child = alive & ~sat
-                if not child:
-                    leaves += 1
-                    count += 1 << rest.bit_count()
-                    if count >= ell:
-                        return CutResult(CutKind.AT_LEAST_ELL, count, branch_nodes,
-                                         decider_calls, leaves, pruned)
-                    continue
-                low = index.lower(child, planes, block, bits)
-                if not (wbits ^ word) & wblock:
-                    # the model agrees with the witness, which still holds
-                    found = wmask, wbits
-                    break
-                if cover is None:
-                    cover, left = 0, wmask & rest
-                    while left:
-                        v = (left & -left).bit_length() - 1
-                        cover |= pos[v] if wbits >> v & 1 else neg[v]
-                        left &= left - 1
-                if not child & ~cover:
-                    # the witness with the model's values substituted holds
-                    found = wmask & rest, wbits
-                    break
-                found = index.search(child, low, rest)
-                if found is not None:
-                    break
+        for sat, word, bits in records:
+            if closed & ~sat:
+                # a clause emptied: vetted and pruned without building it
+                pruned += 1
+                continue
+            child = alive & ~sat
+            if not child:
+                yield 0, planes, rest, wmask, wbits, depth, next_struct
+                continue
+            low = lower(child, planes, block, bits)
+            if not (wbits ^ word) & wblock:
+                # the model agrees with the witness, which still holds
+                yield child, low, rest, wmask, wbits, depth, next_struct
+                continue
+            if cover is None:
+                cover, left = 0, wmask & rest
+                while left:
+                    v = (left & -left).bit_length() - 1
+                    cover |= pos[v] if wbits >> v & 1 else neg[v]
+                    left &= left - 1
+            if not child & ~cover:
+                # the witness with the model's values substituted holds
+                yield child, low, rest, wmask & rest, wbits, depth, next_struct
+                continue
+            found = search(child, low, rest)
+            if found is None:
                 pruned += 1
             else:
-                if not stack:
-                    return CutResult(CutKind.EXACT, count, branch_nodes,
-                                     decider_calls, leaves, pruned)
-                (alive, planes, rest, wmask, wbits, wblock, cover, depth,
-                 next_struct, block, closed, models) = stack.pop()
-                continue
-            stack.append((alive, planes, rest, wmask, wbits, wblock, cover,
-                          depth, next_struct, block, closed, models))
-            alive, planes, free = child, low, rest
-            wmask, wbits = found
-            depth += 1
-            break
+                yield child, low, rest, *found, depth, next_struct
+
+    # the root is vetted too; the search must not be given an empty clause
+    alive, planes = index.root
+    free = sum(1 << v for v in phi.variables)
+    found = search(alive, planes, free) if all(phi.clauses) else None
+    count = branch_nodes = leaves = 0
+    pruned = int(found is None)
+    # the open nodes, each a generator of its vetted children; the root is
+    # the one child of the first
+    stack = [] if found is None else [iter([(alive, planes, free, *found, 0, 0)])]
+    kind = CutKind.EXACT
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif node[0]:
+            branch_nodes += 1
+            stack.append(children(*node))
+        else:
+            leaves += 1
+            count += 1 << node[2].bit_count()
+            if count >= ell:
+                kind = CutKind.AT_LEAST_ELL
+                break
+    return CutResult(kind, count, branch_nodes, branch_nodes + leaves + pruned,
+                     leaves, pruned)

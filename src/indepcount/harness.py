@@ -62,8 +62,13 @@ def chi_square_uniformity(samples: Sequence[Mapping[int, bool]],
 
 def _estimate_payload(est: Estimate) -> dict:
     value = est.value
+    try:
+        approx = float(value)
+    except OverflowError:
+        # past the float range; ``value_exact`` carries the count
+        approx = None
     return {
-        "value": float(value),
+        "value": approx,
         "value_exact": (str(value.numerator) if isinstance(value, Fraction)
                         and value.denominator == 1 else str(value)),
         "exact": est.exact,

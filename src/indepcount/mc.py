@@ -91,10 +91,6 @@ class Estimate:
             value = lower_bound
         return dataclasses.replace(self, value=value, lower_bound=lower_bound)
 
-    @property
-    def value_float(self) -> float:
-        return float(self.value)
-
 
 class Universe:
     """Sampling space: one model per subformula, coins elsewhere."""

@@ -83,14 +83,18 @@ def test_threshold_exactly_at_count_still_aborts(chain3):
 
 
 def test_unsat_formula_completes_with_zero():
-    phi = CnfFormula([(1,), (-1,), (2, 3)], 3)
-    res = cut(phi, EMPTY, 1, BranchKind.BINARY)
-    assert res.completed and res.count == 0 and res.leaves == 0
+    # the root is vetted and pruned, by its search or by an empty clause
+    for clauses in ([(1,), (-1,), (2, 3)], [(1, 2), (), (3,)]):
+        res = cut(CnfFormula(clauses, 3), EMPTY, 1, BranchKind.BINARY)
+        assert [res.kind, res.count, res.branch_nodes, res.decider_calls,
+                res.leaves, res.pruned] == [CutKind.EXACT, 0, 0, 1, 0, 1]
 
 
 def test_no_clause_formula_is_one_leaf():
-    res = cut(CnfFormula([], 4), EMPTY, BIG, BranchKind.BINARY)
-    assert res.completed and res.count == 16 and res.leaves == 1
+    for ell, kind in ((BIG, CutKind.EXACT), (16, CutKind.AT_LEAST_ELL)):
+        res = cut(CnfFormula([], 4), EMPTY, ell, BranchKind.BINARY)
+        assert [res.kind, res.count, res.branch_nodes, res.decider_calls,
+                res.leaves, res.pruned] == [kind, 16, 0, 1, 1, 0]
 
 
 def test_struct_guided_consumes_groups_first():

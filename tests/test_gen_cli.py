@@ -178,6 +178,14 @@ def test_cli_count_file(tmp_path, capsys):
     assert report["instance"]["file"] == str(path)
 
 
+def test_cli_count_reports_a_count_past_the_float_range(tmp_path, capsys):
+    path = tmp_path / "wide.cnf"
+    path.write_text("p cnf 1100 0\n")
+    assert main(["count", "--file", str(path)]) == EXIT_OK
+    est = json.loads(capsys.readouterr().out)["estimate"]
+    assert est["value"] is None and est["value_exact"] == str(2 ** 1100)
+
+
 def test_cli_count_warns_on_a_flagged_result(tmp_path, capsys):
     path = tmp_path / "sparse.cnf"
     path.write_text(serialize_dimacs(generate(
