@@ -7,7 +7,7 @@ strategy dispatcher gluing them together.
 
 from .cnf import (CnfFormula, DimacsError, evaluate, parse_dimacs, restrict,
                   serialize_dimacs)
-from .cut import BranchKind, CutKind, CutResult, cut
+from .cut import BranchKind, CutKind, CutResult, Frontier, cut, frontier
 from .exact import (DecisionOutcome, ExactCount, GuardError,
                     brute_force_count, count_2sat_exact, decide)
 from .gen import GeneratorSpec, generate
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CnfFormula", "DimacsError", "evaluate", "parse_dimacs", "restrict",
     "serialize_dimacs",
-    "BranchKind", "CutKind", "CutResult", "cut",
+    "BranchKind", "CutKind", "CutResult", "Frontier", "cut", "frontier",
     "DecisionOutcome", "decide",
     "ExactCount", "GuardError", "brute_force_count", "count_2sat_exact",
     "GeneratorSpec", "generate",

@@ -26,12 +26,21 @@ still satisfy every alive clause; only the rest run the exact DPLL
 search.  A global counter accumulates, at each clause-free node, the
 models below it; the run either finishes (the count is then exact) or
 aborts once it reaches the threshold, certifying "at least that many".
+
+After an aborted cut without groups, ``frontier`` walks the same tree
+again breadth first from the root, with the same block rule and the
+cut's model records, but vets each child by the mask test and unit
+propagation (``ClauseIndex.fix``) instead of a search.  Pruned children
+hold no model, and every model below a kept child sets the literals its
+units set, so the open nodes and the leaves it meets are disjoint cubes
+that hold every model: the sampler's universe in place of the full cube.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 
 from .cnf import CnfFormula
 from .exact import ClauseIndex
@@ -51,6 +60,9 @@ class CutResult:
     decider_calls: int
     leaves: int
     pruned: int
+    # the walk's shared state, ``(index, root free mask, block rule)``;
+    # None when the cut branched on groups
+    tree: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def completed(self) -> bool:
@@ -71,31 +83,14 @@ class BranchKind(enum.Enum):
     STRUCT_GUIDED = "struct-guided"
 
 
-def cut(phi: CnfFormula, psi: StructSet, ell: int,
-        branching: BranchKind, *,
-        trace: list[str] | None = None) -> CutResult:
-    """Explore until done or until ``ell`` models have been accounted for.
-
-    The decider is exact, so a completed run's count is the exact model
-    count and an aborted run's count is a true lower bound.  A clause-free
-    node contributes 2^(free variables) models.  Every vetted node is a
-    branch node, a leaf or pruned, so ``decider_calls`` is their sum, not
-    a count of searches: a node pruned for an empty clause, a leaf or a
-    node that keeps its parent's witness is vetted without one.
-    ``trace``, if given, receives one line per branch node.
-    """
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
-    if branching is BranchKind.STRUCT_GUIDED:
-        own = set(phi.clauses)
-        for sigma in psi:
-            for c in sigma.clauses:
-                if c not in own:
-                    raise ValueError("group clause missing from the formula")
-    structs = tuple(psi.structs) if branching is BranchKind.STRUCT_GUIDED else ()
-    index = ClauseIndex(phi.clauses, phi.variables[-1] if phi.variables else 0)
+def _block_rule(phi: CnfFormula, structs: tuple, branching: BranchKind,
+                index: ClauseIndex):
+    """The block rule of a tree: a function from a node with an alive
+    clause, ``(alive, planes, free, depth, next_struct)``, to its block's
+    trace label, variables, their mask, model records ``(sat, word,
+    bits)`` and the node's closed clauses.  Records are listed once per
+    block and kept for every later node and walk."""
     pos, neg, occurs, spans = index.pos, index.neg, index.occurs, index.spans
-    lower, search = index.lower, index.search
     # BINARY's order: most frequent variable first, ties by index (a clause
     # holds each variable once, so its clause count is its occurrence count)
     order = sorted(phi.variables, key=lambda v: (-occurs[v].bit_count(), v))
@@ -142,24 +137,23 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
     # (clause index, free mask)
     blocks: dict = {}
 
-    def children(alive: int, planes: tuple[int, ...], free: int, wmask: int,
-                 wbits: int, depth: int, next_struct: int):
-        """The vetted children of a node with an alive clause, in model
-        order, each as the tuple this step takes; a leaf is a child with
-        no alive clause.  Every model of the node's block fixes all of
-        ``block`` and nothing else; a pruned child is counted, not yielded."""
-        nonlocal pruned
-        group = next_struct < len(structs)
-        if group:
+    def block_of(alive: int, planes: tuple[int, ...], free: int, depth: int,
+                 next_struct: int) -> tuple:
+        if next_struct < len(structs):
             key = next_struct
             if key not in blocks:
                 # read through a memoryview, an index is a plain int
                 sigma = structs[key]
                 blocks[key] = entry(f"group{key}", sigma.vars,
                                     memoryview(sigma.model_indices()))
-        elif branching is BranchKind.BINARY:
-            # each node fixes one variable, so depth d fixes order[d]
+            return *blocks[key], alive & group_closed[key]
+        if branching is BranchKind.BINARY:
+            # the first free variable in order: order[:depth] are fixed,
+            # and in the cut, which sets no units, order[depth] is free
             key = order[depth]
+            while not free >> key & 1:
+                depth += 1
+                key = order[depth]
             if key not in blocks:
                 blocks[key] = entry(f"x{key}", (key,), (0, 1))
         else:
@@ -174,20 +168,61 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
                                     tuple([abs(code) for code in literals]),
                                     [p ^ flip for p in range(1, 1 << len(literals))])
         label, block, bmask, records = blocks[key]
-        if group:
-            closed = alive & group_closed[next_struct]
+        assert not structs or len(block) < phi.k, \
+            "residual clause wider than expected after the groups"
+        # the alive clauses whose unfixed variables are exactly the
+        # block: the closed ones, as no alive clause is narrower than
+        # a single variable or a shortest clause
+        closed = alive
+        for v in block:
+            closed &= occurs[v]
+        for p, plane in enumerate(planes):
+            closed &= plane if len(block) >> p & 1 else ~plane
+        return label, block, bmask, records, closed
+
+    return block_of
+
+
+def cut(phi: CnfFormula, psi: StructSet, ell: int,
+        branching: BranchKind, *,
+        trace: list[str] | None = None) -> CutResult:
+    """Explore until done or until ``ell`` models have been accounted for.
+
+    The decider is exact, so a completed run's count is the exact model
+    count and an aborted run's count is a true lower bound.  A clause-free
+    node contributes 2^(free variables) models.  Every vetted node is a
+    branch node, a leaf or pruned, so ``decider_calls`` is their sum, not
+    a count of searches: a node pruned for an empty clause, a leaf or a
+    node that keeps its parent's witness is vetted without one.
+    ``trace``, if given, receives one line per branch node.  Without
+    groups the result keeps the tree's block rule and records for
+    ``frontier``.
+    """
+    if ell < 1:
+        raise ValueError("ell must be at least 1")
+    if branching is BranchKind.STRUCT_GUIDED:
+        own = set(phi.clauses)
+        for sigma in psi:
+            for c in sigma.clauses:
+                if c not in own:
+                    raise ValueError("group clause missing from the formula")
+    structs = tuple(psi.structs) if branching is BranchKind.STRUCT_GUIDED else ()
+    index = ClauseIndex(phi.clauses, phi.variables[-1] if phi.variables else 0)
+    pos, neg = index.pos, index.neg
+    lower, search = index.lower, index.search
+    block_of = _block_rule(phi, structs, branching, index)
+
+    def children(alive: int, planes: tuple[int, ...], free: int, wmask: int,
+                 wbits: int, depth: int, next_struct: int):
+        """The vetted children of a node with an alive clause, in model
+        order, each as the tuple this step takes; a leaf is a child with
+        no alive clause.  Every model of the node's block fixes all of
+        ``block`` and nothing else; a pruned child is counted, not yielded."""
+        nonlocal pruned
+        label, block, bmask, records, closed = block_of(alive, planes, free,
+                                                        depth, next_struct)
+        if next_struct < len(structs):
             next_struct += 1
-        else:
-            assert not structs or len(block) < phi.k, \
-                "residual clause wider than expected after the groups"
-            # the alive clauses whose unfixed variables are exactly the
-            # block: the closed ones, as no alive clause is narrower than
-            # a single variable or a shortest clause
-            closed = alive
-            for v in block:
-                closed &= occurs[v]
-            for p, plane in enumerate(planes):
-                closed &= plane if len(block) >> p & 1 else ~plane
         if trace is not None:
             trace.append(f"{depth}\t{label}\t{len(records)}")
         rest = free & ~bmask
@@ -249,4 +284,85 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
                 kind = CutKind.AT_LEAST_ELL
                 break
     return CutResult(kind, count, branch_nodes, branch_nodes + leaves + pruned,
-                     leaves, pruned)
+                     leaves, pruned, None if structs else (index, free, block_of))
+
+
+# One vetted node of the walk costs about as much as this many draws
+_DRAWS_PER_NODE = 1_000
+
+
+@dataclass(frozen=True)
+class Frontier:
+    """Disjoint cubes that hold every model of a cut's formula.
+
+    A cube is ``(word, mask)`` in the sampler's packing, bit v-1 for x_v:
+    ``mask`` marks its free variables and ``word`` the values of the
+    rest.  Every assignment in a leaf cube is a model; an open node's cube
+    holds its models among others.  ``vetted`` counts the children the
+    walk vetted.
+    """
+
+    leaves: tuple[tuple[int, int], ...]
+    nodes: tuple[tuple[int, int], ...]
+    vetted: int
+
+    @property
+    def cubes(self) -> tuple[tuple[int, int], ...]:
+        return self.leaves + self.nodes
+
+
+def frontier(result: CutResult, hits: int,
+             budget: int | None = None) -> Frontier:
+    """The cut's tree walked again breadth first from the root, as cubes.
+
+    The open nodes wait in one queue, so the walk expands them level by
+    level.  Each takes its block from the cut's rule and records; a
+    child is pruned when its model empties a closed clause or its units
+    (``ClauseIndex.fix``) empty one, and otherwise fixes its model and
+    the literals its units set.  A child with no alive clause is a leaf.
+    Before each node it expands, the walk stops once ``hits`` U' /
+    ``result.count``, an upper bound on the draws of a sampling run that
+    ends by its ``hits``-th hit, is at most ``_DRAWS_PER_NODE`` per node
+    vetted so far, or once it has vetted ``budget`` nodes (the cut's own
+    ``decider_calls`` by default).  The queue's nodes stay open, so a
+    level cut short keeps its unexpanded parents.
+    """
+    if result.tree is None:
+        raise ValueError("a cut over groups has no frontier of cubes")
+    if not result.count:
+        # the cut is exact: no model at all
+        return Frontier((), (), 0)
+    if budget is None:
+        budget = result.decider_calls
+    index, free, block_of = result.tree
+    lower, fix = index.lower, index.fix
+    trail: list[int] = []
+    # a cut with a model has no empty clause, and its root units hold
+    alive, planes, free = fix(*index.root, free, 0, trail)
+    root = alive, planes, free, sum(1 << code for code in trail if code > 0), 0
+    size, vetted = 1 << free.bit_count(), 0
+    leaves, queue = ([], deque([root])) if alive else ([root], deque())
+    while (queue and vetted < budget
+           and hits * size > _DRAWS_PER_NODE * vetted * result.count):
+        alive, planes, free, word, depth = queue.popleft()
+        _, block, bmask, records, closed = block_of(alive, planes, free,
+                                                    depth, 0)
+        size -= 1 << free.bit_count()
+        rest = free & ~bmask
+        for sat, bword, bits in records:
+            vetted += 1
+            if closed & ~sat:
+                continue
+            child = alive & ~sat
+            del trail[:]
+            found = fix(child, lower(child, planes, block, bits), rest, 0, trail)
+            if found is None:
+                continue
+            size += 1 << found[2].bit_count()
+            fixed = word | bword | sum(1 << code for code in trail if code > 0)
+            (queue if found[0] else leaves).append((*found, fixed, depth + 1))
+
+    def cubes(nodes) -> tuple[tuple[int, int], ...]:
+        # bit v of a node's word and free mask is bit v-1 of the cube's
+        return tuple((node[3] >> 1, node[2] >> 1) for node in nodes)
+    return Frontier(cubes(leaves), cubes(queue), vetted)

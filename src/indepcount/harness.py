@@ -27,7 +27,8 @@ CSV_COLUMNS = (
     "trial", "strategy", "k", "n", "m", "instance_seed", "run_seed",
     "value", "exact", "epsilon", "delta", "samples", "hits",
     "decider_calls", "branch_nodes", "under_sampled", "wall_time_s",
-    "ref_value", "eps_accurate", "lower_bound",
+    "ref_value", "eps_accurate", "lower_bound", "universe_size",
+    "frontier_nodes",
 )
 
 
@@ -76,6 +77,8 @@ def _estimate_payload(est: Estimate) -> dict:
         "delta": est.delta,
         "samples": est.samples,
         "samples_wanted": est.samples_wanted,
+        "universe_size": str(est.universe_size),
+        "frontier_nodes": est.frontier_nodes,
         "hits": est.hits,
         "seed": est.seed,
         "under_sampled": est.under_sampled,
@@ -205,5 +208,5 @@ def bench_csv_row(row: dict) -> list:
         row["work"]["branch_nodes"], est["under_sampled"],
         f"{row['wall_time_s']:.6f}",
         ref.get("value", ""), ref.get("eps_accurate", ""),
-        est["lower_bound"],
+        est["lower_bound"], est["universe_size"], est["frontier_nodes"],
     ]

@@ -1,15 +1,21 @@
 """Monte Carlo estimation over a product sampling universe.
 
 A set of variable-disjoint subformulas restricts the space we sample
-from: each subformula contributes one of its own models, every variable
-outside them is a fair coin.  The universe size U is exact integer
-arithmetic; the estimator scales the empirical hit rate by U, so over a
-fixed sample count its expectation is the true model count whenever the
-subformulas all appear in the target formula.
+from: each subformula contributes one of its own models.  The variables
+outside them come from one of a set of disjoint cubes, each fixing some of
+them and leaving the rest fair coins: by default one cube of coins, and
+without groups the cut's frontier (``cut.frontier``), whose cubes hold
+every model.  The universe size U is exact integer arithmetic; the
+estimator scales the empirical hit rate by U, so over a fixed sample
+count its expectation is the true model count whenever the subformulas
+all appear in the target formula and the cubes hold every model.
 
 A draw packs an assignment into one 64-bit word.  The free variables take
-one raw 64-bit draw under a mask.  The groups' models are merged, in
-order, into product tables of at most ``_TABLE_ROWS`` rows each; one
+one raw 64-bit draw under a cube's mask, ORed with the cube's fixed
+values.  With more than one cube, the cube is picked in proportion to its
+size from an exact integer alias table (Walker's method), so the draw is
+uniform on the cubes; one cube skips the pick.  The groups' models are
+merged, in order, into product tables of at most ``_TABLE_ROWS`` rows each; one
 uniform ``uint64`` index into the product of the tables, split by mixed
 radix, picks one row per table.  A uniform index into the product is an
 independent uniform model per group, so the universe and the estimator
@@ -63,7 +69,10 @@ class Estimate:
     (``under_sampled``) value is never reported below it.
     ``samples_wanted`` is the Chernoff count, within the budget, that a
     sampled run was sized for; ``samples`` falls below it when the
-    stopping rule ends the run first.
+    stopping rule ends the run first.  ``universe_size`` is the U that a
+    sampled run drew from (summed over recursion branches), and
+    ``frontier_nodes`` the nodes the cut's frontier walk vetted to make
+    it, 0 without a walk.
     """
 
     value: int | Fraction
@@ -78,6 +87,8 @@ class Estimate:
     branch_nodes: int = 0
     lower_bound: int = 0
     samples_wanted: int = 0
+    universe_size: int = 0
+    frontier_nodes: int = 0
 
     def __post_init__(self):
         if self.value < 0 or self.lower_bound < 0:
@@ -93,10 +104,19 @@ class Estimate:
 
 
 class Universe:
-    """Sampling space: one model per subformula, coins elsewhere."""
+    """Sampling space: one model per subformula, and the variables outside
+    them drawn from one of disjoint cubes.
+
+    A cube is ``(word, mask)``, bit v-1 for x_v: ``mask`` marks the
+    variables that are fair coins in it, ``word`` the values of the other
+    variables outside the groups.  Without ``cubes`` the universe has one
+    cube, all coins.  A draw picks a cube in proportion to its size, so
+    it is uniform on the universe.
+    """
 
     def __init__(self, psi: "StructSet", n: int | None = None, *,
-                 variables: Sequence[int] | None = None):
+                 variables: Sequence[int] | None = None,
+                 cubes: Sequence[tuple[int, int]] | None = None):
         if variables is not None:
             universe = tuple(sorted(set(variables)))
         elif n is not None:
@@ -113,8 +133,23 @@ class Universe:
         self.n = len(universe)
         self.free_vars = tuple(v for v in universe if v not in claimed)
         self.free_mask = sum(1 << (v - 1) for v in self.free_vars)
+        self.cubes = ((0, self.free_mask),) if cubes is None else tuple(cubes)
+        for word, mask in self.cubes:
+            if (word | mask) & ~self.free_mask or word & mask:
+                raise ValueError("cube outside the variables left to coins")
         self._models = math.prod(sigma.l_sigma for sigma in self.structs)
-        self.size = self._models << len(self.free_vars)
+        self.size = self._models * sum(1 << mask.bit_count()
+                                       for _, mask in self.cubes)
+        if len(self.cubes) > 1:
+            # sizes over the smallest cube's are exact powers of two
+            least = min(mask.bit_count() for _, mask in self.cubes)
+            threshold, alias, self._total = _alias_table(
+                [1 << (mask.bit_count() - least) for _, mask in self.cubes])
+            self._threshold = np.array(threshold, dtype=np.uint64)
+            # row b is cube b, row b + len(cubes) the alias of bin b
+            rows = list(range(len(self.cubes))) + alias
+            self._row_words, self._row_masks = np.array(
+                [self.cubes[c] for c in rows], dtype=np.uint64).T.copy()
         # product tables and the draw's buffers, made on the first draw
         self._tables: list[np.ndarray] | None = None
 
@@ -128,7 +163,16 @@ class Universe:
             raise ValueError("cannot sample an empty universe")
         self._check_words()
         words = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
-        words &= np.uint64(self.free_mask)
+        if len(self.cubes) == 1:
+            # no pick: one cube draws plain coins under its mask
+            [(word, mask)] = self.cubes
+            words &= np.uint64(mask)
+            if word:
+                words |= np.uint64(word)
+        else:
+            row = self._pick_rows(count, rng)
+            words &= np.take(self._row_masks, row)
+            words |= np.take(self._row_words, row)
         if not self.structs:
             return words
         if self._tables is None:
@@ -161,6 +205,25 @@ class Universe:
             part |= np.take(last, index.view(np.int64), out=row, mode="clip")
         return words
 
+    def _pick_rows(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """``count`` rows of the cube tables, each cube drawn in proportion
+        to its size from an exact integer alias table: a uniform bin and
+        a uniform threshold below the table's total, one bounded draw
+        split by division when their product fits in 64 bits, two
+        otherwise.  A threshold past the bin's takes its alias's row."""
+        total, bins = self._total, len(self.cubes)
+        if bins * total <= 2 ** 64:
+            drawn = rng.integers(0, bins * total, size=count, dtype=np.uint64)
+            row = drawn // np.uint64(total)
+            drawn -= row * np.uint64(total)
+        else:
+            row = rng.integers(0, bins, size=count, dtype=np.uint64)
+            drawn = rng.integers(0, total, size=count, dtype=np.uint64)
+        # rows stay below 2 len(cubes), so their int64 view is exact
+        row += ((drawn >= np.take(self._threshold, row.view(np.int64)))
+                * np.uint64(bins))
+        return row.view(np.int64)
+
     def decode_word(self, word: int) -> dict[int, bool]:
         word = int(word)
         return {v: bool((word >> (v - 1)) & 1) for v in self.variables}
@@ -171,13 +234,16 @@ class Universe:
             raise ValueError(f"universe of size {self.size} exceeds "
                              f"enumeration limit {_CELL_LIMIT}")
         self._check_words()
-        coins = [np.array([0, 1 << (v - 1)], dtype=np.uint64)
-                 for v in self.free_vars]
-        # the leading one-row table makes the single product a fresh array
-        [cells] = _product_tables(
-            [np.zeros(1, dtype=np.uint64), *coins,
-             *map(_model_words, self.structs)],
-            _CELL_LIMIT)
+        groups = [_model_words(sigma) for sigma in self.structs]
+        cells = [np.zeros(0, dtype=np.uint64)]
+        for word, mask in self.cubes:
+            coins = [np.array([0, 1 << (v - 1)], dtype=np.uint64)
+                     for v in self.free_vars if mask >> (v - 1) & 1]
+            [cube] = _product_tables(
+                [np.array([word], dtype=np.uint64), *coins, *groups],
+                _CELL_LIMIT)
+            cells.append(cube)
+        cells = np.concatenate(cells)
         cells.sort()
         return cells
 
@@ -190,6 +256,31 @@ def _model_words(sigma: "Struct") -> np.ndarray:
     for i, v in enumerate(sigma.vars):
         words |= ((indices >> np.uint64(i)) & np.uint64(1)) << np.uint64(v - 1)
     return words
+
+
+def _alias_table(weights: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Walker's alias table over positive integer weights, in integers.
+
+    Returns ``(threshold, alias, total)``, ``total`` the weights' sum.
+    Over a uniform bin b and a uniform u in [0, total), the pick is b if
+    u < threshold[b] and alias[b] otherwise, so index i comes out with
+    probability weights[i] / total exactly: its mass, its own thresholds
+    plus ``total`` less the thresholds of the bins whose alias it is, is
+    len(weights) * weights[i].  A full bin is its own alias.
+    """
+    total = sum(weights)
+    left = [w * len(weights) for w in weights]
+    threshold, alias = [0] * len(weights), list(range(len(weights)))
+    small = [i for i, w in enumerate(left) if w < total]
+    large = [i for i, w in enumerate(left) if w >= total]
+    # each step fills a short bin from a long one; the sums are exact, so
+    # when either list runs out every bin left holds exactly ``total``
+    while small and large:
+        short, long = small.pop(), large.pop()
+        threshold[short], alias[short] = left[short], long
+        left[long] -= total - left[short]
+        (small if left[long] < total else large).append(long)
+    return threshold, alias, total
 
 
 def _product_tables(parts: Sequence[np.ndarray], cap: int) -> list[np.ndarray]:
@@ -248,11 +339,26 @@ def _hit_index(words: np.ndarray, kept: np.ndarray, need: int) -> int:
     return int(np.flatnonzero(words == word)[copies - 1])
 
 
+def run_hits(count: int, ell: int, eps: float, delta: float) -> int:
+    """Hits h such that h U / ``count`` bounds the draws of an
+    ``mc_estimate`` run over a universe of size U, given at least
+    ``count`` >= ``ell`` models: under the rule its Upsilon_1, since the
+    run ends by that hit, about Upsilon_1 U / #models draws in; at eps = 1
+    the Chernoff count's expected hits at ``count`` models."""
+    if eps < 1:
+        return _stop_hits(eps, (delta / 2) ** 3)
+    return sample_size(count, ell, eps, delta)
+
+
 def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
                 delta: float, rng: np.random.Generator | None = None, *,
                 seed: int | None = None,
-                sample_budget: int | None = None) -> Estimate:
+                sample_budget: int | None = None,
+                cubes: Sequence[tuple[int, int]] | None = None) -> Estimate:
     """Sampled count: draw from the universe, scale hit rate by its size.
+
+    ``cubes``, if given, are the universe's cubes (see ``Universe``); they
+    must hold every model of ``phi``.
 
     For 0 < eps < 1 the run stops at the ``_stop_hits(eps, (delta/2)^3)``-th
     hit and reports U * hits / N, N being that hit's index, unless the
@@ -272,7 +378,7 @@ def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
     if rng is None:
         rng = np.random.default_rng(seed)
 
-    universe = Universe(psi, variables=phi.variables)
+    universe = Universe(psi, variables=phi.variables, cubes=cubes)
     if universe.size == 0:
         return Estimate(value=0, exact=True, epsilon=eps, delta=delta, seed=seed)
     rule = eps < 1
@@ -304,4 +410,5 @@ def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
         done += len(words)
     return Estimate(value=Fraction(hits * universe.size, done), exact=False,
                     epsilon=eps, delta=delta, samples=done, hits=hits,
-                    seed=seed, under_sampled=under, samples_wanted=t)
+                    seed=seed, under_sampled=under, samples_wanted=t,
+                    universe_size=universe.size)

@@ -277,6 +277,7 @@ def _recurse_branches(phi: CnfFormula, structs: Sequence[Struct], eps: float,
     exact = True
     under = False
     samples = hits = wanted = decider_calls = branch_nodes = 0
+    universe = vetted = 0
     # each group's closed assignments, decoded once; a branch merges one
     # of each, in group order
     parts = [[{v: bool(index >> i & 1) for i, v in enumerate(s.closed_vars)}
@@ -297,10 +298,13 @@ def _recurse_branches(phi: CnfFormula, structs: Sequence[Struct], eps: float,
         wanted += est.samples_wanted
         decider_calls += est.decider_calls
         branch_nodes += est.branch_nodes
+        universe += est.universe_size
+        vetted += est.frontier_nodes
     return Estimate(value=total, exact=exact, epsilon=eps, delta=delta,
                     samples=samples, hits=hits, under_sampled=under,
                     samples_wanted=wanted, decider_calls=decider_calls,
-                    branch_nodes=branch_nodes).with_lower_bound(lower)
+                    branch_nodes=branch_nodes, universe_size=universe,
+                    frontier_nodes=vetted).with_lower_bound(lower)
 
 
 def _grow_groups(clauses: Sequence[tuple[int, ...]]

@@ -3,11 +3,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indepcount import (BranchKind, CnfFormula, CutKind, Estimate, Strategy,
-                        Struct, StructSet, brute_force_count, cut,
-                        params_for, red_clauses, red_structs)
-from indepcount.cnf import assign, vars_of
+                        Struct, StructSet, Universe, brute_force_count, cut,
+                        frontier, params_for, red_clauses, red_structs)
+from indepcount.cnf import (assign, bit_positions, clause_tables,
+                            satisfying_indices, vars_of)
 from indepcount.exact import ClauseIndex
 from indepcount.gen import GeneratorSpec, generate
 
@@ -405,3 +408,56 @@ def test_sparse_sample_cell_cuts_are_pinned(monkeypatch):
                 digest.update("\n".join(trace).encode())
     assert digest.hexdigest()[:16] == "6ef1a12ef087d824"
     assert len(searches) == 3783
+
+
+# ---------------------------------------------------------------------------
+# The frontier walk
+
+def _cube_words(word, mask):
+    """Every assignment word of a cube: ``word`` with each subset of
+    ``mask`` set."""
+    sub = mask
+    while True:
+        yield word | sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.sampled_from((3, 4)), n=st.integers(6, 14),
+       load=st.floats(0.2, 1.1), seed=st.integers(0, 2 ** 20),
+       branching=st.sampled_from((BranchKind.BINARY, BranchKind.PRUNED_CLAUSE)),
+       ell_log2=st.integers(0, 10), budget=st.sampled_from((1, 10, 100, None)),
+       hits=st.sampled_from((836, 1 << 60)))
+def test_frontier_partitions_the_models(k, n, load, seed, branching,
+                                        ell_log2, budget, hits):
+    # the cubes are disjoint, hold every model once, and a leaf cube holds
+    # models only; ``load`` is m/n over the satisfiability threshold, a
+    # budget of None is the cut's own node count, and at 2^60 hits the
+    # draw bound never ends the walk before its budget
+    m = max(1, round(load * {3: 4.27, 4: 9.93}[k] * n))
+    phi = generate(GeneratorSpec(n=n, m=m, k=k, seed=seed))
+    tables = clause_tables(phi.clauses, bit_positions(phi.variables))
+    models = {int(w) for chunk in satisfying_indices(tables, n) for w in chunk}
+    res = cut(phi, EMPTY, 1 << ell_log2, branching)
+    walk = frontier(res, hits, budget)
+    if budget is None:
+        assert walk.vetted <= res.decider_calls + (1 << k)
+    elif hits > 836:
+        assert walk.vetted >= budget or not walk.nodes
+    seen = []
+    for word, mask in walk.cubes:
+        seen.extend(_cube_words(word, mask))
+    size = Universe(EMPTY, n, cubes=walk.cubes).size
+    assert len(seen) == len(set(seen)) == size <= 1 << n
+    assert models <= set(seen)
+    for word, mask in walk.leaves:
+        assert set(_cube_words(word, mask)) <= models
+
+
+def test_frontier_refuses_a_cut_over_groups():
+    phi = generate(GeneratorSpec(n=12, m=12, k=3, seed=42))
+    res = cut(phi, _clause_psi(phi), 8, BranchKind.STRUCT_GUIDED)
+    with pytest.raises(ValueError):
+        frontier(res, 836)

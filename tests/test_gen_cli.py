@@ -156,6 +156,21 @@ def test_run_report_shows_samples_wanted_next_to_samples():
     assert list(est).index("samples_wanted") == list(est).index("samples") + 1
 
 
+def test_run_report_shows_the_sampled_universe():
+    # thurley draws from the cut's frontier: its size U' and the nodes the
+    # walk vetted follow samples_wanted, and close the CSV row
+    phi = generate(GeneratorSpec(n=23, m=46, k=3, seed=1))
+    row = run_report(phi, Strategy.THURLEY, 0.2, 0.1, 7)
+    est = row["estimate"]
+    keys = list(est)
+    at = keys.index("samples_wanted")
+    assert keys[at + 1:at + 3] == ["universe_size", "frontier_nodes"]
+    assert 0 < int(est["universe_size"]) < 2 ** 23 and est["frontier_nodes"] > 0
+    assert CSV_COLUMNS[-2:] == ("universe_size", "frontier_nodes")
+    assert bench_csv_row(row)[-2:] == [est["universe_size"],
+                                       est["frontier_nodes"]]
+
+
 # --- CLI ---------------------------------------------------------------------
 
 def test_cli_gen_roundtrip(capsys):

@@ -426,10 +426,10 @@ def test_rule_inside_a_budget_below_the_cap_is_unflagged():
 
 # sha256 over (value, samples, hits, samples_wanted) of 24 sampled counts:
 # generator seeds 2-4 of both sparse-sample cells, every two-phase strategy,
-# count seed 11.  Recorded before the word check moved from byte tables to
-# chunk tables; any change to the draw or the check moves it.
+# count seed 11.  Re-recorded when thurley and pruned moved to the cut's
+# frontier; any change to the draw, the check or the walk moves it.
 SAMPLER_FINGERPRINT = (
-    "f0baaf46f4f154b2b0f1bcdb0729acce7914f990cbc1392370a070a221b7faf7")
+    "41fac65f3dcaf6c01a14d6f703c2883309791b4d36985f7453eb35e05e9468d6")
 
 
 def test_sampled_counts_match_the_recorded_fingerprint():
@@ -444,3 +444,90 @@ def test_sampled_counts_match_the_recorded_fingerprint():
                 digest.update(f"{est.value}|{est.samples}|{est.hits}|"
                               f"{est.samples_wanted}\n".encode())
     assert digest.hexdigest() == SAMPLER_FINGERPRINT
+
+
+# -- the frontier's cubes --------------------------------------------------
+
+def _first_bit_cubes(n):
+    """The cubes that split x1..xn by the first true variable: cube i sets
+    x1..xi False and x(i+1) True, with 2^(n-1-i) assignments, and the
+    all-false word is a cube of one."""
+    full = (1 << n) - 1
+    return [(1 << i, full & ~((2 << i) - 1)) for i in range(n)] + [(0, 0)]
+
+
+def test_alias_table_gives_each_cube_its_exact_mass():
+    # at every n <= 64 the weights over the smallest cube are integers and
+    # so is every table entry; a cube's mass, its own threshold plus the
+    # rest of each bin aliased to it, is len(cubes) times its weight
+    from indepcount import mc
+
+    for n in range(1, 65):
+        cubes = _first_bit_cubes(n)
+        least = min(mask.bit_count() for _, mask in cubes)
+        weights = [1 << (mask.bit_count() - least) for _, mask in cubes]
+        threshold, alias, total = mc._alias_table(weights)
+        assert total == 1 << n
+        assert all(isinstance(t, int) and 0 <= t < total for t in threshold)
+        mass = [0] * len(cubes)
+        for b, (t, a) in enumerate(zip(threshold, alias)):
+            mass[b] += t
+            mass[a] += total - t
+        assert mass == [len(cubes) * w for w in weights], n
+    # unequal weights that are not powers of two fill every bin exactly too
+    threshold, alias, total = mc._alias_table([5, 1, 3, 3, 12])
+    mass = [0] * 5
+    for b, (t, a) in enumerate(zip(threshold, alias)):
+        mass[b] += t
+        mass[a] += total - t
+    assert mass == [5 * w for w in (5, 1, 3, 3, 12)]
+
+
+@pytest.mark.parametrize("n", [20, 64])
+def test_cube_pick_follows_the_cube_sizes(n):
+    # n = 20 draws bin and threshold as one bounded integer; at n = 64 the
+    # product passes 2^64 and they are drawn apart.  Either way cube i
+    # comes up with probability 2^-(i+1).
+    from scipy import stats
+
+    uni = Universe(EMPTY_STRUCT_SET, n, cubes=_first_bit_cubes(n))
+    assert uni.size == 1 << n
+    assert (len(uni.cubes) * (1 << n) > 2 ** 64) == (n == 64)
+    words = uni.sample_words(1 << 16, generator(5))
+    first = [(w & -w).bit_length() - 1 if w else n for w in map(int, words)]
+    observed = np.bincount(np.minimum(first, 4), minlength=5)
+    share = np.array([1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 16])
+    _, p = stats.chisquare(observed, share * len(words))
+    assert p > 0.01
+
+
+def test_sampled_frontier_passes_chi_square():
+    # a cut's frontier on a small formula: 2^16 draws cover its cubes'
+    # assignments uniformly
+    from indepcount import BranchKind, chi_square_uniformity, cut, frontier
+
+    phi = generate(GeneratorSpec(n=10, m=30, k=3, seed=4))
+    walk = frontier(cut(phi, EMPTY_STRUCT_SET, 4, BranchKind.PRUNED_CLAUSE),
+                    1 << 60, 6)
+    uni = Universe(EMPTY_STRUCT_SET, variables=phi.variables,
+                   cubes=walk.cubes)
+    assert 3 <= len(uni.cubes) and 100 <= uni.size < 1 << 10
+    assert len({mask.bit_count() for _, mask in uni.cubes}) > 1
+    words = uni.sample_words(1 << 16, generator(41))
+    stat, p = chi_square_uniformity([uni.decode_word(w) for w in words], uni)
+    assert p > 0.01 and stat < 3 * uni.size
+
+
+def test_one_cube_frontier_draws_plain_coins():
+    # one cube skips the pick: all coins reproduce the draw of a universe
+    # without cubes, and a cube with fixed values ORs them in
+    variables = (2, 5, 9, 40)
+    plain = Universe(EMPTY_STRUCT_SET, variables=variables)
+    raw = generator(3).integers(0, 2 ** 64, size=1000, dtype=np.uint64)
+    for word, mask in ((0, plain.free_mask), (1 << 4, (1 << 1) | (1 << 39))):
+        uni = Universe(EMPTY_STRUCT_SET, variables=variables,
+                       cubes=[(word, mask)])
+        words = uni.sample_words(1000, generator(3))
+        assert np.array_equal(words, raw & np.uint64(mask) | np.uint64(word))
+    with pytest.raises(ValueError):
+        Universe(EMPTY_STRUCT_SET, variables=variables, cubes=[(1, 2)])

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from indepcount import (CnfFormula, CounterConfig, GuardError, Strategy,
-                        approx_count, brute_force_count, params_for)
+                        approx_count, brute_force_count, eps_accurate,
+                        params_for)
 from indepcount import structs
+from indepcount.exact import _count
 from indepcount.gen import GeneratorSpec, generate
 
 from conftest import deadline
@@ -74,13 +76,14 @@ def test_replay_is_bit_identical():
 # (k, n, m, strategy, value, samples, hits, decider_calls, branch_nodes);
 # the instances use generator seed 1 and the counts seed 7.  Their true
 # counts are 8,588 (k=3) and 484 (k=4); every value is within eps=0.2.
+# thurley and pruned sample the cut's frontier, so they draw far fewer.
 REPLAY_PINS = [
-    (3, 23, 46, Strategy.THURLEY, Fraction(7012876288, 813947), 813947, 836, 2576, 1294),
-    (3, 23, 46, Strategy.PRUNED_TREE, Fraction(7012876288, 813947), 813947, 836, 736, 443),
+    (3, 23, 46, Strategy.THURLEY, Fraction(44035046, 5013), 20052, 836, 2576, 1294),
+    (3, 23, 46, Strategy.PRUNED_TREE, Fraction(214271816, 24471), 24471, 836, 736, 443),
     (3, 23, 46, Strategy.INDEP_CLAUSES, Fraction(2753927792, 341963), 341963, 836, 1538, 555),
     (3, 23, 46, Strategy.INDEP_STRUCTS, Fraction(591847872, 65279), 261116, 836, 2051, 433),
-    (4, 19, 114, Strategy.THURLEY, Fraction(438304768, 885513), 885513, 836, 399, 205),
-    (4, 19, 114, Strategy.PRUNED_TREE, Fraction(438304768, 885513), 885513, 836, 95, 61),
+    (4, 19, 114, Strategy.THURLEY, Fraction(308352, 625), 35625, 836, 399, 205),
+    (4, 19, 114, Strategy.PRUNED_TREE, Fraction(24016608, 51577), 154731, 836, 95, 61),
     (4, 19, 114, Strategy.INDEP_CLAUSES, Fraction(120384000, 247609), 742827, 836, 263, 135),
     (4, 19, 114, Strategy.INDEP_STRUCTS, Fraction(167788544, 343899), 687798, 836, 418, 112),
 ]
@@ -256,17 +259,18 @@ def test_sampled_runs_never_draw_past_the_chernoff_cap(monkeypatch):
     # 50 random instances (k = 3 and 4, n = 12-15), every two-phase
     # strategy, with and without a budget: no Monte Carlo run, recursion
     # branches included, draws more than min(sample_size(U, ell, eps,
-    # delta/2), budget), which is what it reports as samples_wanted
+    # delta/2), budget), which is what it reports as samples_wanted; U is
+    # the universe it reports, the cut's frontier for thurley and pruned
     from indepcount import ras
-    from indepcount.mc import Universe, sample_size
+    from indepcount.mc import sample_size
 
     runs = []
     real = ras.mc_estimate
 
     def spy(phi, psi, ell, eps, delta, rng, **kw):
         est = real(phi, psi, ell, eps, delta, rng, **kw)
-        runs.append((Universe(psi, variables=phi.variables).size, ell, eps,
-                     delta, kw["sample_budget"], est))
+        runs.append((est.universe_size, ell, eps, delta, kw["sample_budget"],
+                     est))
         return est
     monkeypatch.setattr(ras, "mc_estimate", spy)
     for i in range(50):
@@ -320,3 +324,29 @@ def test_cut_threshold_past_the_float_range_counts_exactly():
         assert abs(params.ell.bit_length() - params.ell_log2 * 3000) <= 1
         est = approx_count(phi, 0.2, 0.1, strategy, seed=0)
         assert est.exact and est.value == 0
+
+
+def test_frontier_brings_a_flagged_row_within_the_budget():
+    # k=4, n=30, m=180: over the full cube the rule needs about 150 M
+    # samples for its 836 hits, so the 2^24 budget flagged both strategies.
+    # Over the cut's frontier both end unflagged and within eps.
+    phi = generate(GeneratorSpec(n=30, m=180, k=4, seed=1))
+    want = _count(phi.clauses, phi.variables).value
+    assert want == 5993
+    for strategy in (Strategy.THURLEY, Strategy.PRUNED_TREE):
+        with deadline(10):
+            est = approx_count(phi, 0.2, 0.1, strategy, seed=0)
+        assert not est.under_sampled and est.hits == 836, strategy
+        assert eps_accurate(est.value, want, 0.2), strategy
+        assert est.frontier_nodes and est.universe_size < 2 ** 30 // 50
+
+
+def test_only_thurley_and_pruned_walk_a_frontier():
+    phi = generate(GeneratorSpec(n=23, m=46, k=3, seed=1))
+    for strategy in ALL[1:]:
+        est = approx_count(phi, 0.2, 0.1, strategy, seed=7)
+        walked = strategy in (Strategy.THURLEY, Strategy.PRUNED_TREE)
+        assert bool(est.frontier_nodes) == walked, strategy
+        assert not est.exact and est.universe_size, strategy
+        if walked:
+            assert est.universe_size < 2 ** 23 // 8, strategy
