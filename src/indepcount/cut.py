@@ -27,18 +27,22 @@ search.  A global counter accumulates, at each clause-free node, the
 models below it; the run either finishes (the count is then exact) or
 aborts once it reaches the threshold, certifying "at least that many".
 
-After an aborted cut without groups, ``frontier`` walks the same tree
-again breadth first from the root, with the same block rule and the
-cut's model records, but vets each child by the mask test and unit
-propagation (``ClauseIndex.fix``) instead of a search.  Pruned children
-hold no model, and every model below a kept child sets the literals its
-units set, so the open nodes and the leaves it meets are disjoint cubes
-that hold every model: the sampler's universe in place of the full cube.
+After an aborted cut, ``frontier`` walks the same tree again breadth
+first from the root and vets each child by unit propagation
+(``ClauseIndex.fix``) instead of a search.  Inside the groups it splits a
+group's models one varying bit at a time, from the top, so a node holds a
+contiguous range of the group product's rows; past them it takes the
+cut's block rule and model records.  Pruned children hold no model, and
+every model below a kept child sets the values it fixed and the units
+they leave on the variables outside the groups, so the open nodes and
+the leaves it meets are disjoint ranges times cubes that hold every
+model: the sampler's universe in place of the whole product.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -60,8 +64,8 @@ class CutResult:
     decider_calls: int
     leaves: int
     pruned: int
-    # the walk's shared state, ``(index, root free mask, block rule)``;
-    # None when the cut branched on groups
+    # the walk's shared state, ``(index, root free mask, block rule,
+    # groups)``
     tree: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -194,9 +198,8 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
     branch node, a leaf or pruned, so ``decider_calls`` is their sum, not
     a count of searches: a node pruned for an empty clause, a leaf or a
     node that keeps its parent's witness is vetted without one.
-    ``trace``, if given, receives one line per branch node.  Without
-    groups the result keeps the tree's block rule and records for
-    ``frontier``.
+    ``trace``, if given, receives one line per branch node.  The result
+    keeps the tree's block rule and records for ``frontier``.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
@@ -284,85 +287,176 @@ def cut(phi: CnfFormula, psi: StructSet, ell: int,
                 kind = CutKind.AT_LEAST_ELL
                 break
     return CutResult(kind, count, branch_nodes, branch_nodes + leaves + pruned,
-                     leaves, pruned, None if structs else (index, free, block_of))
+                     leaves, pruned, (index, free, block_of, structs))
 
 
 # One vetted node of the walk costs about as much as this many draws
-_DRAWS_PER_NODE = 1_000
+_DRAWS_PER_NODE = 150
 
 
 @dataclass(frozen=True)
 class Frontier:
-    """Disjoint cubes that hold every model of a cut's formula.
+    """Disjoint nodes that hold every model of a cut's formula.
 
-    A cube is ``(word, mask)`` in the sampler's packing, bit v-1 for x_v:
-    ``mask`` marks its free variables and ``word`` the values of the
-    rest.  Every assignment in a leaf cube is a model; an open node's cube
-    holds its models among others.  ``vetted`` counts the children the
-    walk vetted.
+    A node is ``(lo, hi, word, mask)`` in the sampler's form (see
+    ``mc.Universe``): the group product's rows [lo, hi) times a cube over
+    the variables outside the groups, bit v-1 for x_v, ``mask`` marking
+    its free variables and ``word`` the values of the rest.  Every
+    assignment in a leaf is a model; an inner node holds its models among
+    others.  ``vetted`` counts the children the walk vetted.
     """
 
-    leaves: tuple[tuple[int, int], ...]
-    nodes: tuple[tuple[int, int], ...]
+    leaves: tuple[tuple[int, int, int, int], ...]
+    inner: tuple[tuple[int, int, int, int], ...]
     vetted: int
 
     @property
-    def cubes(self) -> tuple[tuple[int, int], ...]:
-        return self.leaves + self.nodes
+    def nodes(self) -> tuple[tuple[int, int, int, int], ...]:
+        return self.leaves + self.inner
 
 
-def frontier(result: CutResult, hits: int,
-             budget: int | None = None) -> Frontier:
-    """The cut's tree walked again breadth first from the root, as cubes.
+def frontier(result: CutResult, hits: int, budget: int | None = None, *,
+             models: int = 0) -> Frontier:
+    """The cut's tree walked again breadth first from the root, as nodes.
 
     The open nodes wait in one queue, so the walk expands them level by
-    level.  Each takes its block from the cut's rule and records; a
-    child is pruned when its model empties a closed clause or its units
-    (``ClauseIndex.fix``) empty one, and otherwise fixes its model and
-    the literals its units set.  A child with no alive clause is a leaf.
-    Before each node it expands, the walk stops once ``hits`` U' /
-    ``result.count``, an upper bound on the draws of a sampling run that
-    ends by its ``hits``-th hit, is at most ``_DRAWS_PER_NODE`` per node
-    vetted so far, or once it has vetted ``budget`` nodes (the cut's own
+    level.  While groups are left, a node holds one row of each group
+    before group g, a slice of group g's models and every model of the
+    later groups: contiguous product rows, as group 0 is the most
+    significant digit.  ``model_indices()`` is ascending, so fixing group
+    g's variables from the top down splits a slice in two at its highest
+    bit that varies; each side fixes the bits its rows share, a side of
+    one row fixes the whole group and moves on to group g + 1.  A node
+    without groups left expands by the cut's block rule and records.  A
+    child is pruned when its values, or the units they leave
+    (``ClauseIndex.fix``), empty a clause.  Units on the variables outside
+    the groups shrink the child's cube; units on group variables are kept
+    in its residual only, so its rows still hold every model, and a child
+    with no alive clause is a leaf only once its rows fix every such
+    variable.
+    Before each node it expands, the walk stops once ``hits`` U' / N^,
+    N^ the larger of ``result.count`` and ``models``, is at most
+    ``_DRAWS_PER_NODE`` per node vetted so far (U' / N^ draws per hit),
+    or once it has vetted ``budget`` nodes (the cut's own
     ``decider_calls`` by default).  The queue's nodes stay open, so a
     level cut short keeps its unexpanded parents.
     """
-    if result.tree is None:
-        raise ValueError("a cut over groups has no frontier of cubes")
     if not result.count:
         # the cut is exact: no model at all
         return Frontier((), (), 0)
     if budget is None:
         budget = result.decider_calls
-    index, free, block_of = result.tree
-    lower, fix = index.lower, index.fix
+    models = max(result.count, models)
+    index, free, block_of, structs = result.tree
+    lower, fix, pos, neg = index.lower, index.fix, index.pos, index.neg
+    groups = len(structs)
+    rows = [sigma.model_indices().tolist() for sigma in structs]
+    # span[g]: product rows per row of group g-1, the models of groups
+    # g and after; later[g]: the variables of those groups; below[g][i]:
+    # group g's variables under bit i of its indices
+    span, later = [1] * (groups + 1), [0] * (groups + 1)
+    for g in reversed(range(groups)):
+        span[g] = span[g + 1] * len(rows[g])
+        later[g] = later[g + 1] | sum(1 << v for v in structs[g].vars)
+    below = [[sum(1 << v for v in sigma.vars[:i])
+              for i in range(len(sigma.vars) + 1)] for sigma in structs]
+    coins = free & ~later[0]
     trail: list[int] = []
+
     # a cut with a model has no empty clause, and its root units hold
     alive, planes, free = fix(*index.root, free, 0, trail)
-    root = alive, planes, free, sum(1 << code for code in trail if code > 0), 0
-    size, vetted = 1 << free.bit_count(), 0
-    leaves, queue = ([], deque([root])) if alive else ([root], deque())
+    vals = sum(1 << code for code in trail if code > 0)
+    root = alive, planes, free, vals, 0, 0, 0, span[0]
+    size, vetted = span[0] << (free & coins).bit_count(), 0
+    leaves: list = []
+    queue = deque()
+    (queue if alive or later[0] & ~free else leaves).append(root)
     while (queue and vetted < budget
-           and hits * size > _DRAWS_PER_NODE * vetted * result.count):
-        alive, planes, free, word, depth = queue.popleft()
-        _, block, bmask, records, closed = block_of(alive, planes, free,
-                                                    depth, 0)
-        size -= 1 << free.bit_count()
-        rest = free & ~bmask
-        for sat, bword, bits in records:
-            vetted += 1
-            if closed & ~sat:
-                continue
-            child = alive & ~sat
-            del trail[:]
-            found = fix(child, lower(child, planes, block, bits), rest, 0, trail)
-            if found is None:
-                continue
-            size += 1 << found[2].bit_count()
-            fixed = word | bword | sum(1 << code for code in trail if code > 0)
-            (queue if found[0] else leaves).append((*found, fixed, depth + 1))
-
-    def cubes(nodes) -> tuple[tuple[int, int], ...]:
-        # bit v of a node's word and free mask is bit v-1 of the cube's
-        return tuple((node[3] >> 1, node[2] >> 1) for node in nodes)
-    return Frontier(cubes(leaves), cubes(queue), vetted)
+           and hits * size > _DRAWS_PER_NODE * vetted * models):
+        alive, planes, free, vals, depth, g, lo, hi = queue.popleft()
+        size -= (hi - lo) << (free & coins).bit_count()
+        kept = []
+        if g < groups:
+            block, models_g, unit = structs[g].vars, rows[g], span[g + 1]
+            a = lo // unit % len(models_g)
+            b = a + (hi - lo) // unit
+            if b - a == 1:
+                parts = ((a, b),)
+            else:
+                top = models_g[b - 1]
+                h = (models_g[a] ^ top).bit_length() - 1
+                mid = bisect_left(models_g, top >> h << h, a, b)
+                parts = ((a, mid), (mid, b))
+            for a2, b2 in parts:
+                vetted += 1
+                bits = models_g[a2]
+                # the bits its rows share: all of them for one row
+                low = ((bits ^ models_g[b2 - 1]).bit_length()
+                       if b2 - a2 > 1 else 0)
+                # set the shared bits still free at once; a bit a unit
+                # set already must agree with the rows
+                fixing, values, word, fmask, clash = [], 0, 0, 0, False
+                for i in range(low, len(block)):
+                    v, bit = block[i], bits >> i & 1
+                    if free >> v & 1:
+                        values |= bit << len(fixing)
+                        word |= bit << v
+                        fmask |= 1 << v
+                        fixing.append(v)
+                    else:
+                        clash |= (vals >> v & 1) != bit
+                if clash:
+                    continue
+                del trail[:]
+                if not fixing:
+                    found = alive, planes, free
+                elif len(fixing) == 1:
+                    # one literal: ``fix`` sets it and finds an emptied clause
+                    found = fix(alive, planes, free,
+                                fixing[0] if values else -fixing[0], trail)
+                else:
+                    sat = 0
+                    for v in fixing:
+                        sat |= pos[v] if word >> v & 1 else neg[v]
+                    child = alive & ~sat
+                    low_planes = lower(child, planes, fixing, values)
+                    empty = child
+                    for plane in low_planes:
+                        empty &= ~plane
+                    found = None if empty else fix(child, low_planes,
+                                                   free & ~fmask, 0, trail)
+                if found is None:
+                    continue
+                for code in trail:
+                    if code > 0:
+                        word |= 1 << code
+                # a child of one row has fixed the whole group: on to the next
+                kept.append(((*found, vals | word, depth + 1,
+                              g + (b2 - a2 == 1), lo + (a2 - a) * unit,
+                              lo + (b2 - a) * unit),
+                             later[g + 1] | below[g][low]))
+        else:
+            _, block, bmask, records, closed = block_of(alive, planes, free,
+                                                        depth, groups)
+            rest = free & ~bmask
+            for sat, bword, bits in records:
+                vetted += 1
+                if closed & ~sat:
+                    continue
+                child = alive & ~sat
+                del trail[:]
+                found = fix(child, lower(child, planes, block, bits), rest, 0,
+                            trail)
+                if found is None:
+                    continue
+                kept.append(((*found, vals | bword
+                              | sum(1 << code for code in trail if code > 0),
+                              depth + 1, g, lo, hi), 0))
+        for node, loose in kept:
+            size += (node[7] - node[6]) << (node[2] & coins).bit_count()
+            # a child with no clause left is a leaf once its rows fix every
+            # group variable a unit fixed
+            (queue if node[0] or loose & ~node[2] else leaves).append(node)
+    return Frontier(*(tuple((lo, hi, (vals & coins) >> 1, (free & coins) >> 1)
+                            for _, _, free, vals, _, _, lo, hi in part)
+                      for part in (leaves, queue)), vetted)

@@ -1,25 +1,35 @@
 """Monte Carlo estimation over a product sampling universe.
 
 A set of variable-disjoint subformulas restricts the space we sample
-from: each subformula contributes one of its own models.  The variables
-outside them come from one of a set of disjoint cubes, each fixing some of
-them and leaving the rest fair coins: by default one cube of coins, and
-without groups the cut's frontier (``cut.frontier``), whose cubes hold
-every model.  The universe size U is exact integer arithmetic; the
-estimator scales the empirical hit rate by U, so over a fixed sample
-count its expectation is the true model count whenever the subformulas
-all appear in the target formula and the cubes hold every model.
+from: each subformula contributes one of its own models.  A row of the
+groups' product picks one model per group by mixed radix, group 0 the
+most significant digit, and the variables outside the groups are fair
+coins.  The universe is a set of disjoint nodes, each a contiguous range
+of product rows times a cube that fixes some coins and leaves the rest
+free: by default one node, every row and every coin, and after a cut the
+nodes of its frontier (``cut.frontier``), which hold every model.  The
+universe size U is exact integer arithmetic; the estimator scales the
+empirical hit rate by U, so over a fixed sample count its expectation is
+the true model count whenever the subformulas all appear in the target
+formula and the nodes hold every model.
 
-A draw packs an assignment into one 64-bit word.  The free variables take
-one raw 64-bit draw under a cube's mask, ORed with the cube's fixed
-values.  With more than one cube, the cube is picked in proportion to its
-size from an exact integer alias table (Walker's method), so the draw is
-uniform on the cubes; one cube skips the pick.  The groups' models are
-merged, in order, into product tables of at most ``_TABLE_ROWS`` rows each; one
-uniform ``uint64`` index into the product of the tables, split by mixed
-radix, picks one row per table.  A uniform index into the product is an
-independent uniform model per group, so the universe and the estimator
+A draw packs an assignment into one 64-bit word.  The coins take one raw
+64-bit draw under a node's mask, ORed with its fixed values.  With more
+than one node, one bounded draw per word is a uniform position in the
+nodes laid end to end, each holding 2^(its coins - the fewest) positions
+per row: the node holding it is found from a guide table, and the
+position, shifted down, is a uniform row of it.  The pick is exact in
+integers, so the draw is uniform on the universe; one node skips it and
+draws its row directly.  The groups' models are merged, in order, into
+product tables of at most ``_TABLE_ROWS`` rows each, and the row, split
+by mixed radix, picks one row per table.  A uniform row of the product is
+an independent uniform model per group, so the universe and the estimator
 are those of one draw per group.
+
+Before a cut's frontier is walked, a pilot draws a fixed ``PILOT_WORDS``
+words from the root universe.  Its hits estimate the model count, which
+sizes the walk and the run's slices; the pilot's own stream is separate,
+so the run's draws do not depend on the universe the pilot chose.
 
 How many draws a run takes: for 0 < eps < 1 the run stops at the
 Upsilon_1-th hit, the stopping rule of Dagum, Karp, Luby and Ross ("An
@@ -38,6 +48,7 @@ At eps = 1 the run draws the Chernoff count at delta.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -55,6 +66,9 @@ if TYPE_CHECKING:  # pragma: no cover
 CHERNOFF_FACTOR = 3
 _TABLE_ROWS = 1 << 16
 _CELL_LIMIT = 200_000
+# the pilot's fixed draw, and the smallest slice a sampling run draws
+PILOT_WORDS = 1 << 13
+_MIN_SLICE_WORDS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -105,18 +119,23 @@ class Estimate:
 
 class Universe:
     """Sampling space: one model per subformula, and the variables outside
-    them drawn from one of disjoint cubes.
+    them left to coins.
 
-    A cube is ``(word, mask)``, bit v-1 for x_v: ``mask`` marks the
-    variables that are fair coins in it, ``word`` the values of the other
-    variables outside the groups.  Without ``cubes`` the universe has one
-    cube, all coins.  A draw picks a cube in proportion to its size, so
-    it is uniform on the universe.
+    An element is a row of the group product and a coin word.  Row i
+    takes one model per group by mixed radix, group 0 the most
+    significant digit: i = sum of r_g times the model counts of the groups
+    after g, r_g indexing ``model_indices()``.  The universe is a tuple of
+    disjoint nodes ``(lo, hi, word, mask)``: the rows [lo, hi) times a
+    coin cube, bit v-1 for x_v, ``mask`` marking the variables outside
+    the groups that are fair coins in it and ``word`` the values of the
+    others.  Without ``nodes`` it is one node, every row and every coin.
+    A draw picks a node in proportion to its size, so it is uniform on the
+    universe.
     """
 
     def __init__(self, psi: "StructSet", n: int | None = None, *,
                  variables: Sequence[int] | None = None,
-                 cubes: Sequence[tuple[int, int]] | None = None):
+                 nodes: Sequence[tuple[int, int, int, int]] | None = None):
         if variables is not None:
             universe = tuple(sorted(set(variables)))
         elif n is not None:
@@ -133,96 +152,144 @@ class Universe:
         self.n = len(universe)
         self.free_vars = tuple(v for v in universe if v not in claimed)
         self.free_mask = sum(1 << (v - 1) for v in self.free_vars)
-        self.cubes = ((0, self.free_mask),) if cubes is None else tuple(cubes)
-        for word, mask in self.cubes:
-            if (word | mask) & ~self.free_mask or word & mask:
-                raise ValueError("cube outside the variables left to coins")
-        self._models = math.prod(sigma.l_sigma for sigma in self.structs)
-        self.size = self._models * sum(1 << mask.bit_count()
-                                       for _, mask in self.cubes)
-        if len(self.cubes) > 1:
-            # sizes over the smallest cube's are exact powers of two
-            least = min(mask.bit_count() for _, mask in self.cubes)
-            threshold, alias, self._total = _alias_table(
-                [1 << (mask.bit_count() - least) for _, mask in self.cubes])
-            self._threshold = np.array(threshold, dtype=np.uint64)
-            # row b is cube b, row b + len(cubes) the alias of bin b
-            rows = list(range(len(self.cubes))) + alias
-            self._row_words, self._row_masks = np.array(
-                [self.cubes[c] for c in rows], dtype=np.uint64).T.copy()
-        # product tables and the draw's buffers, made on the first draw
+        self.models = math.prod(sigma.l_sigma for sigma in self.structs)
+        # product tables and the draw's buffers, made on the first draw and
+        # shared with every universe ``over`` makes from this one
         self._tables: list[np.ndarray] | None = None
+        if nodes is None:
+            # a group without a model leaves no node at all
+            nodes = ((0, self.models, 0, self.free_mask),) if self.models else ()
+        self._set_nodes(nodes)
+
+    def over(self, nodes: Sequence[tuple[int, int, int, int]]) -> "Universe":
+        """The universe of ``nodes`` over the same groups and variables."""
+        other = copy.copy(self)
+        other._set_nodes(nodes)
+        return other
+
+    def _set_nodes(self, nodes) -> None:
+        self.nodes = tuple(nodes)
+        coins = []
+        for lo, hi, word, mask in self.nodes:
+            if not 0 <= lo < hi <= self.models:
+                raise ValueError("node rows outside the group product")
+            if (word | mask) & ~self.free_mask or word & mask:
+                raise ValueError("node cube outside the variables left to coins")
+            coins.append(mask.bit_count())
+        sizes = [(hi - lo) << c for (lo, hi, *_), c in zip(self.nodes, coins)]
+        self.size = sum(sizes)
+        if len(self.nodes) > 1:
+            # the nodes, most coins first, hold consecutive positions of
+            # [0, positions): 2^(coins - the fewest) of them, its shift, for
+            # each row.  A node's first position is then a multiple of its
+            # 2^shift, so a position shifted down, less its first's, counts
+            # rows from the node's first.
+            least = min(coins)
+            table, first = [], 0
+            for i in sorted(range(len(sizes)), key=lambda i: -coins[i]):
+                lo, _, word, mask = self.nodes[i]
+                shift = coins[i] - least
+                table.append((first, first + (sizes[i] >> least) - 1, shift,
+                              (lo - (first >> shift)) % 2 ** 64, word, mask))
+                first += sizes[i] >> least
+            self._positions = first
+            (self._first, self._last, self._shift, self._row_lo,
+             self._row_words, self._row_masks) = np.array(
+                table, dtype=np.uint64).T.copy()
+            # the guide: bucket j, positions from j << bucket_bits on, starts
+            # in node guide[j]; between len(nodes) and 4 len(nodes) buckets
+            self._bucket_bits = max(0, self._positions.bit_length()
+                                    - (2 * len(self.nodes)).bit_length())
+            starts = np.arange(((self._positions - 1) >> self._bucket_bits) + 1,
+                               dtype=np.uint64) << np.uint64(self._bucket_bits)
+            self._guide = np.searchsorted(self._first, starts, side="right") - 1
 
     def _check_words(self) -> None:
         if self.variables and self.variables[-1] > 64:
             raise ValueError("assignment words limited to variable indices <= 64")
 
     def sample_words(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Vector of assignment words, bit (v-1) = value of x_v."""
+        """Vector of assignment words, bit (v-1) = value of x_v.
+
+        A draw takes a raw 64-bit coin word, then a node from the alias
+        table (skipped with one node), whose cube masks the coins and
+        sets its fixed values, then a row below the node's row count
+        above its first, split into one model per group."""
         if self.size == 0:
             raise ValueError("cannot sample an empty universe")
         self._check_words()
         words = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
-        if len(self.cubes) == 1:
-            # no pick: one cube draws plain coins under its mask
-            [(word, mask)] = self.cubes
+        if len(self.nodes) == 1:
+            # no pick: one node draws plain coins under its mask
+            [(lo, hi, word, mask)] = self.nodes
             words &= np.uint64(mask)
             if word:
                 words |= np.uint64(word)
         else:
-            row = self._pick_rows(count, rng)
-            words &= np.take(self._row_masks, row)
-            words |= np.take(self._row_words, row)
+            node, rows = self._pick(count, rng)
+            words &= np.take(self._row_masks, node)
+            words |= np.take(self._row_words, node)
         if not self.structs:
             return words
-        if self._tables is None:
-            self._tables = _product_tables(
-                [_model_words(sigma) for sigma in self.structs],
-                _TABLE_ROWS)
-            self._digit = np.empty(_SLICE_WORDS, dtype=np.uint64)
-            self._row = np.empty(_SLICE_WORDS, dtype=np.uint64)
-        *head, last = self._tables
-        # one uniform index per sample into the product of the tables (at
-        # most 2^64 rows: fewer than 2^|vars| models per group, every index
-        # <= 64), split by mixed radix into one uniform row per table.  Every
-        # digit is below its table's length, so its int64 view is exact.
-        # Slices keep the index and both buffers in L2 cache.  A digit is
-        # the index less its quotient times the radix: uint64 divmod costs
-        # about three times a floor_divide.
+        self._product()
         for start in range(0, count, _SLICE_WORDS):
             part = words[start:start + _SLICE_WORDS]
-            digit, row = self._digit[:len(part)], self._row[:len(part)]
-            index = rng.integers(0, self._models, size=len(part),
-                                 dtype=np.uint64)
-            for table in head:
-                radix = np.uint64(len(table))
-                np.floor_divide(index, radix, out=row)
-                np.multiply(row, radix, out=digit)
-                np.subtract(index, digit, out=digit)
-                index, row = row, index
-                part |= np.take(table, digit.view(np.int64), out=row,
-                                mode="clip")
-            part |= np.take(last, index.view(np.int64), out=row, mode="clip")
+            if len(self.nodes) == 1:
+                index = rng.integers(lo, hi, size=len(part), dtype=np.uint64)
+            else:
+                index = rows[start:start + _SLICE_WORDS]
+            self._gather(part, index)
         return words
 
-    def _pick_rows(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """``count`` rows of the cube tables, each cube drawn in proportion
-        to its size from an exact integer alias table: a uniform bin and
-        a uniform threshold below the table's total, one bounded draw
-        split by division when their product fits in 64 bits, two
-        otherwise.  A threshold past the bin's takes its alias's row."""
-        total, bins = self._total, len(self.cubes)
-        if bins * total <= 2 ** 64:
-            drawn = rng.integers(0, bins * total, size=count, dtype=np.uint64)
-            row = drawn // np.uint64(total)
-            drawn -= row * np.uint64(total)
-        else:
-            row = rng.integers(0, bins, size=count, dtype=np.uint64)
-            drawn = rng.integers(0, total, size=count, dtype=np.uint64)
-        # rows stay below 2 len(cubes), so their int64 view is exact
-        row += ((drawn >= np.take(self._threshold, row.view(np.int64)))
-                * np.uint64(bins))
-        return row.view(np.int64)
+    def _pick(self, count: int, rng: np.random.Generator):
+        """``count`` nodes, each drawn in proportion to its size, and a
+        uniform product row of each, from one bounded draw per word: a
+        uniform position, found from its guide bucket and at most a few
+        steps on (indexed search, Chen and Asau 1974), then shifted down
+        within its node.  Exact in integers."""
+        position = rng.integers(0, self._positions, size=count, dtype=np.uint64)
+        node = np.take(self._guide,
+                       (position >> np.uint64(self._bucket_bits)).view(np.int64))
+        ahead = np.flatnonzero(position > np.take(self._last, node))
+        while len(ahead):
+            node[ahead] += 1
+            ahead = ahead[position[ahead] > np.take(self._last, node[ahead])]
+        if self.structs:
+            # wrapping uint64 arithmetic: the row is exact mod 2^64
+            position >>= np.take(self._shift, node)
+            position += np.take(self._row_lo, node)
+        return node, position
+
+    def _product(self) -> list[np.ndarray]:
+        """The groups' product tables, built once."""
+        if self._tables is None:
+            self._tables = _product_tables(
+                [_model_words(sigma) for sigma in self.structs], _TABLE_ROWS)
+            self._digit = np.empty(_SLICE_WORDS, dtype=np.uint64)
+            self._row = np.empty(_SLICE_WORDS, dtype=np.uint64)
+        return self._tables
+
+    def _gather(self, part: np.ndarray, index: np.ndarray) -> None:
+        """OR into ``part`` the models of its product rows ``index``, at
+        most a slice of them; ``index`` is overwritten.
+
+        A row is split by mixed radix into one row per table, the last
+        table the least significant digit (at most 2^64 rows: fewer than
+        2^|vars| models per group, every index <= 64).  Every digit is
+        below its table's length, so its int64 view is exact.  A digit is
+        the row less its quotient times the radix: uint64 divmod costs
+        about three times a floor_divide.  Slices keep the row and both
+        buffers in L2 cache."""
+        first, *rest = self._tables
+        digit, row = self._digit[:len(part)], self._row[:len(part)]
+        for table in reversed(rest):
+            radix = np.uint64(len(table))
+            np.floor_divide(index, radix, out=row)
+            np.multiply(row, radix, out=digit)
+            np.subtract(index, digit, out=digit)
+            index, row = row, index
+            part |= np.take(table, digit.view(np.int64), out=row, mode="clip")
+        part |= np.take(first, index.view(np.int64), out=row, mode="clip")
 
     def decode_word(self, word: int) -> dict[int, bool]:
         word = int(word)
@@ -234,15 +301,20 @@ class Universe:
             raise ValueError(f"universe of size {self.size} exceeds "
                              f"enumeration limit {_CELL_LIMIT}")
         self._check_words()
-        groups = [_model_words(sigma) for sigma in self.structs]
         cells = [np.zeros(0, dtype=np.uint64)]
-        for word, mask in self.cubes:
+        for lo, hi, word, mask in self.nodes:
+            rows = np.zeros(hi - lo, dtype=np.uint64)
+            if self.structs:
+                self._product()
+                for start in range(lo, hi, _SLICE_WORDS):
+                    stop = min(hi, start + _SLICE_WORDS)
+                    self._gather(rows[start - lo:stop - lo],
+                                 np.arange(start, stop, dtype=np.uint64))
             coins = [np.array([0, 1 << (v - 1)], dtype=np.uint64)
                      for v in self.free_vars if mask >> (v - 1) & 1]
-            [cube] = _product_tables(
-                [np.array([word], dtype=np.uint64), *coins, *groups],
-                _CELL_LIMIT)
-            cells.append(cube)
+            [node] = _product_tables(
+                [rows | np.uint64(word), *coins], _CELL_LIMIT)
+            cells.append(node)
         cells = np.concatenate(cells)
         cells.sort()
         return cells
@@ -256,31 +328,6 @@ def _model_words(sigma: "Struct") -> np.ndarray:
     for i, v in enumerate(sigma.vars):
         words |= ((indices >> np.uint64(i)) & np.uint64(1)) << np.uint64(v - 1)
     return words
-
-
-def _alias_table(weights: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """Walker's alias table over positive integer weights, in integers.
-
-    Returns ``(threshold, alias, total)``, ``total`` the weights' sum.
-    Over a uniform bin b and a uniform u in [0, total), the pick is b if
-    u < threshold[b] and alias[b] otherwise, so index i comes out with
-    probability weights[i] / total exactly: its mass, its own thresholds
-    plus ``total`` less the thresholds of the bins whose alias it is, is
-    len(weights) * weights[i].  A full bin is its own alias.
-    """
-    total = sum(weights)
-    left = [w * len(weights) for w in weights]
-    threshold, alias = [0] * len(weights), list(range(len(weights)))
-    small = [i for i, w in enumerate(left) if w < total]
-    large = [i for i, w in enumerate(left) if w >= total]
-    # each step fills a short bin from a long one; the sums are exact, so
-    # when either list runs out every bin left holds exactly ``total``
-    while small and large:
-        short, long = small.pop(), large.pop()
-        threshold[short], alias[short] = left[short], long
-        left[long] -= total - left[short]
-        (small if left[long] < total else large).append(long)
-    return threshold, alias, total
 
 
 def _product_tables(parts: Sequence[np.ndarray], cap: int) -> list[np.ndarray]:
@@ -350,15 +397,53 @@ def run_hits(count: int, ell: int, eps: float, delta: float) -> int:
     return sample_size(count, ell, eps, delta)
 
 
+@dataclass(frozen=True)
+class Pilot:
+    """A fixed first draw of ``PILOT_WORDS`` words from the root universe.
+
+    ``models`` is its estimate of the model count, hits * U /
+    ``PILOT_WORDS`` (0 with no hit).  It sizes the frontier walk and the
+    sampling run's first slice; the universe, with its product tables,
+    and the check's clause tables are reused by the run.
+    """
+
+    universe: Universe
+    tables: tuple
+    models: int
+
+
+def run_pilot(phi: CnfFormula, psi: "StructSet",
+              rng: np.random.Generator) -> Pilot:
+    """Draw the pilot; ``rng`` must be a stream of its own, so that the
+    estimator's draws do not depend on the universe the pilot chose."""
+    universe = Universe(psi, variables=phi.variables)
+    tables = _check_tables(phi, psi)
+    models = 0
+    if universe.size:
+        words = universe.sample_words(PILOT_WORDS, rng)
+        models = len(satisfied_rows(tables, words)) * universe.size // PILOT_WORDS
+    return Pilot(universe, tables, models)
+
+
+def _check_tables(phi: CnfFormula, psi: "StructSet"):
+    """The check's clause tables: every draw satisfies the groups' own
+    clauses, so only the rest are checked."""
+    drawn = {c for sigma in psi for c in sigma.clauses}
+    return clause_tables([c for c in phi.clauses if c not in drawn],
+                         {v: v - 1 for v in phi.variables}, _CHUNK_BITS)
+
+
 def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
                 delta: float, rng: np.random.Generator | None = None, *,
                 seed: int | None = None,
                 sample_budget: int | None = None,
-                cubes: Sequence[tuple[int, int]] | None = None) -> Estimate:
+                nodes: Sequence[tuple[int, int, int, int]] | None = None,
+                pilot: Pilot | None = None) -> Estimate:
     """Sampled count: draw from the universe, scale hit rate by its size.
 
-    ``cubes``, if given, are the universe's cubes (see ``Universe``); they
-    must hold every model of ``phi``.
+    ``nodes``, if given, are the universe's nodes (see ``Universe``); they
+    must hold every model of ``phi``.  ``pilot``, run over the same formula
+    and groups, lends its tables and its estimate of the count.
 
     For 0 < eps < 1 the run stops at the ``_stop_hits(eps, (delta/2)^3)``-th
     hit and reports U * hits / N, N being that hit's index, unless the
@@ -369,6 +454,12 @@ def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
     ``sample_size(U, ell, eps, delta)``.  If ``sample_budget`` ends the run
     first, the result is flagged ``under_sampled`` instead of silently
     weakening anything; a budget below one sample is refused.
+
+    Words are drawn and checked a slice at a time.  A slice holds the
+    draws the run still expects, (stop - hits) U / N^, N^ being the
+    count estimated by the hits so far or else by the pilot, within
+    [``_MIN_SLICE_WORDS``, ``_SLICE_WORDS``]; with neither it is a full
+    slice.  The hit index and the cap are exact whatever the slices.
     """
     if sample_budget is not None and sample_budget < 1:
         raise ValueError("sample_budget must be at least 1")
@@ -378,7 +469,13 @@ def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
     if rng is None:
         rng = np.random.default_rng(seed)
 
-    universe = Universe(psi, variables=phi.variables, cubes=cubes)
+    if pilot is None:
+        universe = Universe(psi, variables=phi.variables)
+        tables, models = _check_tables(phi, psi), 0
+    else:
+        universe, tables, models = pilot.universe, pilot.tables, pilot.models
+    if nodes is not None:
+        universe = universe.over(nodes)
     if universe.size == 0:
         return Estimate(value=0, exact=True, epsilon=eps, delta=delta, seed=seed)
     rule = eps < 1
@@ -391,14 +488,17 @@ def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
     # without the rule no run reaches t + 1 hits
     stop = _stop_hits(eps, (delta / 2) ** 3) if rule else t + 1
 
-    # every draw satisfies the groups' own clauses; only the rest are checked
-    tables = clause_tables([c for c in phi.clauses if c not in drawn],
-                           {v: v - 1 for v in phi.variables}, _CHUNK_BITS)
     hits = 0
     done = 0
-    # one kernel slice a draw, so a run stops within a slice of its stop
     while done < t:
-        words = universe.sample_words(min(_SLICE_WORDS, t - done), rng)
+        if hits:
+            expect = (stop - hits) * done // hits
+        elif models:
+            expect = (stop - hits) * universe.size // models
+        else:
+            expect = _SLICE_WORDS
+        size = min(_SLICE_WORDS, max(_MIN_SLICE_WORDS, expect), t - done)
+        words = universe.sample_words(size, rng)
         # survivors, not nonzero words: the all-false word 0 can be a model
         kept = satisfied_rows(tables, words)
         if hits + len(kept) >= stop:

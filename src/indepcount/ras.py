@@ -3,11 +3,13 @@
 Small or width-two inputs go straight to an exact oracle.  The remaining
 strategies share a two-phase shape: explore the search tree until either
 the exact count is in hand or at least ``ell`` models are certified, and
-in the latter case estimate by sampling.  Without groups (thurley and
-pruned) the sampler draws from the cut's frontier, disjoint cubes that
-hold every model, not the full cube.  The two reduction-based
+in the latter case estimate by sampling.  The two reduction-based
 strategies first compute a variable-disjoint group set, falling back to a
-width-(k-1) recursion when the groups look too loose to help.
+width-(k-1) recursion when the groups look too loose to help.  A pilot
+draw from the root universe (the full cube without groups, the group
+product with them) estimates the model count; with it, the cut's
+frontier walk decides how far to go, and the sampler then draws from the
+frontier's nodes, which hold every model, not from the root universe.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .cnf import CnfFormula
 from .cut import BranchKind, CutKind, cut, frontier
 from .exact import BRUTE_FORCE_MAX_VARS, brute_force_count, count_2sat_exact
-from .mc import Estimate, mc_estimate, run_hits
+from .mc import Estimate, mc_estimate, run_hits, run_pilot
 from .params import Strategy, params_for
 from .rng import derived_generator
 from .structs import EMPTY_STRUCT_SET, red_clauses, red_structs
@@ -130,11 +132,11 @@ def approx_count(phi: CnfFormula, eps: float, delta: float,
     if result.kind is CutKind.EXACT:
         est = _exact_estimate(result.count, eps, delta, seed)
         return _with_cut_work(est, result)
-    cubes, vetted = None, 0
-    if branching is not BranchKind.STRUCT_GUIDED:
-        walk = frontier(result, run_hits(result.count, ell, eps, delta))
-        cubes, vetted = walk.cubes, walk.vetted
+    first = run_pilot(phi, psi, derived_generator(root, "pilot", phi.k, n))
+    walk = frontier(result, run_hits(result.count, ell, eps, delta),
+                    models=first.models)
     est = mc_estimate(phi, psi, ell, eps, delta, mc_rng, seed=seed,
-                      sample_budget=config.sample_budget, cubes=cubes)
-    est = dataclasses.replace(est, frontier_nodes=vetted)
+                      sample_budget=config.sample_budget, nodes=walk.nodes,
+                      pilot=first)
+    est = dataclasses.replace(est, frontier_nodes=walk.vetted)
     return _with_cut_work(est.with_lower_bound(result.count), result)

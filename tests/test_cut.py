@@ -424,40 +424,79 @@ def _cube_words(word, mask):
         sub = (sub - 1) & mask
 
 
-@settings(max_examples=200, deadline=None)
+def _node_words(psi, node):
+    """Every assignment word of a node ``(lo, hi, word, mask)``, decoded
+    with Python ints: row r takes group g's model at digit
+    r // (models of the later groups) % l_g, group 0 the most
+    significant."""
+    lo, hi, word, mask = node
+    models = [[sum((int(b) >> i & 1) << (v - 1) for i, v in enumerate(s.vars))
+               for b in s.model_indices()] for s in psi.structs]
+    out = []
+    for r in range(lo, hi):
+        groups = 0
+        for rows in reversed(models):
+            r, digit = divmod(r, len(rows))
+            groups |= rows[digit]
+        out.extend(groups | w for w in _cube_words(word, mask))
+    return out
+
+
+_WALKS = {"binary": BranchKind.BINARY, "pruned": BranchKind.PRUNED_CLAUSE,
+          "clauses": BranchKind.STRUCT_GUIDED, "structs": BranchKind.STRUCT_GUIDED}
+
+
+@settings(max_examples=300, deadline=None)
 @given(k=st.sampled_from((3, 4)), n=st.integers(6, 14),
        load=st.floats(0.2, 1.1), seed=st.integers(0, 2 ** 20),
-       branching=st.sampled_from((BranchKind.BINARY, BranchKind.PRUNED_CLAUSE)),
+       walk=st.sampled_from(sorted(_WALKS)),
        ell_log2=st.integers(0, 10), budget=st.sampled_from((1, 10, 100, None)),
        hits=st.sampled_from((836, 1 << 60)))
-def test_frontier_partitions_the_models(k, n, load, seed, branching,
-                                        ell_log2, budget, hits):
-    # the cubes are disjoint, hold every model once, and a leaf cube holds
-    # models only; ``load`` is m/n over the satisfiability threshold, a
-    # budget of None is the cut's own node count, and at 2^60 hits the
-    # draw bound never ends the walk before its budget
+def test_frontier_partitions_the_models(k, n, load, seed, walk, ell_log2,
+                                        budget, hits):
+    # the nodes are disjoint, hold every model once, and a leaf holds
+    # models only, over both reductions' groups too; ``load`` is m/n over
+    # the satisfiability threshold, a budget of None is the cut's own node
+    # count, and at 2^60 hits the draw bound never ends the walk before
+    # its budget
     m = max(1, round(load * {3: 4.27, 4: 9.93}[k] * n))
     phi = generate(GeneratorSpec(n=n, m=m, k=k, seed=seed))
+    psi = EMPTY
+    if walk == "structs":
+        # None when red_structs would recurse instead
+        psi = _struct_psi(phi)
+    if walk == "clauses" or psi is None:
+        psi = _clause_psi(phi)
     tables = clause_tables(phi.clauses, bit_positions(phi.variables))
     models = {int(w) for chunk in satisfying_indices(tables, n) for w in chunk}
-    res = cut(phi, EMPTY, 1 << ell_log2, branching)
-    walk = frontier(res, hits, budget)
+    res = cut(phi, psi, 1 << ell_log2, _WALKS[walk])
+    got = frontier(res, hits, budget)
     if budget is None:
-        assert walk.vetted <= res.decider_calls + (1 << k)
+        assert got.vetted <= res.decider_calls + (1 << k)
     elif hits > 836:
-        assert walk.vetted >= budget or not walk.nodes
+        assert got.vetted >= budget or not got.inner
     seen = []
-    for word, mask in walk.cubes:
-        seen.extend(_cube_words(word, mask))
-    size = Universe(EMPTY, n, cubes=walk.cubes).size
-    assert len(seen) == len(set(seen)) == size <= 1 << n
+    for node in got.nodes:
+        seen.extend(_node_words(psi, node))
+    size = Universe(psi, n, nodes=got.nodes).size
+    assert len(seen) == len(set(seen)) == size <= Universe(psi, n).size
     assert models <= set(seen)
-    for word, mask in walk.leaves:
-        assert set(_cube_words(word, mask)) <= models
+    for node in got.leaves:
+        assert set(_node_words(psi, node)) <= models
 
 
-def test_frontier_refuses_a_cut_over_groups():
-    phi = generate(GeneratorSpec(n=12, m=12, k=3, seed=42))
-    res = cut(phi, _clause_psi(phi), 8, BranchKind.STRUCT_GUIDED)
-    with pytest.raises(ValueError):
-        frontier(res, 836)
+def test_a_group_frontier_splits_inside_a_group():
+    # a cut over groups used to have no frontier; its walk now stops
+    # partway through a group.  A node that holds whole groups spans the
+    # product of the later groups' model counts, so a node of any other
+    # length holds part of one group's models.
+    import math
+
+    phi = generate(GeneratorSpec(n=23, m=46, k=3, seed=1))
+    psi = _clause_psi(phi)
+    res = cut(phi, psi, 8, BranchKind.STRUCT_GUIDED)
+    assert res.kind is CutKind.AT_LEAST_ELL
+    got = frontier(res, 1 << 60, 40)
+    counts = [s.l_sigma for s in psi.structs]
+    whole = {math.prod(counts[g:]) for g in range(len(counts) + 1)}
+    assert got.inner and any(hi - lo not in whole for lo, hi, _, _ in got.nodes)

@@ -286,7 +286,7 @@ def test_product_index_beyond_int64_stays_exact():
 def test_two_table_draw_matches_a_python_int_reference():
     # six 7-model groups: 7^5 rows fill the first product table and the
     # sixth group gets its own, so every index is split by one mixed-radix
-    # digit.  The reference redraws the same stream and splits each index
+    # digit, the last table's the least significant.  The reference redraws the same stream and splits each index
     # with Python ints, straight into one model per group.
     from indepcount import mc
 
@@ -305,12 +305,13 @@ def test_two_table_draw_matches_a_python_int_reference():
                for b in map(int, g.model_indices())] for g in groups]
     want = []
     for coin, i in zip(map(int, coins), index):
-        # the first table's row is g0..g4 in base 7, g4 lowest
-        row, word = i % 7 ** 5, coin & uni.free_mask
+        # group 0 is the most significant digit: the second table's row is
+        # g5, the lowest, and the first table's is g0..g4 in base 7
+        row, word = i // 7, coin & uni.free_mask
         for g in reversed(range(5)):
             row, digit = divmod(row, 7)
             word |= models[g][digit]
-        want.append(word | models[5][i // 7 ** 5])
+        want.append(word | models[5][i % 7])
     assert words.tolist() == want
 
 
@@ -426,10 +427,11 @@ def test_rule_inside_a_budget_below_the_cap_is_unflagged():
 
 # sha256 over (value, samples, hits, samples_wanted) of 24 sampled counts:
 # generator seeds 2-4 of both sparse-sample cells, every two-phase strategy,
-# count seed 11.  Re-recorded when thurley and pruned moved to the cut's
-# frontier; any change to the draw, the check or the walk moves it.
+# count seed 11.  Re-recorded when every strategy moved to the cut's
+# frontier, sized by a pilot; any change to the draw, the check, the pilot
+# or the walk moves it.
 SAMPLER_FINGERPRINT = (
-    "41fac65f3dcaf6c01a14d6f703c2883309791b4d36985f7453eb35e05e9468d6")
+    "3cd1347f85f12461179cedc877c7cc86da4b9bfb65bc69ebf3b80f3f893375f8")
 
 
 def test_sampled_counts_match_the_recorded_fingerprint():
@@ -456,43 +458,48 @@ def _first_bit_cubes(n):
     return [(1 << i, full & ~((2 << i) - 1)) for i in range(n)] + [(0, 0)]
 
 
-def test_alias_table_gives_each_cube_its_exact_mass():
-    # at every n <= 64 the weights over the smallest cube are integers and
-    # so is every table entry; a cube's mass, its own threshold plus the
-    # rest of each bin aliased to it, is len(cubes) times its weight
-    from indepcount import mc
-
-    for n in range(1, 65):
-        cubes = _first_bit_cubes(n)
+def test_node_positions_give_each_node_its_exact_mass():
+    # at every n <= 64, a 7-model group on x1..x3 and the first-bit cubes
+    # over the rest (most coins first, the order the positions take), with
+    # ranges of 1 to 7 rows: node i holds exactly (rows) 2^(coins - the
+    # fewest) positions from a multiple of that power of two, so shifting
+    # a position of it down gives each of its rows the same number of
+    # them; the nodes tile the positions in order and the guide leads each
+    # bucket to the node holding its first position.  All in Python ints.
+    sigma = Struct(((1, 2, 3),), (3,))
+    for n in range(4, 65):
+        cubes = [(word << 3, mask << 3) for word, mask in _first_bit_cubes(n - 3)]
+        lens = [1 + (3 * i + n) % 7 for i in range(len(cubes))]
+        nodes = [(7 - rows, 7, *cube) for rows, cube in zip(lens, cubes)]
+        uni = Universe(StructSet((sigma,)), n, nodes=nodes)
+        assert uni.size == sum(rows << mask.bit_count()
+                               for rows, (_, mask) in zip(lens, cubes))
         least = min(mask.bit_count() for _, mask in cubes)
-        weights = [1 << (mask.bit_count() - least) for _, mask in cubes]
-        threshold, alias, total = mc._alias_table(weights)
-        assert total == 1 << n
-        assert all(isinstance(t, int) and 0 <= t < total for t in threshold)
-        mass = [0] * len(cubes)
-        for b, (t, a) in enumerate(zip(threshold, alias)):
-            mass[b] += t
-            mass[a] += total - t
-        assert mass == [len(cubes) * w for w in weights], n
-    # unequal weights that are not powers of two fill every bin exactly too
-    threshold, alias, total = mc._alias_table([5, 1, 3, 3, 12])
-    mass = [0] * 5
-    for b, (t, a) in enumerate(zip(threshold, alias)):
-        mass[b] += t
-        mass[a] += total - t
-    assert mass == [5 * w for w in (5, 1, 3, 3, 12)]
+        first, last, shift, start = (list(map(int, a)) for a in (
+            uni._first, uni._last, uni._shift, uni._row_lo))
+        assert first[0] == 0 and last[-1] + 1 == uni._positions
+        assert all(f == l + 1 for f, l in zip(first[1:], last))
+        for (lo, _, _, mask), rows, f, l, sh, st in zip(nodes, lens, first,
+                                                        last, shift, start):
+            assert sh == mask.bit_count() - least and f % (1 << sh) == 0
+            assert l - f + 1 == rows << sh
+            assert (st + (f >> sh)) % 2 ** 64 == lo
+        bits = uni._bucket_bits
+        for j, i in enumerate(map(int, uni._guide)):
+            assert first[i] <= j << bits <= last[i]
+        assert len(nodes) <= len(uni._guide) <= 4 * len(nodes)
 
 
 @pytest.mark.parametrize("n", [20, 64])
 def test_cube_pick_follows_the_cube_sizes(n):
-    # n = 20 draws bin and threshold as one bounded integer; at n = 64 the
-    # product passes 2^64 and they are drawn apart.  Either way cube i
-    # comes up with probability 2^-(i+1).
+    # at n = 64 the positions fill all 2^64 values of the bounded draw.
+    # Either way cube i comes up with probability 2^-(i+1).
     from scipy import stats
 
-    uni = Universe(EMPTY_STRUCT_SET, n, cubes=_first_bit_cubes(n))
+    uni = Universe(EMPTY_STRUCT_SET, n,
+                   nodes=[(0, 1, *cube) for cube in _first_bit_cubes(n)])
     assert uni.size == 1 << n
-    assert (len(uni.cubes) * (1 << n) > 2 ** 64) == (n == 64)
+    assert uni._positions == 1 << n
     words = uni.sample_words(1 << 16, generator(5))
     first = [(w & -w).bit_length() - 1 if w else n for w in map(int, words)]
     observed = np.bincount(np.minimum(first, 4), minlength=5)
@@ -502,7 +509,7 @@ def test_cube_pick_follows_the_cube_sizes(n):
 
 
 def test_sampled_frontier_passes_chi_square():
-    # a cut's frontier on a small formula: 2^16 draws cover its cubes'
+    # a cut's frontier on a small formula: 2^16 draws cover its nodes'
     # assignments uniformly
     from indepcount import BranchKind, chi_square_uniformity, cut, frontier
 
@@ -510,24 +517,71 @@ def test_sampled_frontier_passes_chi_square():
     walk = frontier(cut(phi, EMPTY_STRUCT_SET, 4, BranchKind.PRUNED_CLAUSE),
                     1 << 60, 6)
     uni = Universe(EMPTY_STRUCT_SET, variables=phi.variables,
-                   cubes=walk.cubes)
-    assert 3 <= len(uni.cubes) and 100 <= uni.size < 1 << 10
-    assert len({mask.bit_count() for _, mask in uni.cubes}) > 1
+                   nodes=walk.nodes)
+    assert 3 <= len(uni.nodes) and 100 <= uni.size < 1 << 10
+    assert len({mask.bit_count() for *_, mask in uni.nodes}) > 1
     words = uni.sample_words(1 << 16, generator(41))
     stat, p = chi_square_uniformity([uni.decode_word(w) for w in words], uni)
     assert p > 0.01 and stat < 3 * uni.size
 
 
 def test_one_cube_frontier_draws_plain_coins():
-    # one cube skips the pick: all coins reproduce the draw of a universe
-    # without cubes, and a cube with fixed values ORs them in
+    # one node skips the pick: all coins reproduce the draw of a universe
+    # without nodes, and a cube with fixed values ORs them in
     variables = (2, 5, 9, 40)
     plain = Universe(EMPTY_STRUCT_SET, variables=variables)
     raw = generator(3).integers(0, 2 ** 64, size=1000, dtype=np.uint64)
     for word, mask in ((0, plain.free_mask), (1 << 4, (1 << 1) | (1 << 39))):
         uni = Universe(EMPTY_STRUCT_SET, variables=variables,
-                       cubes=[(word, mask)])
+                       nodes=[(0, 1, word, mask)])
         words = uni.sample_words(1000, generator(3))
         assert np.array_equal(words, raw & np.uint64(mask) | np.uint64(word))
     with pytest.raises(ValueError):
-        Universe(EMPTY_STRUCT_SET, variables=variables, cubes=[(1, 2)])
+        Universe(EMPTY_STRUCT_SET, variables=variables, nodes=[(0, 1, 1, 2)])
+    with pytest.raises(ValueError):
+        Universe(EMPTY_STRUCT_SET, variables=variables, nodes=[(0, 2, 0, 2)])
+
+
+# -- nodes over group rows -------------------------------------------------
+
+def _group_frontier(n, m, seed, budget):
+    """A clauses-strategy cut's group set and its frontier after
+    ``budget`` vetted nodes."""
+    from indepcount import BranchKind, cut, frontier, red_clauses
+
+    phi = generate(GeneratorSpec(n=n, m=m, k=3, seed=seed))
+    psi = red_clauses(phi, 1, 0.2, 0.1, None).struct_set
+    res = cut(phi, psi, 1, BranchKind.STRUCT_GUIDED)
+    return phi, psi, frontier(res, 1 << 60, budget)
+
+
+def test_sampled_group_frontier_passes_chi_square():
+    # a frontier over three 7-model groups that stops inside them: 2^16
+    # draws cover its nodes' assignments uniformly
+    from indepcount import chi_square_uniformity
+
+    phi, psi, walk = _group_frontier(10, 30, 4, 8)
+    uni = Universe(psi, variables=phi.variables, nodes=walk.nodes)
+    whole = {math.prod(s.l_sigma for s in psi.structs[g:])
+             for g in range(len(psi.structs) + 1)}
+    assert len(uni.nodes) >= 3 and 100 <= uni.size <= 3000
+    assert any(hi - lo not in whole for lo, hi, *_ in uni.nodes)
+    words = uni.sample_words(1 << 16, generator(43))
+    stat, p = chi_square_uniformity([uni.decode_word(w) for w in words], uni)
+    assert p > 0.01 and stat < 3 * uni.size
+
+
+def test_root_only_group_frontier_draws_the_full_product():
+    # a walk that expands nothing leaves the root: every product row and
+    # every coin, so it draws the stream of the universe without nodes,
+    # uniformly
+    from indepcount import chi_square_uniformity
+
+    phi, psi, walk = _group_frontier(10, 30, 4, 0)
+    plain = Universe(psi, variables=phi.variables)
+    assert walk.nodes == plain.nodes and walk.vetted == 0
+    uni = plain.over(walk.nodes)
+    words = uni.sample_words(1 << 16, generator(47))
+    assert np.array_equal(words, plain.sample_words(1 << 16, generator(47)))
+    stat, p = chi_square_uniformity([uni.decode_word(w) for w in words], uni)
+    assert p > 0.01 and stat < 3 * uni.size

@@ -76,16 +76,17 @@ def test_replay_is_bit_identical():
 # (k, n, m, strategy, value, samples, hits, decider_calls, branch_nodes);
 # the instances use generator seed 1 and the counts seed 7.  Their true
 # counts are 8,588 (k=3) and 484 (k=4); every value is within eps=0.2.
-# thurley and pruned sample the cut's frontier, so they draw far fewer.
+# Every strategy samples the cut's frontier, so they draw far fewer than
+# the root universe would need.
 REPLAY_PINS = [
-    (3, 23, 46, Strategy.THURLEY, Fraction(44035046, 5013), 20052, 836, 2576, 1294),
-    (3, 23, 46, Strategy.PRUNED_TREE, Fraction(214271816, 24471), 24471, 836, 736, 443),
-    (3, 23, 46, Strategy.INDEP_CLAUSES, Fraction(2753927792, 341963), 341963, 836, 1538, 555),
-    (3, 23, 46, Strategy.INDEP_STRUCTS, Fraction(591847872, 65279), 261116, 836, 2051, 433),
-    (4, 19, 114, Strategy.THURLEY, Fraction(308352, 625), 35625, 836, 399, 205),
-    (4, 19, 114, Strategy.PRUNED_TREE, Fraction(24016608, 51577), 154731, 836, 95, 61),
-    (4, 19, 114, Strategy.INDEP_CLAUSES, Fraction(120384000, 247609), 742827, 836, 263, 135),
-    (4, 19, 114, Strategy.INDEP_STRUCTS, Fraction(167788544, 343899), 687798, 836, 418, 112),
+    (3, 23, 46, Strategy.THURLEY, Fraction(44551067, 4888), 39104, 836, 2576, 1294),
+    (3, 23, 46, Strategy.PRUNED_TREE, Fraction(426269712, 50081), 50081, 836, 736, 443),
+    (3, 23, 46, Strategy.INDEP_CLAUSES, Fraction(141325800, 16039), 112273, 836, 1538, 555),
+    (3, 23, 46, Strategy.INDEP_STRUCTS, Fraction(28421492, 3307), 115745, 836, 2051, 433),
+    (4, 19, 114, Strategy.THURLEY, Fraction(1597824, 3239), 35629, 836, 399, 205),
+    (4, 19, 114, Strategy.PRUNED_TREE, Fraction(316008, 641), 146148, 836, 95, 61),
+    (4, 19, 114, Strategy.INDEP_CLAUSES, Fraction(400444, 813), 59349, 836, 263, 135),
+    (4, 19, 114, Strategy.INDEP_STRUCTS, Fraction(15917440, 32227), 32227, 836, 418, 112),
 ]
 
 
@@ -341,12 +342,38 @@ def test_frontier_brings_a_flagged_row_within_the_budget():
         assert est.frontier_nodes and est.universe_size < 2 ** 30 // 50
 
 
-def test_only_thurley_and_pruned_walk_a_frontier():
+def test_frontier_brings_a_flagged_group_row_within_the_budget():
+    # the same row over the group product: the 2^24 budget used to flag
+    # clauses (138 hits) and structs (163 hits).  Over the cut's frontier
+    # inside the groups both end unflagged and within eps.
+    phi = generate(GeneratorSpec(n=30, m=180, k=4, seed=1))
+    want = _count(phi.clauses, phi.variables).value
+    assert want == 5993
+    for strategy in (Strategy.INDEP_CLAUSES, Strategy.INDEP_STRUCTS):
+        with deadline(10):
+            est = approx_count(phi, 0.2, 0.1, strategy, seed=0)
+        assert not est.under_sampled and est.hits == 836, strategy
+        assert eps_accurate(est.value, want, 0.2), strategy
+        assert est.frontier_nodes
+
+
+def test_every_two_phase_strategy_walks_a_frontier():
+    # each samples less than its root universe: the full cube for thurley
+    # and pruned, the group product for clauses and structs
+    from indepcount import Universe
+
     phi = generate(GeneratorSpec(n=23, m=46, k=3, seed=1))
+    exact = lambda sub, eps, delta: approx_count(sub, eps, delta)
+    clauses = params_for(3, 23, Strategy.INDEP_CLAUSES)
+    groups = params_for(3, 23, Strategy.INDEP_STRUCTS)
+    roots = {
+        Strategy.THURLEY: 2 ** 23, Strategy.PRUNED_TREE: 2 ** 23,
+        Strategy.INDEP_CLAUSES: Universe(structs.red_clauses(
+            phi, clauses.m_hat, 0.2, 0.1, exact).struct_set, 23).size,
+        Strategy.INDEP_STRUCTS: Universe(structs.red_structs(
+            phi, groups, 0.2, 0.1, exact).struct_set, 23).size}
     for strategy in ALL[1:]:
         est = approx_count(phi, 0.2, 0.1, strategy, seed=7)
-        walked = strategy in (Strategy.THURLEY, Strategy.PRUNED_TREE)
-        assert bool(est.frontier_nodes) == walked, strategy
-        assert not est.exact and est.universe_size, strategy
-        if walked:
-            assert est.universe_size < 2 ** 23 // 8, strategy
+        assert est.frontier_nodes, strategy
+        assert not est.exact, strategy
+        assert 0 < est.universe_size < roots[strategy], strategy
