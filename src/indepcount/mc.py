@@ -57,8 +57,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cnf import (_CHUNK_BITS, _SLICE_WORDS, CnfFormula, clause_tables,
-                  satisfied_rows)
+from .cnf import (_CHUNK_BITS, _SLICE_WORDS, ClauseTables, CnfFormula,
+                  clause_tables, satisfied_rows)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .structs import Struct, StructSet
@@ -128,9 +128,9 @@ class Universe:
     disjoint nodes ``(lo, hi, word, mask)``: the rows [lo, hi) times a
     coin cube, bit v-1 for x_v, ``mask`` marking the variables outside
     the groups that are fair coins in it and ``word`` the values of the
-    others.  Without ``nodes`` it is one node, every row and every coin.
-    A draw picks a node in proportion to its size, so it is uniform on the
-    universe.
+    others; ``models`` counts the rows.  Without ``nodes`` it is one
+    node, every row and every coin.  A draw picks a node in proportion to
+    its size, so it is uniform on the universe.
     """
 
     def __init__(self, psi: "StructSet", n: int | None = None, *,
@@ -169,40 +169,55 @@ class Universe:
 
     def _set_nodes(self, nodes) -> None:
         self.nodes = tuple(nodes)
-        coins = []
-        for lo, hi, word, mask in self.nodes:
-            if not 0 <= lo < hi <= self.models:
-                raise ValueError("node rows outside the group product")
-            if (word | mask) & ~self.free_mask or word & mask:
-                raise ValueError("node cube outside the variables left to coins")
-            coins.append(mask.bit_count())
-        sizes = [(hi - lo) << c for (lo, hi, *_), c in zip(self.nodes, coins)]
-        self.size = sum(sizes)
-        if len(self.nodes) > 1:
-            # the nodes, most coins first, hold consecutive positions of
-            # [0, positions): 2^(coins - the fewest) of them, its shift, for
-            # each row.  A node's first position is then a multiple of its
-            # 2^shift, so a position shifted down, less its first's, counts
-            # rows from the node's first.
-            least = min(coins)
-            table, first = [], 0
-            for i in sorted(range(len(sizes)), key=lambda i: -coins[i]):
-                lo, _, word, mask = self.nodes[i]
-                shift = coins[i] - least
-                table.append((first, first + (sizes[i] >> least) - 1, shift,
-                              (lo - (first >> shift)) % 2 ** 64, word, mask))
-                first += sizes[i] >> least
-            self._positions = first
-            (self._first, self._last, self._shift, self._row_lo,
-             self._row_words, self._row_masks) = np.array(
-                table, dtype=np.uint64).T.copy()
-            # the guide: bucket j, positions from j << bucket_bits on, starts
-            # in node guide[j]; between len(nodes) and 4 len(nodes) buckets
-            self._bucket_bits = max(0, self._positions.bit_length()
-                                    - (2 * len(self.nodes)).bit_length())
-            starts = np.arange(((self._positions - 1) >> self._bucket_bits) + 1,
-                               dtype=np.uint64) << np.uint64(self._bucket_bits)
-            self._guide = np.searchsorted(self._first, starts, side="right") - 1
+        if len(self.nodes) < 2:
+            # no pick to lay out: the size is all a draw needs
+            self.size = 0
+            for lo, hi, word, mask in self.nodes:
+                if not 0 <= lo < hi <= self.models:
+                    raise ValueError("node rows outside the group product")
+                if (word | mask) & ~self.free_mask or word & mask:
+                    raise ValueError("node cube outside the variables left to coins")
+                self.size = (hi - lo) << mask.bit_count()
+            return
+        # several nodes: checked and laid out as uint64 columns, which
+        # hold a node's rows, cube and size as sampling needs them to
+        self._check_words()
+        try:
+            lo, hi, word, mask = np.array(self.nodes, dtype=np.uint64).T
+        except OverflowError:
+            raise ValueError("node outside the universe") from None
+        rows = np.uint64(min(self.models, 2 ** 64 - 1))
+        if np.any(lo >= hi) or np.any(hi > rows):
+            raise ValueError("node rows outside the group product")
+        if np.any((word | mask) & ~np.uint64(self.free_mask) | word & mask):
+            raise ValueError("node cube outside the variables left to coins")
+        coins = np.array([node[3].bit_count() for node in self.nodes],
+                         dtype=np.uint64)
+        # the nodes, most coins first, hold consecutive positions of
+        # [0, positions), 2^shift of them per row, shift being the node's
+        # coins less the fewest.  Each node's first position is then a
+        # multiple of its 2^shift, so a position shifted down, less the
+        # first's, is a row offset.  Only the total can reach 2^64.
+        least = coins.min()
+        order = np.argsort(-coins.view(np.int64), kind="stable")
+        lo, word, mask, held, shift = (a[order] for a in (
+            lo, word, mask, (hi - lo) << (coins - least), coins - least))
+        self._positions = sum(held.tolist())
+        self.size = self._positions << int(least)
+        self._first = np.zeros_like(held)
+        np.cumsum(held[:-1], out=self._first[1:])
+        self._last = self._first + (held - np.uint64(1))
+        # wrapping uint64 arithmetic: the row is exact mod 2^64
+        self._row_lo = lo - (self._first >> shift)
+        self._shift, self._row_words, self._row_masks = shift, word, mask
+        # the guide: bucket j, positions from j << bucket_bits on, starts in
+        # node guide[j]; between len(nodes) and 64 len(nodes) buckets, so
+        # that few buckets hold more than one node
+        self._bucket_bits = max(0, self._positions.bit_length()
+                                - (32 * len(self.nodes)).bit_length())
+        starts = np.arange(((self._positions - 1) >> self._bucket_bits) + 1,
+                           dtype=np.uint64) << np.uint64(self._bucket_bits)
+        self._guide = np.searchsorted(self._first, starts, side="right") - 1
 
     def _check_words(self) -> None:
         if self.variables and self.variables[-1] > 64:
@@ -211,10 +226,10 @@ class Universe:
     def sample_words(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Vector of assignment words, bit (v-1) = value of x_v.
 
-        A draw takes a raw 64-bit coin word, then a node from the alias
-        table (skipped with one node), whose cube masks the coins and
-        sets its fixed values, then a row below the node's row count
-        above its first, split into one model per group."""
+        A draw takes a raw 64-bit coin word, then a node and a uniform row
+        of it (``_pick``; one node draws its row directly), whose cube
+        masks the coins and sets its fixed values, and whose row is split
+        into one model per group."""
         if self.size == 0:
             raise ValueError("cannot sample an empty universe")
         self._check_words()
@@ -260,14 +275,13 @@ class Universe:
             position += np.take(self._row_lo, node)
         return node, position
 
-    def _product(self) -> list[np.ndarray]:
-        """The groups' product tables, built once."""
+    def _product(self) -> None:
+        """Build the groups' product tables and the gather's buffers once."""
         if self._tables is None:
             self._tables = _product_tables(
                 [_model_words(sigma) for sigma in self.structs], _TABLE_ROWS)
             self._digit = np.empty(_SLICE_WORDS, dtype=np.uint64)
             self._row = np.empty(_SLICE_WORDS, dtype=np.uint64)
-        return self._tables
 
     def _gather(self, part: np.ndarray, index: np.ndarray) -> None:
         """OR into ``part`` the models of its product rows ``index``, at
@@ -408,7 +422,7 @@ class Pilot:
     """
 
     universe: Universe
-    tables: tuple
+    tables: ClauseTables
     models: int
 
 
@@ -425,7 +439,7 @@ def run_pilot(phi: CnfFormula, psi: "StructSet",
     return Pilot(universe, tables, models)
 
 
-def _check_tables(phi: CnfFormula, psi: "StructSet"):
+def _check_tables(phi: CnfFormula, psi: "StructSet") -> ClauseTables:
     """The check's clause tables: every draw satisfies the groups' own
     clauses, so only the rest are checked."""
     drawn = {c for sigma in psi for c in sigma.clauses}

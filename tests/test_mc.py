@@ -286,8 +286,9 @@ def test_product_index_beyond_int64_stays_exact():
 def test_two_table_draw_matches_a_python_int_reference():
     # six 7-model groups: 7^5 rows fill the first product table and the
     # sixth group gets its own, so every index is split by one mixed-radix
-    # digit, the last table's the least significant.  The reference redraws the same stream and splits each index
-    # with Python ints, straight into one model per group.
+    # digit, the last table's the least significant.  The reference
+    # redraws the same stream and splits each index with Python ints,
+    # straight into one model per group.
     from indepcount import mc
 
     groups = [Struct(((3 * i + 1, -(3 * i + 2), 3 * i + 3),),
@@ -431,7 +432,7 @@ def test_rule_inside_a_budget_below_the_cap_is_unflagged():
 # frontier, sized by a pilot; any change to the draw, the check, the pilot
 # or the walk moves it.
 SAMPLER_FINGERPRINT = (
-    "3cd1347f85f12461179cedc877c7cc86da4b9bfb65bc69ebf3b80f3f893375f8")
+    "35fb4b7753b3f51451b82a8d9f467714c2f57e928eeb434350974a2aac2df7a3")
 
 
 def test_sampled_counts_match_the_recorded_fingerprint():
@@ -487,7 +488,7 @@ def test_node_positions_give_each_node_its_exact_mass():
         bits = uni._bucket_bits
         for j, i in enumerate(map(int, uni._guide)):
             assert first[i] <= j << bits <= last[i]
-        assert len(nodes) <= len(uni._guide) <= 4 * len(nodes)
+        assert len(nodes) <= len(uni._guide) <= 64 * len(nodes)
 
 
 @pytest.mark.parametrize("n", [20, 64])
@@ -540,6 +541,11 @@ def test_one_cube_frontier_draws_plain_coins():
         Universe(EMPTY_STRUCT_SET, variables=variables, nodes=[(0, 1, 1, 2)])
     with pytest.raises(ValueError):
         Universe(EMPTY_STRUCT_SET, variables=variables, nodes=[(0, 2, 0, 2)])
+    # several nodes are checked as uint64 columns, to the same effect
+    for bad in ((0, 1, 1, 2), (0, 2, 0, 2), (-1, 1, 0, 2)):
+        with pytest.raises(ValueError):
+            Universe(EMPTY_STRUCT_SET, variables=variables,
+                     nodes=[bad, (0, 1, 2, 0)])
 
 
 # -- nodes over group rows -------------------------------------------------

@@ -79,14 +79,14 @@ def test_replay_is_bit_identical():
 # Every strategy samples the cut's frontier, so they draw far fewer than
 # the root universe would need.
 REPLAY_PINS = [
-    (3, 23, 46, Strategy.THURLEY, Fraction(44551067, 4888), 39104, 836, 2576, 1294),
-    (3, 23, 46, Strategy.PRUNED_TREE, Fraction(426269712, 50081), 50081, 836, 736, 443),
-    (3, 23, 46, Strategy.INDEP_CLAUSES, Fraction(141325800, 16039), 112273, 836, 1538, 555),
-    (3, 23, 46, Strategy.INDEP_STRUCTS, Fraction(28421492, 3307), 115745, 836, 2051, 433),
-    (4, 19, 114, Strategy.THURLEY, Fraction(1597824, 3239), 35629, 836, 399, 205),
+    (3, 23, 46, Strategy.THURLEY, Fraction(20730952, 2461), 46759, 836, 2576, 1294),
+    (3, 23, 46, Strategy.PRUNED_TREE, Fraction(527907248, 60085), 60085, 836, 736, 443),
+    (3, 23, 46, Strategy.INDEP_CLAUSES, Fraction(39847731, 4526), 126728, 836, 1538, 555),
+    (3, 23, 46, Strategy.INDEP_STRUCTS, Fraction(295618169, 32779), 131116, 836, 2051, 433),
+    (4, 19, 114, Strategy.THURLEY, Fraction(21792848, 45615), 45615, 836, 399, 205),
     (4, 19, 114, Strategy.PRUNED_TREE, Fraction(316008, 641), 146148, 836, 95, 61),
-    (4, 19, 114, Strategy.INDEP_CLAUSES, Fraction(400444, 813), 59349, 836, 263, 135),
-    (4, 19, 114, Strategy.INDEP_STRUCTS, Fraction(15917440, 32227), 32227, 836, 418, 112),
+    (4, 19, 114, Strategy.INDEP_CLAUSES, Fraction(33897292, 69177), 69177, 836, 263, 135),
+    (4, 19, 114, Strategy.INDEP_STRUCTS, Fraction(5184872, 10343), 41372, 836, 418, 112),
 ]
 
 
