@@ -314,7 +314,8 @@ class Frontier:
     vetted: int
 
     @property
-    def nodes(self) -> tuple[tuple[int, int, int, int], ...]:
+    def all_nodes(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The leaves and the open nodes: the sampler's universe."""
         return self.leaves + self.inner
 
 
@@ -413,26 +414,19 @@ def frontier(result: CutResult, hits: int, budget: int | None = None, *,
                         clash |= (vals >> v & 1) != bit
                 if clash:
                     continue
+                sat = 0
+                for v in fixing:
+                    sat |= pos[v] if word >> v & 1 else neg[v]
+                child = alive & ~sat
+                # every literal set lies on a free variable, so a clause's
+                # count can reach 0 but not wrap: test for it before ``fix``
+                low_planes = lower(child, planes, fixing, values)
+                empty = child
+                for plane in low_planes:
+                    empty &= ~plane
                 del trail[:]
-                if not fixing:
-                    # units set every bit already: the residual is at its
-                    # fixpoint, so ``fix`` would return it unchanged
-                    found = alive, planes, free
-                elif len(fixing) == 1:
-                    # one literal: ``fix`` sets it and finds an emptied clause
-                    found = fix(alive, planes, free,
-                                fixing[0] if values else -fixing[0], trail)
-                else:
-                    sat = 0
-                    for v in fixing:
-                        sat |= pos[v] if word >> v & 1 else neg[v]
-                    child = alive & ~sat
-                    low_planes = lower(child, planes, fixing, values)
-                    empty = child
-                    for plane in low_planes:
-                        empty &= ~plane
-                    found = None if empty else fix(child, low_planes,
-                                                   free & ~fmask, 0, trail)
+                found = None if empty else fix(child, low_planes,
+                                               free & ~fmask, 0, trail)
                 if found is None:
                     continue
                 for code in trail:

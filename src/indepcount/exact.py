@@ -112,7 +112,10 @@ class ClauseIndex:
               block: tuple[int, ...], bits: int) -> tuple[int, ...]:
         """The planes after fixing ``block`` to ``bits``, where ``alive``
         already omits the clauses those values satisfy: each alive clause
-        loses the literals they falsify.  No clause may empty."""
+        loses the literals they falsify.  ``block`` must be unfixed, so a
+        count falls at most to 0, a clause emptied; the caller either
+        knows none empties (the cut's closed-clause test) or tests the
+        planes for one (``cut.frontier``'s group children)."""
         pos, neg = self.pos, self.neg
         counts = list(planes)
         for b, v in enumerate(block):

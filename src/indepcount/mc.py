@@ -83,7 +83,8 @@ class Estimate:
     (``under_sampled``) value is never reported below it.
     ``samples_wanted`` is the Chernoff count, within the budget, that a
     sampled run was sized for; ``samples`` falls below it when the
-    stopping rule ends the run first.  ``universe_size`` is the U that a
+    stopping rule ends the run first.  A pilot's draws are not among the
+    ``samples``; ``ras.approx_count`` charges them to the budget.  ``universe_size`` is the U that a
     sampled run drew from (summed over recursion branches), and
     ``frontier_nodes`` the nodes the cut's frontier walk vetted to make
     it, 0 without a walk.
@@ -128,14 +129,13 @@ class Universe:
     disjoint nodes ``(lo, hi, word, mask)``: the rows [lo, hi) times a
     coin cube, bit v-1 for x_v, ``mask`` marking the variables outside
     the groups that are fair coins in it and ``word`` the values of the
-    others; ``models`` counts the rows.  Without ``nodes`` it is one
-    node, every row and every coin.  A draw picks a node in proportion to
-    its size, so it is uniform on the universe.
+    others; ``models`` counts the rows.  A new universe is one node, every
+    row and every coin; ``over`` gives one with other nodes.  A draw picks
+    a node in proportion to its size, so it is uniform on the universe.
     """
 
     def __init__(self, psi: "StructSet", n: int | None = None, *,
-                 variables: Sequence[int] | None = None,
-                 nodes: Sequence[tuple[int, int, int, int]] | None = None):
+                 variables: Sequence[int] | None = None):
         if variables is not None:
             universe = tuple(sorted(set(variables)))
         elif n is not None:
@@ -156,13 +156,13 @@ class Universe:
         # product tables and the draw's buffers, made on the first draw and
         # shared with every universe ``over`` makes from this one
         self._tables: list[np.ndarray] | None = None
-        if nodes is None:
-            # a group without a model leaves no node at all
-            nodes = ((0, self.models, 0, self.free_mask),) if self.models else ()
-        self._set_nodes(nodes)
+        # a group without a model leaves no node at all
+        self._set_nodes(((0, self.models, 0, self.free_mask),)
+                        if self.models else ())
 
     def over(self, nodes: Sequence[tuple[int, int, int, int]]) -> "Universe":
-        """The universe of ``nodes`` over the same groups and variables."""
+        """The universe of ``nodes`` over the same groups and variables,
+        sharing this one's product tables."""
         other = copy.copy(self)
         other._set_nodes(nodes)
         return other

@@ -10,6 +10,9 @@ draw from the root universe (the full cube without groups, the group
 product with them) estimates the model count; with it, the cut's
 frontier walk decides how far to go, and the sampler then draws from the
 frontier's nodes, which hold every model, not from the root universe.
+A sample budget bounds the pilot's draws and the sampler's together; a
+budget below twice the pilot's draws skips the pilot, and the walk is
+then sized by the cut's certified count alone.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .cnf import CnfFormula
 from .cut import BranchKind, CutKind, cut, frontier
 from .exact import BRUTE_FORCE_MAX_VARS, brute_force_count, count_2sat_exact
-from .mc import Estimate, mc_estimate, run_hits, run_pilot
+from .mc import PILOT_WORDS, Estimate, mc_estimate, run_hits, run_pilot
 from .params import Strategy, params_for
 from .rng import derived_generator
 from .structs import EMPTY_STRUCT_SET, red_clauses, red_structs
@@ -132,11 +135,16 @@ def approx_count(phi: CnfFormula, eps: float, delta: float,
     if result.kind is CutKind.EXACT:
         est = _exact_estimate(result.count, eps, delta, seed)
         return _with_cut_work(est, result)
-    first = run_pilot(phi, psi, derived_generator(root, "pilot", phi.k, n))
+    # the pilot's draws count against the budget, so it runs only when it
+    # takes at most half of it
+    budget, first = config.sample_budget, None
+    if budget is None or budget >= 2 * PILOT_WORDS:
+        first = run_pilot(phi, psi, derived_generator(root, "pilot", phi.k, n))
+        if budget is not None:
+            budget -= PILOT_WORDS
     walk = frontier(result, run_hits(result.count, ell, eps, delta),
-                    models=first.models)
+                    models=first.models if first else 0)
     est = mc_estimate(phi, psi, ell, eps, delta, mc_rng, seed=seed,
-                      sample_budget=config.sample_budget, nodes=walk.nodes,
-                      pilot=first)
+                      sample_budget=budget, nodes=walk.all_nodes, pilot=first)
     est = dataclasses.replace(est, frontier_nodes=walk.vetted)
     return _with_cut_work(est.with_lower_bound(result.count), result)

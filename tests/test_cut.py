@@ -476,9 +476,9 @@ def test_frontier_partitions_the_models(k, n, load, seed, walk, ell_log2,
     elif hits > 836:
         assert got.vetted >= budget or not got.inner
     seen = []
-    for node in got.nodes:
+    for node in got.all_nodes:
         seen.extend(_node_words(psi, node))
-    size = Universe(psi, n, nodes=got.nodes).size
+    size = Universe(psi, n).over(got.all_nodes).size
     assert len(seen) == len(set(seen)) == size <= Universe(psi, n).size
     assert models <= set(seen)
     for node in got.leaves:
@@ -499,4 +499,5 @@ def test_a_group_frontier_splits_inside_a_group():
     got = frontier(res, 1 << 60, 40)
     counts = [s.l_sigma for s in psi.structs]
     whole = {math.prod(counts[g:]) for g in range(len(counts) + 1)}
-    assert got.inner and any(hi - lo not in whole for lo, hi, _, _ in got.nodes)
+    assert got.inner and any(hi - lo not in whole
+                             for lo, hi, _, _ in got.all_nodes)

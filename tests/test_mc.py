@@ -472,7 +472,7 @@ def test_node_positions_give_each_node_its_exact_mass():
         cubes = [(word << 3, mask << 3) for word, mask in _first_bit_cubes(n - 3)]
         lens = [1 + (3 * i + n) % 7 for i in range(len(cubes))]
         nodes = [(7 - rows, 7, *cube) for rows, cube in zip(lens, cubes)]
-        uni = Universe(StructSet((sigma,)), n, nodes=nodes)
+        uni = Universe(StructSet((sigma,)), n).over(nodes)
         assert uni.size == sum(rows << mask.bit_count()
                                for rows, (_, mask) in zip(lens, cubes))
         least = min(mask.bit_count() for _, mask in cubes)
@@ -497,8 +497,8 @@ def test_cube_pick_follows_the_cube_sizes(n):
     # Either way cube i comes up with probability 2^-(i+1).
     from scipy import stats
 
-    uni = Universe(EMPTY_STRUCT_SET, n,
-                   nodes=[(0, 1, *cube) for cube in _first_bit_cubes(n)])
+    uni = Universe(EMPTY_STRUCT_SET, n).over(
+        [(0, 1, *cube) for cube in _first_bit_cubes(n)])
     assert uni.size == 1 << n
     assert uni._positions == 1 << n
     words = uni.sample_words(1 << 16, generator(5))
@@ -517,8 +517,8 @@ def test_sampled_frontier_passes_chi_square():
     phi = generate(GeneratorSpec(n=10, m=30, k=3, seed=4))
     walk = frontier(cut(phi, EMPTY_STRUCT_SET, 4, BranchKind.PRUNED_CLAUSE),
                     1 << 60, 6)
-    uni = Universe(EMPTY_STRUCT_SET, variables=phi.variables,
-                   nodes=walk.nodes)
+    uni = Universe(EMPTY_STRUCT_SET,
+                   variables=phi.variables).over(walk.all_nodes)
     assert 3 <= len(uni.nodes) and 100 <= uni.size < 1 << 10
     assert len({mask.bit_count() for *_, mask in uni.nodes}) > 1
     words = uni.sample_words(1 << 16, generator(41))
@@ -533,19 +533,17 @@ def test_one_cube_frontier_draws_plain_coins():
     plain = Universe(EMPTY_STRUCT_SET, variables=variables)
     raw = generator(3).integers(0, 2 ** 64, size=1000, dtype=np.uint64)
     for word, mask in ((0, plain.free_mask), (1 << 4, (1 << 1) | (1 << 39))):
-        uni = Universe(EMPTY_STRUCT_SET, variables=variables,
-                       nodes=[(0, 1, word, mask)])
+        uni = plain.over([(0, 1, word, mask)])
         words = uni.sample_words(1000, generator(3))
         assert np.array_equal(words, raw & np.uint64(mask) | np.uint64(word))
     with pytest.raises(ValueError):
-        Universe(EMPTY_STRUCT_SET, variables=variables, nodes=[(0, 1, 1, 2)])
+        plain.over([(0, 1, 1, 2)])
     with pytest.raises(ValueError):
-        Universe(EMPTY_STRUCT_SET, variables=variables, nodes=[(0, 2, 0, 2)])
+        plain.over([(0, 2, 0, 2)])
     # several nodes are checked as uint64 columns, to the same effect
     for bad in ((0, 1, 1, 2), (0, 2, 0, 2), (-1, 1, 0, 2)):
         with pytest.raises(ValueError):
-            Universe(EMPTY_STRUCT_SET, variables=variables,
-                     nodes=[bad, (0, 1, 2, 0)])
+            plain.over([bad, (0, 1, 2, 0)])
 
 
 # -- nodes over group rows -------------------------------------------------
@@ -567,7 +565,7 @@ def test_sampled_group_frontier_passes_chi_square():
     from indepcount import chi_square_uniformity
 
     phi, psi, walk = _group_frontier(10, 30, 4, 8)
-    uni = Universe(psi, variables=phi.variables, nodes=walk.nodes)
+    uni = Universe(psi, variables=phi.variables).over(walk.all_nodes)
     whole = {math.prod(s.l_sigma for s in psi.structs[g:])
              for g in range(len(psi.structs) + 1)}
     assert len(uni.nodes) >= 3 and 100 <= uni.size <= 3000
@@ -585,8 +583,8 @@ def test_root_only_group_frontier_draws_the_full_product():
 
     phi, psi, walk = _group_frontier(10, 30, 4, 0)
     plain = Universe(psi, variables=phi.variables)
-    assert walk.nodes == plain.nodes and walk.vetted == 0
-    uni = plain.over(walk.nodes)
+    assert walk.all_nodes == plain.nodes and walk.vetted == 0
+    uni = plain.over(walk.all_nodes)
     words = uni.sample_words(1 << 16, generator(47))
     assert np.array_equal(words, plain.sample_words(1 << 16, generator(47)))
     stat, p = chi_square_uniformity([uni.decode_word(w) for w in words], uni)

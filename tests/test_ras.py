@@ -297,6 +297,36 @@ def test_sampled_runs_never_draw_past_the_chernoff_cap(monkeypatch):
     assert endings == {"rule", "cap", "budget"}
 
 
+def test_sample_budget_counts_the_pilot_draws(monkeypatch):
+    # a budget of at least twice the pilot's draws runs the pilot and
+    # leaves the rest to the estimator; a smaller one skips the pilot
+    from indepcount import ras
+    from indepcount.mc import PILOT_WORDS
+
+    calls = []
+    real_pilot, real_mc = ras.run_pilot, ras.mc_estimate
+
+    def pilot_spy(*args):
+        calls.append("pilot")
+        return real_pilot(*args)
+
+    def mc_spy(*args, **kw):
+        calls.append(kw["sample_budget"])
+        return real_mc(*args, **kw)
+    monkeypatch.setattr(ras, "run_pilot", pilot_spy)
+    monkeypatch.setattr(ras, "mc_estimate", mc_spy)
+    phi = generate(GeneratorSpec(n=23, m=46, k=3, seed=1))
+    for budget, want in ((2 * PILOT_WORDS + 5, ["pilot", PILOT_WORDS + 5]),
+                         (2 * PILOT_WORDS - 1, [2 * PILOT_WORDS - 1]),
+                         (None, ["pilot", None])):
+        del calls[:]
+        est = approx_count(phi, 0.2, 0.1, Strategy.THURLEY, seed=7,
+                           config=CounterConfig(sample_budget=budget))
+        assert calls == want
+        if budget is not None:
+            assert est.samples <= budget - (PILOT_WORDS if len(want) > 1 else 0)
+
+
 def test_sample_budget_below_one_is_refused():
     phi = generate(GeneratorSpec(n=23, m=46, k=3, seed=1))
     for budget in (0, -5):
