@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from indepcount import (CnfFormula, CounterConfig, GuardError, Strategy,
-                        approx_count, brute_force_count, eps_accurate,
+from indepcount import (CnfFormula, CounterConfig, Estimate, GuardError,
+                        Strategy, approx_count, brute_force_count, eps_accurate,
                         params_for)
 from indepcount import structs
 from indepcount.exact import _count
@@ -158,6 +158,69 @@ def test_recursion_branch_formulas_are_pinned(monkeypatch):
                      0.2, 0.1, strategy, seed=7)
         got.append(digest.hexdigest()[:16])
     assert got == [row[-1] for row in BRANCH_DIGESTS]
+
+
+# Whole recursion-route Estimates pinned from a reference run: how the
+# branches' counters sum and how their flags combine.  Entries are
+# (k, n, m, generator seed, strategy, config, estimate); the counts use
+# seed 7.  The first three are the RECURSION_PINS rows, whose branches are
+# all exact; the branches of the last three sample.
+_SAMPLED = dict(exact=False, epsilon=0.2, delta=0.1, samples=9558,
+                hits=9558, seed=7, decider_calls=8, branch_nodes=6)
+RECURSION_ESTIMATES = [
+    (3, 24, 9, 8, Strategy.INDEP_STRUCTS, CounterConfig(),
+     Estimate(value=6120448, exact=True, epsilon=0.2, delta=0.1, seed=7,
+              lower_bound=6120448)),
+    (3, 24, 9, 2, Strategy.INDEP_CLAUSES, CounterConfig(),
+     Estimate(value=4536320, exact=True, epsilon=0.2, delta=0.1, seed=7,
+              lower_bound=4536320)),
+    (4, 22, 5, 7, Strategy.INDEP_STRUCTS, CounterConfig(),
+     Estimate(value=3025920, exact=True, epsilon=0.2, delta=0.1, seed=7,
+              lower_bound=3025920)),
+    (4, 22, 5, 5006, Strategy.INDEP_CLAUSES, PIPELINE,
+     Estimate(value=3097600, lower_bound=2747392, samples_wanted=5039148,
+              universe_size=351232, **_SAMPLED)),
+    (4, 22, 5, 5012, Strategy.INDEP_CLAUSES, PIPELINE,
+     Estimate(value=3026944, lower_bound=2830336, samples_wanted=2879514,
+              universe_size=200704, **_SAMPLED)),
+    (4, 22, 5, 5025, Strategy.INDEP_CLAUSES, PIPELINE,
+     Estimate(value=3054592, lower_bound=2704384, samples_wanted=5039148,
+              universe_size=351232, **_SAMPLED)),
+]
+
+
+def test_recursion_route_replays_whole_estimates():
+    for k, n, m, seed, strategy, config, pinned in RECURSION_ESTIMATES:
+        phi = generate(GeneratorSpec(n=n, m=m, k=k, seed=seed))
+        est = approx_count(phi, 0.2, 0.1, strategy, seed=7, config=config)
+        assert est == pinned, (k, n, m, seed)
+
+
+# sha256 over the (leaves, inner, vetted) of every frontier walk made by
+# the 24 sampler-fingerprint counts (see test_mc): generator seeds 2-4 of
+# both sparse-sample cells, every two-phase strategy, count seed 11.  Any
+# change to the walk's nodes, their order or its sizing moves it.
+FRONTIER_DIGEST = (
+    "98b2580ffdf796d43ca4809dff520c125cb6fbc040424bd36548075db59f4746")
+
+
+def test_frontier_walks_match_the_recorded_digest(monkeypatch):
+    from indepcount import ras
+
+    digest = hashlib.sha256()
+    real = ras.frontier
+
+    def spy(*args, **kw):
+        walk = real(*args, **kw)
+        digest.update(repr((walk.leaves, walk.inner, walk.vetted)).encode())
+        return walk
+    monkeypatch.setattr(ras, "frontier", spy)
+    for k, n, m in ((3, 23, 46), (4, 19, 114)):
+        for gen_seed in (2, 3, 4):
+            phi = generate(GeneratorSpec(n=n, m=m, k=k, seed=gen_seed))
+            for strategy in ALL[1:]:
+                approx_count(phi, 0.2, 0.1, strategy, seed=11)
+    assert digest.hexdigest() == FRONTIER_DIGEST
 
 
 def test_dense_unsat_formula_counts_zero_on_every_two_phase_strategy():
