@@ -1,23 +1,24 @@
 """Orchestration: one entry point dispatching over counting strategies.
 
-Small or width-two inputs go straight to an exact oracle.  The remaining
-strategies share a two-phase shape: explore the search tree until either
-the exact count is in hand or at least ``ell`` models are certified, and
-in the latter case estimate by sampling.  The two reduction-based
-strategies first compute a variable-disjoint group set, falling back to a
-width-(k-1) recursion when the groups look too loose to help.  A pilot
-draw from the root universe (the full cube without groups, the group
-product with them) estimates the model count; with it, the cut's
-frontier walk decides how far to go, and the sampler then draws from the
-frontier's nodes, which hold every model, not from the root universe.
-A sample budget bounds the pilot's draws and the sampler's together; a
-budget below twice the pilot's draws skips the pilot, and the walk is
-then sized by the cut's certified count alone.
+Anything but a ``Strategy`` is refused up front; small or width-two
+inputs go straight to an exact oracle.  The rest explore the search tree
+until the exact count is in hand or ``ell`` models are certified, then
+sample.  One choice sets the branching rule and the groups: thurley and
+pruned cut without groups; the reduction strategies compute a
+variable-disjoint group set or, if it looks too loose to help, return
+the width-(k-1) recursion's total, each branch counted here under a seed
+derived from its index.  A pilot draw from the root universe (the full
+cube without groups, the group product with them) estimates the model
+count, which sizes the cut's frontier walk; the sampler draws from the
+frontier's nodes, which hold every model.  A sample budget bounds the
+pilot's and the sampler's draws together; one below twice the pilot's
+draws skips the pilot, and the cut's certified count alone sizes the walk.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,16 +52,9 @@ DEFAULT_CONFIG = CounterConfig()
 
 
 def _exact_estimate(value: int, eps: float, delta: float,
-                    seed: int | None) -> Estimate:
+                    seed: int | None, **work: int) -> Estimate:
     return Estimate(value=value, exact=True, epsilon=eps, delta=delta,
-                    seed=seed, lower_bound=value)
-
-
-def _with_cut_work(est: Estimate, cut_result) -> Estimate:
-    return dataclasses.replace(
-        est,
-        decider_calls=est.decider_calls + cut_result.decider_calls,
-        branch_nodes=est.branch_nodes + cut_result.branch_nodes)
+                    seed=seed, lower_bound=value, **work)
 
 
 def approx_count(phi: CnfFormula, eps: float, delta: float,
@@ -73,6 +67,8 @@ def approx_count(phi: CnfFormula, eps: float, delta: float,
     the value is eps-accurate with probability at least 1 - delta.  The
     same (seed, strategy, eps, delta) replays bit-identically.
     """
+    if not isinstance(strategy, Strategy):
+        raise ValueError(f"unknown strategy {strategy!r}")
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
     if not (0.0 < delta < 0.5):
@@ -84,42 +80,24 @@ def approx_count(phi: CnfFormula, eps: float, delta: float,
     if not phi.clauses:
         return _exact_estimate(1 << n, eps, delta, seed)
 
-    if strategy is Strategy.BRUTE_FORCE:
-        got = brute_force_count(phi, max_vars=config.brute_force_guard)
-        return _exact_estimate(got.value, eps, delta, seed)
-    if phi.k <= 2:
-        got = count_2sat_exact(phi)
-        return _exact_estimate(got.value, eps, delta, seed)
-    if n <= config.small_n:
+    if strategy is not Strategy.BRUTE_FORCE and phi.k <= 2:
+        return _exact_estimate(count_2sat_exact(phi).value, eps, delta, seed)
+    if strategy is Strategy.BRUTE_FORCE or n <= config.small_n:
         got = brute_force_count(phi, max_vars=config.brute_force_guard)
         return _exact_estimate(got.value, eps, delta, seed)
 
     params = params_for(phi.k, n, strategy)
     root = np.random.SeedSequence(seed)
-    mc_rng = derived_generator(root, "mc", phi.k, n)
 
-    if strategy is Strategy.THURLEY:
-        branching = BranchKind.BINARY
-        psi = EMPTY_STRUCT_SET
-    elif strategy is Strategy.PRUNED_TREE:
-        branching = BranchKind.PRUNED_CLAUSE
-        psi = EMPTY_STRUCT_SET
-    elif strategy in (Strategy.INDEP_CLAUSES, Strategy.INDEP_STRUCTS):
+    if strategy in (Strategy.INDEP_CLAUSES, Strategy.INDEP_STRUCTS):
         branching = BranchKind.STRUCT_GUIDED
-        psi = None
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    if psi is None:
-        counter_state = {"next": 0}
+        seeds = (int(derived_generator(root, "branch", i).integers(0, 2 ** 63))
+                 for i in itertools.count())
 
         def recursive_counter(sub: CnfFormula, sub_eps: float,
                               sub_delta: float) -> Estimate:
-            child = derived_generator(root, "branch", counter_state["next"])
-            counter_state["next"] += 1
-            child_seed = int(child.integers(0, 2 ** 63))
-            return approx_count(sub, sub_eps, sub_delta, strategy=strategy,
-                                seed=child_seed, config=config)
+            return approx_count(sub, sub_eps, sub_delta, strategy,
+                                next(seeds), config)
 
         if strategy is Strategy.INDEP_STRUCTS:
             outcome = red_structs(phi, params, eps, delta, recursive_counter)
@@ -129,12 +107,17 @@ def approx_count(phi: CnfFormula, eps: float, delta: float,
         if outcome.estimate is not None:
             return dataclasses.replace(outcome.estimate, seed=seed)
         psi = outcome.struct_set
+    else:
+        branching = (BranchKind.BINARY if strategy is Strategy.THURLEY
+                     else BranchKind.PRUNED_CLAUSE)
+        psi = EMPTY_STRUCT_SET
 
     ell = params.ell
     result = cut(phi, psi, ell, branching)
+    work = dict(decider_calls=result.decider_calls,
+                branch_nodes=result.branch_nodes)
     if result.kind is CutKind.EXACT:
-        est = _exact_estimate(result.count, eps, delta, seed)
-        return _with_cut_work(est, result)
+        return _exact_estimate(result.count, eps, delta, seed, **work)
     # the pilot's draws count against the budget, so it runs only when it
     # takes at most half of it
     budget, first = config.sample_budget, None
@@ -144,7 +127,8 @@ def approx_count(phi: CnfFormula, eps: float, delta: float,
             budget -= PILOT_WORDS
     walk = frontier(result, run_hits(result.count, ell, eps, delta),
                     models=first.models if first else 0)
-    est = mc_estimate(phi, psi, ell, eps, delta, mc_rng, seed=seed,
+    est = mc_estimate(phi, psi, ell, eps, delta,
+                      derived_generator(root, "mc", phi.k, n), seed=seed,
                       sample_budget=budget, nodes=walk.all_nodes, pilot=first)
-    est = dataclasses.replace(est, frontier_nodes=walk.vetted)
-    return _with_cut_work(est.with_lower_bound(result.count), result)
+    return dataclasses.replace(est.with_lower_bound(result.count),
+                               frontier_nodes=walk.vetted, **work)

@@ -265,46 +265,36 @@ class RedOutcome:
             raise ValueError("exactly one of struct_set/estimate must be set")
 
 
-def _branch_delta(delta: float, n: int) -> float:
-    return max(delta * 2.0 ** (-n), 1e-300)
+# the Estimate counters a recursion adds up over its branches
+_SUMMED = ("samples", "hits", "samples_wanted", "decider_calls",
+           "branch_nodes", "universe_size", "frontier_nodes")
 
 
 def _recurse_branches(phi: CnfFormula, structs: Sequence[Struct], eps: float,
                       delta: float, recursive_counter: RecursiveCounter) -> Estimate:
-    """Sum recursive counts over all non-falsifying closed assignments."""
-    sub_delta = _branch_delta(delta, phi.num_vars)
-    total = lower = 0
-    exact = True
-    under = False
-    samples = hits = wanted = decider_calls = branch_nodes = 0
-    universe = vetted = 0
+    """Sum recursive counts over all non-falsifying closed assignments.
+
+    Each of the at most 2^n branches is counted at ``eps`` and delta * 2^-n,
+    so by the union bound all hold at once with probability 1 - delta.  The
+    value, lower bound and ``_SUMMED`` counters are the branches' sums; the
+    total is exact if every branch is, flagged if any is.
+    """
+    sub_delta = max(delta * 2.0 ** (-phi.num_vars), 1e-300)
     # each group's closed assignments, decoded once; a branch merges one
     # of each, in group order
     parts = [[{v: bool(index >> i & 1) for i, v in enumerate(s.closed_vars)}
               for index in memoryview(s.closed_indices())] for s in structs]
+    ests = []
     for combo in itertools.product(*parts):
-        binding: dict[int, bool] = {}
-        for part in combo:
-            binding.update(part)
-        sub = restrict(phi, binding)
+        sub = restrict(phi, {v: b for part in combo for v, b in part.items()})
         assert sub.k <= max(phi.k - 1, 0), "reduction must shorten every clause"
-        est = recursive_counter(sub, eps, sub_delta)
-        total = total + est.value
-        lower += est.lower_bound
-        exact = exact and est.exact
-        under = under or est.under_sampled
-        samples += est.samples
-        hits += est.hits
-        wanted += est.samples_wanted
-        decider_calls += est.decider_calls
-        branch_nodes += est.branch_nodes
-        universe += est.universe_size
-        vetted += est.frontier_nodes
-    return Estimate(value=total, exact=exact, epsilon=eps, delta=delta,
-                    samples=samples, hits=hits, under_sampled=under,
-                    samples_wanted=wanted, decider_calls=decider_calls,
-                    branch_nodes=branch_nodes, universe_size=universe,
-                    frontier_nodes=vetted).with_lower_bound(lower)
+        ests.append(recursive_counter(sub, eps, sub_delta))
+    return Estimate(
+        value=sum(e.value for e in ests), epsilon=eps, delta=delta,
+        exact=all(e.exact for e in ests),
+        under_sampled=any(e.under_sampled for e in ests),
+        **{f: sum(getattr(e, f) for e in ests) for f in _SUMMED},
+    ).with_lower_bound(sum(e.lower_bound for e in ests))
 
 
 def _grow_groups(clauses: Sequence[tuple[int, ...]]
@@ -398,8 +388,8 @@ def red_structs(phi: CnfFormula, params, eps: float, delta: float,
         # no clauses at all: nothing to cut, nothing to branch on
         return RedOutcome(struct_set=EMPTY_STRUCT_SET)
 
-    estimate = _recurse_branches(phi, pool, eps, delta, recursive_counter)
-    return RedOutcome(estimate=estimate)
+    return RedOutcome(estimate=_recurse_branches(phi, pool, eps, delta,
+                                                 recursive_counter))
 
 
 def red_clauses(phi: CnfFormula, m_hat: int, eps: float, delta: float,
@@ -422,5 +412,5 @@ def red_clauses(phi: CnfFormula, m_hat: int, eps: float, delta: float,
             for c in chosen]
     if len(pool) >= m_hat:
         return RedOutcome(struct_set=StructSet(tuple(pool)))
-    estimate = _recurse_branches(phi, pool, eps, delta, recursive_counter)
-    return RedOutcome(estimate=estimate)
+    return RedOutcome(estimate=_recurse_branches(phi, pool, eps, delta,
+                                                 recursive_counter))

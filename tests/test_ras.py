@@ -6,7 +6,7 @@ import pytest
 
 from indepcount import (CnfFormula, CounterConfig, Estimate, GuardError,
                         Strategy, approx_count, brute_force_count, eps_accurate,
-                        params_for)
+                        params_for, parse_dimacs)
 from indepcount import structs
 from indepcount.exact import _count
 from indepcount.gen import GeneratorSpec, generate
@@ -294,6 +294,16 @@ def test_argument_validation(chain3):
         approx_count(chain3, 1.5, 0.1)
     with pytest.raises(ValueError):
         approx_count(chain3, 0.2, 0.5)
+
+
+def test_strategy_outside_the_enum_is_refused_on_every_route():
+    # checked at entry, before the exact shortcuts; strings are not coerced
+    small = generate(GeneratorSpec(n=10, m=20, k=3, seed=1))
+    two_cnf = parse_dimacs("p cnf 3 2\n1 2 0\n-2 3 0\n")
+    for phi in (small, two_cnf):
+        for strategy in ("bogus", None, Strategy.INDEP_STRUCTS.value):
+            with pytest.raises(ValueError):
+                approx_count(phi, 0.2, 0.1, strategy, seed=0)
 
 
 def test_flagged_estimate_never_falls_below_the_certified_bound():
