@@ -589,3 +589,44 @@ def test_root_only_group_frontier_draws_the_full_product():
     assert np.array_equal(words, plain.sample_words(1 << 16, generator(47)))
     stat, p = chi_square_uniformity([uni.decode_word(w) for w in words], uni)
     assert p > 0.01 and stat < 3 * uni.size
+
+
+# -- one-node universes ----------------------------------------------------
+
+# sha256 over the words of every one-node draw below: three group sets
+# (none, and the clauses and structs reductions' groups of the k = 3,
+# n = 23 sparse-sample cell's generator seed 1), each as its root universe
+# and as one node of a middle row range whose cube fixes the first coin
+# True and the last False, at five counts from one word to several
+# slices, each from a fresh generator.  The root's draws are the pilot's
+# stream, which the count pins reach only through its estimate.
+ONE_NODE_DIGEST = (
+    "3ed7f49c100a3d704a4a2bc97a5d422adb5c2998602013bb4e10b19ecf2ecf6a")
+
+
+def test_one_node_draws_match_the_recorded_digest():
+    from indepcount import params_for, red_clauses, red_structs
+
+    phi = generate(GeneratorSpec(n=23, m=46, k=3, seed=1))
+
+    def no_recursion(*_):
+        raise AssertionError("the reduction should keep its groups")
+
+    params = params_for(3, 23, Strategy.INDEP_STRUCTS)
+    digest = hashlib.sha256()
+    for psi in (EMPTY_STRUCT_SET,
+                red_clauses(phi, 1, 0.2, 0.1, no_recursion).struct_set,
+                red_structs(phi, params, 0.2, 0.1, no_recursion).struct_set):
+        root = Universe(psi, variables=phi.variables)
+        first, last = (1 << (v - 1) for v in (root.free_vars[0],
+                                              root.free_vars[-1]))
+        rows = root.models
+        node = (rows // 3, rows - rows // 5, first,
+                root.free_mask & ~first & ~last)
+        for uni in (root, root.over([node])):
+            assert len(uni.nodes) == 1
+            for count in (1, 1 << 13, 1 << 15, (1 << 15) + 7, 10 ** 5):
+                words = uni.sample_words(count, generator(count))
+                assert len(words) == count
+                digest.update(words.tobytes())
+    assert digest.hexdigest() == ONE_NODE_DIGEST
