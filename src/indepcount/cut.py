@@ -327,12 +327,12 @@ def frontier(result: CutResult, hits: int, budget: int | None = None, *,
     level.  While groups are left, a node holds one row of each group
     before group g, a slice of group g's models and every model of the
     later groups: contiguous product rows, as group 0 is the most
-    significant digit.  ``model_indices()`` is ascending, so fixing group
-    g's variables from the top down splits a slice in two at its highest
-    bit that varies; each side fixes the bits its rows share, a side of
-    one row fixes the whole group and moves on to group g + 1.  A node
-    without groups left expands by the cut's block rule and records.  A
-    child is pruned when its values, or the units they leave
+    significant digit.  ``Struct.model_indices()`` is ascending, so
+    fixing group g's variables from the top down splits a slice in two at
+    its highest bit that varies; each side fixes the bits its rows share,
+    a side of one row fixes the whole group and moves on to group g + 1.
+    A node without groups left expands by the cut's block rule and
+    records.  A child is pruned when its values, or the units they leave
     (``ClauseIndex.fix``), empty a clause.  Units on the variables outside
     the groups shrink the child's cube; units on group variables are kept
     in its residual only, so its rows still hold every model, and a child

@@ -14,13 +14,13 @@ the true model count whenever the subformulas all appear in the target
 formula and the nodes hold every model.
 
 A draw packs an assignment into one 64-bit word.  The coins take one raw
-64-bit draw under a node's mask, ORed with its fixed values.  With more
-than one node, one bounded draw per word is a uniform position in the
-nodes laid end to end, each holding 2^(its coins - the fewest) positions
-per row: the node holding it is found from a guide table, and the
-position, shifted down, is a uniform row of it.  The pick is exact in
-integers, so the draw is uniform on the universe; one node skips it and
-draws its row directly.  The groups' models are merged, in order, into
+64-bit draw under a node's mask, ORed with its fixed values.  One bounded
+draw per word is a uniform position in the nodes laid end to end, each
+holding 2^(its coins - the fewest) positions per row: the node holding it
+is found from a guide table, and the position, shifted down, is a
+uniform row of it.  The pick is exact in integers, so the draw is
+uniform on the universe; a universe of one node, the root's among them,
+is picked the same way.  The groups' models are merged, in order, into
 product tables of at most ``_TABLE_ROWS`` rows each, and the row, split
 by mixed radix, picks one row per table.  A uniform row of the product is
 an independent uniform model per group, so the universe and the estimator
@@ -125,13 +125,15 @@ class Universe:
     An element is a row of the group product and a coin word.  Row i
     takes one model per group by mixed radix, group 0 the most
     significant digit: i = sum of r_g times the model counts of the groups
-    after g, r_g indexing ``model_indices()``.  The universe is a tuple of
-    disjoint nodes ``(lo, hi, word, mask)``: the rows [lo, hi) times a
-    coin cube, bit v-1 for x_v, ``mask`` marking the variables outside
-    the groups that are fair coins in it and ``word`` the values of the
-    others; ``models`` counts the rows.  A new universe is one node, every
-    row and every coin; ``over`` gives one with other nodes.  A draw picks
-    a node in proportion to its size, so it is uniform on the universe.
+    after g, r_g indexing ``Struct.model_indices()``.  The universe is a
+    tuple of disjoint nodes ``(lo, hi, word, mask)``: the rows [lo, hi)
+    times a coin cube, bit v-1 for x_v, ``mask`` marking the variables
+    outside the groups that are fair coins in it and ``word`` the values
+    of the others; ``models`` counts the rows.  A new universe is one
+    node, every row and every coin; ``over`` gives one with other nodes.
+    Every draw, one node or many, picks a node in proportion to its size,
+    so it is uniform on the universe.  A draw packs an assignment into
+    one 64-bit word, so a variable index above 64 is refused.
     """
 
     def __init__(self, psi: "StructSet", n: int | None = None, *,
@@ -142,6 +144,8 @@ class Universe:
             universe = tuple(range(1, n + 1))
         else:
             raise ValueError("need n or variables")
+        if universe and universe[-1] > 64:
+            raise ValueError("assignment words limited to variable indices <= 64")
         claimed = psi.all_vars
         outside = claimed.difference(universe)
         if outside:
@@ -153,8 +157,8 @@ class Universe:
         self.free_vars = tuple(v for v in universe if v not in claimed)
         self.free_mask = sum(1 << (v - 1) for v in self.free_vars)
         self.models = math.prod(sigma.l_sigma for sigma in self.structs)
-        # product tables and the draw's buffers, made on the first draw and
-        # shared with every universe ``over`` makes from this one
+        # product tables and the draw's buffers, made on the first draw; a
+        # universe ``over`` makes after that draw shares them
         self._tables: list[np.ndarray] | None = None
         # a group without a model leaves no node at all
         self._set_nodes(((0, self.models, 0, self.free_mask),)
@@ -162,32 +166,25 @@ class Universe:
 
     def over(self, nodes: Sequence[tuple[int, int, int, int]]) -> "Universe":
         """The universe of ``nodes`` over the same groups and variables,
-        sharing this one's product tables."""
+        sharing this one's product tables if it has drawn already."""
         other = copy.copy(self)
         other._set_nodes(nodes)
         return other
 
     def _set_nodes(self, nodes) -> None:
         self.nodes = tuple(nodes)
-        if len(self.nodes) < 2:
-            # no pick to lay out: the size is all a draw needs
-            self.size = 0
-            for lo, hi, word, mask in self.nodes:
-                if not 0 <= lo < hi <= self.models:
-                    raise ValueError("node rows outside the group product")
-                if (word | mask) & ~self.free_mask or word & mask:
-                    raise ValueError("node cube outside the variables left to coins")
-                self.size = (hi - lo) << mask.bit_count()
+        self.size = 0
+        if not self.nodes:
             return
-        # several nodes: checked and laid out as uint64 columns, which
-        # hold a node's rows, cube and size as sampling needs them to
-        self._check_words()
+        # checked and laid out as uint64 columns, which hold a node's rows,
+        # cube and size as sampling needs them to
         try:
             lo, hi, word, mask = np.array(self.nodes, dtype=np.uint64).T
         except OverflowError:
             raise ValueError("node outside the universe") from None
-        rows = np.uint64(min(self.models, 2 ** 64 - 1))
-        if np.any(lo >= hi) or np.any(hi > rows):
+        # every index <= 64 and fewer than 2^|vars| models per group, so
+        # models < 2^64
+        if np.any(lo >= hi) or np.any(hi > np.uint64(self.models)):
             raise ValueError("node rows outside the group product")
         if np.any((word | mask) & ~np.uint64(self.free_mask) | word & mask):
             raise ValueError("node cube outside the variables left to coins")
@@ -219,41 +216,24 @@ class Universe:
                            dtype=np.uint64) << np.uint64(self._bucket_bits)
         self._guide = np.searchsorted(self._first, starts, side="right") - 1
 
-    def _check_words(self) -> None:
-        if self.variables and self.variables[-1] > 64:
-            raise ValueError("assignment words limited to variable indices <= 64")
-
     def sample_words(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Vector of assignment words, bit (v-1) = value of x_v.
 
         A draw takes a raw 64-bit coin word, then a node and a uniform row
-        of it (``_pick``; one node draws its row directly), whose cube
-        masks the coins and sets its fixed values, and whose row is split
-        into one model per group."""
+        of it (``_pick``), whose cube masks the coins and sets its fixed
+        values, and whose row is split into one model per group."""
         if self.size == 0:
             raise ValueError("cannot sample an empty universe")
-        self._check_words()
         words = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
-        if len(self.nodes) == 1:
-            # no pick: one node draws plain coins under its mask
-            [(lo, hi, word, mask)] = self.nodes
-            words &= np.uint64(mask)
-            if word:
-                words |= np.uint64(word)
-        else:
-            node, rows = self._pick(count, rng)
-            words &= np.take(self._row_masks, node)
-            words |= np.take(self._row_words, node)
+        node, rows = self._pick(count, rng)
+        words &= np.take(self._row_masks, node)
+        words |= np.take(self._row_words, node)
         if not self.structs:
             return words
         self._product()
         for start in range(0, count, _SLICE_WORDS):
-            part = words[start:start + _SLICE_WORDS]
-            if len(self.nodes) == 1:
-                index = rng.integers(lo, hi, size=len(part), dtype=np.uint64)
-            else:
-                index = rows[start:start + _SLICE_WORDS]
-            self._gather(part, index)
+            self._gather(words[start:start + _SLICE_WORDS],
+                         rows[start:start + _SLICE_WORDS])
         return words
 
     def _pick(self, count: int, rng: np.random.Generator):
@@ -314,7 +294,6 @@ class Universe:
         if self.size > _CELL_LIMIT:
             raise ValueError(f"universe of size {self.size} exceeds "
                              f"enumeration limit {_CELL_LIMIT}")
-        self._check_words()
         cells = [np.zeros(0, dtype=np.uint64)]
         for lo, hi, word, mask in self.nodes:
             rows = np.zeros(hi - lo, dtype=np.uint64)
@@ -335,8 +314,8 @@ class Universe:
 
 
 def _model_words(sigma: "Struct") -> np.ndarray:
-    """A group's models as assignment words, bit (v-1) = value of x_v.
-    Callers run ``Universe._check_words`` first, so every v <= 64."""
+    """A group's models as assignment words, bit (v-1) = value of x_v;
+    a ``Universe`` refuses indices above 64, so every v <= 64."""
     indices = sigma.model_indices()
     words = np.zeros(indices.shape, dtype=np.uint64)
     for i, v in enumerate(sigma.vars):
@@ -441,8 +420,11 @@ def run_pilot(phi: CnfFormula, psi: "StructSet",
 
 def _check_tables(phi: CnfFormula, psi: "StructSet") -> ClauseTables:
     """The check's clause tables: every draw satisfies the groups' own
-    clauses, so only the rest are checked."""
+    clauses, so only the rest are checked.  A group clause that ``phi``
+    lacks is refused: its draws would miss models of ``phi``."""
     drawn = {c for sigma in psi for c in sigma.clauses}
+    if not drawn <= set(phi.clauses):
+        raise ValueError("subformula clause missing from the formula")
     return clause_tables([c for c in phi.clauses if c not in drawn],
                          {v: v - 1 for v in phi.variables}, _CHUNK_BITS)
 
@@ -477,9 +459,6 @@ def mc_estimate(phi: CnfFormula, psi: "StructSet", ell: int, eps: float,
     """
     if sample_budget is not None and sample_budget < 1:
         raise ValueError("sample_budget must be at least 1")
-    drawn = {c for sigma in psi for c in sigma.clauses}
-    if not drawn <= set(phi.clauses):
-        raise ValueError("subformula clause missing from the formula")
     if rng is None:
         rng = np.random.default_rng(seed)
 

@@ -4,7 +4,8 @@ a module-level class is referenced elsewhere in it, every public function
 or class the package does not export is referenced from the package or
 the benchmark (tests do not count), and
 every name the package exports resolves, and every code reference in the
-README names something that exists.
+README and in the package's double-backticked spans names something that
+exists.
 
 Built on the standard library's ``ast`` so that it runs wherever the
 tests do.  A name counts as used when the module loads it anywhere, lists
@@ -295,14 +296,16 @@ def _package_namespaces() -> tuple[dict, dict]:
     return modules, classes
 
 
-def stale_code_references(text: str, modules: dict, classes: dict) -> list[str]:
-    """Backticked spans of markdown ``text``, outside fenced blocks, that
-    name nothing: ``head.name`` whose head is in ``modules`` or
-    ``classes`` but has no such attribute (or dataclass field), and calls
-    ``name(...)`` that no module defines, ``MATH_CALLS`` aside."""
+def stale_code_references(text: str, modules: dict, classes: dict,
+                          spans: str = r"`([^`]+)`") -> list[str]:
+    """Spans of ``text`` matched by ``spans`` (by default the backticked
+    spans of markdown), outside fenced blocks, that name nothing:
+    ``head.name`` whose head is in ``modules`` or ``classes`` but has no
+    such attribute (or dataclass field), and calls ``name(...)`` that no
+    module defines, ``MATH_CALLS`` aside."""
     text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
     stale = []
-    for span in re.findall(r"`([^`]+)`", text):
+    for span in re.findall(spans, text):
         dotted = re.match(r"(\w+)\.(\w+)", span)
         call = re.match(r"(\w+)\(", span)
         if dotted and dotted[1] in modules:
@@ -335,3 +338,13 @@ def test_every_readme_code_reference_resolves():
     stale = stale_code_references((ROOT / "README.md").read_text(
         encoding="utf-8"), *_package_namespaces())
     assert not stale, "README names nothing for:\n" + "\n".join(stale)
+
+
+def test_every_source_code_reference_resolves():
+    # the package's docstrings and comments mark code with double backticks
+    namespaces = _package_namespaces()
+    stale = [f"{path.name}: {span}" for path in PACKAGE
+             for span in stale_code_references(
+                 path.read_text(encoding="utf-8"), *namespaces,
+                 spans=r"``([^`]+)``")]
+    assert not stale, "source names nothing for:\n" + "\n".join(stale)

@@ -68,11 +68,12 @@ def test_samples_land_in_the_universe():
 
 
 def test_sampling_refuses_variable_indices_above_64():
+    # a draw packs an assignment into one 64-bit word, so the universe
+    # itself is refused; x1..x64 is the widest one
     sigma = _struct((1, 2, 3))
-    uni = Universe(StructSet((sigma,)), variables=range(1, 66))
-    assert uni.free_vars[-1] == 65
     with pytest.raises(ValueError):
-        sample_universe(uni, generator(0))
+        Universe(StructSet((sigma,)), variables=range(1, 66))
+    assert Universe(StructSet((sigma,)), 64).free_vars[-1] == 64
 
 
 def test_sample_size_pinned_values():
@@ -527,8 +528,9 @@ def test_sampled_frontier_passes_chi_square():
 
 
 def test_one_cube_frontier_draws_plain_coins():
-    # one node skips the pick: all coins reproduce the draw of a universe
-    # without nodes, and a cube with fixed values ORs them in
+    # without groups one node's pick has a single position and draws
+    # nothing: all coins reproduce the draw of the root universe, and a
+    # cube with fixed values ORs them in
     variables = (2, 5, 9, 40)
     plain = Universe(EMPTY_STRUCT_SET, variables=variables)
     raw = generator(3).integers(0, 2 ** 64, size=1000, dtype=np.uint64)
@@ -536,12 +538,10 @@ def test_one_cube_frontier_draws_plain_coins():
         uni = plain.over([(0, 1, word, mask)])
         words = uni.sample_words(1000, generator(3))
         assert np.array_equal(words, raw & np.uint64(mask) | np.uint64(word))
-    with pytest.raises(ValueError):
-        plain.over([(0, 1, 1, 2)])
-    with pytest.raises(ValueError):
-        plain.over([(0, 2, 0, 2)])
-    # several nodes are checked as uint64 columns, to the same effect
+    # one node or several, the nodes are checked as uint64 columns
     for bad in ((0, 1, 1, 2), (0, 2, 0, 2), (-1, 1, 0, 2)):
+        with pytest.raises(ValueError):
+            plain.over([bad])
         with pytest.raises(ValueError):
             plain.over([bad, (0, 1, 2, 0)])
 
